@@ -7,8 +7,9 @@ order. Inside a ``no_grad()`` block the same ops return bare numpy arrays
 instead of graph nodes, so value-only passes (instance selection, finite
 differences) run the identical forward math without graph overhead.
 
-Shapes are deliberately minimal: 1-d/2-d arrays plus scalar broadcasting,
-which is all the scoring model needs.
+Shapes are deliberately minimal: dense arrays with scalar and trailing-axis
+broadcasting, reductions over all entries or one axis, and basic indexing,
+which is all the batched scoring model needs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "mul",
     "log",
     "gather",
+    "index",
     "adjacent_diff",
     "reshape",
     "linear",
@@ -147,14 +149,17 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def sum(self):
-        return _reduce_sum(self)
+    def __getitem__(self, key):
+        return index(self, key)
 
-    def mean(self):
-        return _reduce_mean(self)
+    def sum(self, axis=None):
+        return _reduce_sum(self, axis)
 
-    def max(self):
-        return _reduce_max(self)
+    def mean(self, axis=None):
+        return _reduce_mean(self, axis)
+
+    def max(self, axis=None):
+        return _reduce_max(self, axis)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -281,45 +286,72 @@ def log(x):
 # reductions and reshaping
 
 
-def _reduce_sum(x):
+def _expand(g, axis, shape):
+    """Broadcast a reduced gradient back over the reduced axis."""
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
+def _reduce_sum(x, axis=None):
+    """Sum over all entries, or over one axis."""
     xv = _val(x)
-    out = np.asarray(xv.sum())
+    out = np.asarray(xv.sum(axis=axis))
     if not _tracing(x):
         return out
 
     def grad_fn(g):
-        _accum(x, np.broadcast_to(g, xv.shape))
+        _accum(x, _expand(g, axis, xv.shape))
 
     return _node(out, (x,), grad_fn)
 
 
-def _reduce_mean(x):
+def _reduce_mean(x, axis=None):
+    """Mean over all entries, or over one axis."""
     xv = _val(x)
-    out = np.asarray(xv.mean())
+    n = xv.size if axis is None else xv.shape[axis]
+    # the same bits as xv.mean(axis), without its bookkeeping
+    out = np.asarray(xv.sum(axis=axis) / n)
     if not _tracing(x):
         return out
-    n = xv.size
 
     def grad_fn(g):
-        _accum(x, np.broadcast_to(g / n, xv.shape))
+        _accum(x, _expand(g / n, axis, xv.shape))
 
     return _node(out, (x,), grad_fn)
 
 
-def _reduce_max(x):
-    """Maximum over all entries; the gradient routes to the first argmax."""
+def _reduce_max(x, axis=None):
+    """Maximum over all entries, or over one axis; the gradient routes to
+    the first argmax of each reduced slice."""
     xv = _val(x)
-    idx = np.unravel_index(np.argmax(xv), xv.shape)
-    out = np.asarray(xv[idx])
-    if _kink_margins is not None and xv.size >= 2:
-        top2 = np.partition(xv.reshape(-1), -2)[-2:]
-        _kink_margins.append(float(top2[1] - top2[0]))
+    flat = xv.reshape(-1) if axis is None else np.moveaxis(xv, axis, -1)
+    idx = np.expand_dims(np.argmax(flat, axis=-1), -1)
+    out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
+    if _kink_margins is not None and flat.shape[-1] >= 2:
+        top2 = np.partition(flat, -2, axis=-1)[..., -2:]
+        _kink_margins.append(float((top2[..., 1] - top2[..., 0]).min()))
+    if not _tracing(x):
+        return out
+
+    def grad_fn(g):
+        contrib = np.zeros_like(flat)
+        np.put_along_axis(contrib, idx, np.expand_dims(g, -1), axis=-1)
+        _accum(x, contrib.reshape(xv.shape) if axis is None else np.moveaxis(contrib, -1, axis))
+
+    return _node(out, (x,), grad_fn)
+
+
+def index(x, key):
+    """Basic indexing (integers and slices); the result is a view of x."""
+    xv = _val(x)
+    out = xv[key]
     if not _tracing(x):
         return out
 
     def grad_fn(g):
         contrib = np.zeros_like(xv)
-        contrib[idx] = g
+        contrib[key] = g
         _accum(x, contrib)
 
     return _node(out, (x,), grad_fn)
@@ -362,18 +394,18 @@ def gather(x, indices):
 
 
 def adjacent_diff(x):
-    """First difference of a 1-d tensor: out[i] = x[i+1] - x[i]."""
+    """First difference along the last axis: out[..., i] = x[..., i+1] - x[..., i]."""
     xv = _val(x)
-    if xv.ndim != 1 or xv.shape[0] < 2:
-        raise DimensionError(f"adjacent_diff needs a 1-d tensor of length >= 2, got shape {xv.shape}")
-    out = xv[1:] - xv[:-1]
+    if xv.ndim < 1 or xv.shape[-1] < 2:
+        raise DimensionError(f"adjacent_diff needs a last axis of length >= 2, got shape {xv.shape}")
+    out = xv[..., 1:] - xv[..., :-1]
     if not _tracing(x):
         return out
 
     def grad_fn(g):
         contrib = np.zeros_like(xv)
-        contrib[1:] += g
-        contrib[:-1] -= g
+        contrib[..., 1:] += g
+        contrib[..., :-1] -= g
         _accum(x, contrib)
 
     return _node(out, (x,), grad_fn)
@@ -383,18 +415,21 @@ def adjacent_diff(x):
 # neural net ops
 
 
-def linear(x, weight, bias):
-    """Affine map on row vectors: out[n, o] = sum_i x[n, i] W[i, o] + b[o]."""
-    xv, wv, bv = _val(x), _val(weight), _val(bias)
+def linear(x, weight, bias=None):
+    """Affine map on row vectors: out[n, o] = sum_i x[n, i] W[i, o] (+ b[o])."""
+    xv, wv = _val(x), _val(weight)
+    bv = None if bias is None else _val(bias)
     if (
         xv.ndim != 2
         or wv.ndim != 2
-        or bv.ndim != 1
         or xv.shape[1] != wv.shape[0]
-        or wv.shape[1] != bv.shape[0]
+        or (bv is not None and (bv.ndim != 1 or wv.shape[1] != bv.shape[0]))
     ):
-        raise DimensionError(f"linear: incompatible shapes x{xv.shape} W{wv.shape} b{bv.shape}")
-    out = xv @ wv + bv
+        shapes = f"x{xv.shape} W{wv.shape}" + ("" if bv is None else f" b{bv.shape}")
+        raise DimensionError(f"linear: incompatible shapes {shapes}")
+    out = xv @ wv
+    if bv is not None:
+        out += bv
     if not _tracing(x, weight, bias):
         return out
 
@@ -410,38 +445,52 @@ def linear(x, weight, bias):
 
 
 def conv1d_same(x, weight, bias):
-    """1-d cross-correlation with zero 'same' padding.
+    """1-d cross-correlation with zero 'same' padding, along the last axis of
+    a 1-d signal or of each row of a 2-d one.
 
-    out[i] = b + sum_j w[j] * x[i + j - k//2], out-of-range x entries read
-    as zero, so the output length equals the input length.
+    out[..., i] = b + sum_j w[j] * x[..., i + j - k//2], out-of-range x
+    entries read as zero, so the output length equals the input length.
     """
     xv, wv, bv = _val(x), _val(weight), _val(bias)
-    if xv.ndim != 1:
-        raise DimensionError(f"conv1d_same expects a 1-d signal, got shape {xv.shape}")
+    if xv.ndim not in (1, 2):
+        raise DimensionError(f"conv1d_same expects a 1-d signal or rows of one, got shape {xv.shape}")
     if wv.ndim != 1:
         raise DimensionError(f"conv1d_same expects a 1-d kernel, got shape {wv.shape}")
     if bv.size != 1:
         raise DimensionError(f"conv1d_same expects a single bias value, got shape {bv.shape}")
     k = wv.shape[0]
-    t = xv.shape[0]
+    t = xv.shape[-1]
     if k % 2 == 0 or k < 3:
         raise ConfigurationError(f"conv1d_same kernel size must be odd and >= 3, got {k}")
     if k > t:
         raise ConfigurationError(f"conv1d_same kernel size {k} exceeds signal length {t}")
     half = k // 2
-    xpad = np.zeros(t + 2 * half)
-    xpad[half : half + t] = xv
-    out = np.correlate(xpad, wv, mode="valid") + bv.reshape(())
+    width = t + 2 * half
+    n = xv.size // t
+
+    def flat_rows(v, at):
+        # every row of v inside a zero row of the padded width, starting at
+        # column `at`, end to end, plus 2*half zeros so that a 'valid'
+        # correlation yields one output per padded column
+        buf = np.zeros(n * width + 2 * half)
+        buf[: n * width].reshape(n, width)[:, at : at + t] = v.reshape(n, t)
+        return buf
+
+    def rows_of(corr):
+        # the first t outputs of each padded row are that row's; the rest
+        # straddle two rows and are dropped
+        return corr.reshape(n, width)[:, :t].reshape(xv.shape)
+
+    xflat = flat_rows(xv, half)
+    out = rows_of(np.correlate(xflat, wv, mode="valid")) + bv.reshape(())
     if not _tracing(x, weight, bias):
         return out
 
     def grad_fn(g):
         if isinstance(x, Tensor):
-            gpad = np.zeros(t + 2 * half)
-            gpad[half : half + t] = g
-            _accum(x, np.correlate(gpad, wv[::-1], mode="valid"))
+            _accum(x, rows_of(np.correlate(flat_rows(g, half), wv[::-1], mode="valid")))
         if isinstance(weight, Tensor):
-            _accum(weight, np.correlate(xpad, g, mode="valid"))
+            _accum(weight, np.correlate(xflat, flat_rows(g, 0)[: n * width], mode="valid"))
         if isinstance(bias, Tensor):
             _accum(bias, np.asarray(g.sum()).reshape(bv.shape))
 
@@ -469,7 +518,7 @@ def leaky_relu(x, slope=0.5):
     if not 0.0 <= slope < 1.0:
         raise ConfigurationError(f"leaky_relu slope must be in [0, 1), got {slope}")
     xv = _val(x)
-    out = np.where(xv >= 0.0, xv, slope * xv)
+    out = np.maximum(xv, slope * xv)
     if _kink_margins is not None and xv.size:
         _kink_margins.append(float(np.abs(xv).min()))
     if not _tracing(x):
@@ -484,11 +533,10 @@ def leaky_relu(x, slope=0.5):
 def sigmoid(x):
     """Numerically stable logistic; finite for any finite input."""
     xv = _val(x)
-    out = np.empty_like(xv, dtype=np.float64)
-    pos = xv >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
-    ex = np.exp(xv[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + exp(-x)) at and above zero, exp(x) / (1 + exp(x)) below it;
+    # exp(-|x|) is the exponential either branch needs, and never overflows
+    e = np.exp(-np.abs(xv))
+    out = np.where(xv >= 0, 1.0, e) / (1.0 + e)
     if not _tracing(x):
         return out
 
@@ -543,8 +591,9 @@ def scale_rows(x, s):
 def backward(loss: Tensor) -> None:
     """Push d(loss)/d(node) through the graph; ``loss`` must be scalar.
 
-    Parameter gradients accumulate across calls until ``zero_grad``;
-    gradients on intermediate nodes are reset at the start of each call.
+    Parameter gradients accumulate across calls until ``zero_grad``; an
+    intermediate node's gradient is released once it has been passed on to
+    the node's inputs, so a large graph never holds all of them at once.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward needs a Tensor (was the graph built under no_grad?)")
@@ -574,6 +623,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._grad_fn is not None and node.grad is not None:
             node._grad_fn(node.grad)
+            node.grad = None
 
 
 @dataclass

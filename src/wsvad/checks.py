@@ -4,21 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import GradCheckReport, grad_check, no_grad, record_kink_margins
-from .losses import LossConfig, total_loss
+from .autodiff import GradCheckReport, grad_check, record_kink_margins
+from .data import ClipFeatureBag
+from .losses import LossConfig
 from .model import AnomalyScorer, HfcConfig, MtaConfig
-from .selection import ScoreBagPair, SelectionConfig, select
+from .selection import SelectionConfig
+from .training import batch_step
 
 
 def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed: int = 3,
                           k_max: int = 5, eps: float = 1e-5, tol: float = 1e-4,
-                          margin_min: float = 2e-4, max_attempts: int = 20) -> GradCheckReport:
-    """Finite-difference check of d(total loss)/d(every parameter).
+                          margin_min: float = 2e-4, max_attempts: int = 20,
+                          use_mta: bool = True,
+                          magnitude_source: str = "attended") -> GradCheckReport:
+    """Finite-difference check of d(batch loss)/d(every parameter).
 
-    Builds a small model on random features, freezes the instance selection
-    once (selection indices are constants during differentiation, exactly as
-    in a training step), then compares analytic gradients against central
-    differences with dropout off.
+    Drives the training step itself (``training.batch_step``) on a batch of
+    two bag pairs with random features and dropout off. The instance
+    selection is computed once and then frozen (selection is a constant
+    during differentiation, exactly as in a training step); its confidence
+    threshold is set from the scores so that one pair keeps K >= 2 clips
+    while the other keeps fewer, so the check covers top-K masks whose K
+    differs between pairs. Analytic gradients are then compared against
+    central differences.
 
     Central differences are only valid where the graph is smooth, so inputs
     are redrawn (seed, seed+1, ...) until every leaky ReLU argument and every
@@ -32,27 +40,39 @@ def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed:
     # kernels would shrink every head pre-activation toward its kink, so the
     # draw range is widened there until s sits near 1
     kernel_range = 0.5 if mode == "residual" else 15.0
+    loss_cfg = LossConfig()
     for attempt in range(max_attempts):
         rng = np.random.default_rng(seed + attempt)
-        mta_cfg = MtaConfig(k_max=k_max, mode=mode)
-        hfc_cfg = HfcConfig.for_feature_dim(d)
+        mta_cfg = MtaConfig(k_max=k_max, mode=mode) if use_mta else None
+        hfc_cfg = HfcConfig.for_feature_dim(d, dropout=0.0)
         model = AnomalyScorer(hfc_cfg, mta_cfg, seed=seed + attempt)
-        for k in mta_cfg.kernel_sizes:
-            model.params[f"mta.conv{k}.weight"].data[...] = rng.uniform(-kernel_range, kernel_range, size=k)
-            model.params[f"mta.conv{k}.bias"].data[...] = rng.uniform(-kernel_range, kernel_range, size=1)
+        # four bags give the hidden layers thousands of pre-activations; at
+        # the init scale the smallest of them would sit closer than
+        # margin_min to the kink in most draws, so spread them out
+        for i in (0, 1):
+            model.params[f"head.{i}.weight"].data *= 3.0
+        if use_mta:
+            for k in mta_cfg.kernel_sizes:
+                model.params[f"mta.conv{k}.weight"].data[...] = rng.uniform(-kernel_range, kernel_range, size=k)
+                model.params[f"mta.conv{k}.bias"].data[...] = rng.uniform(-kernel_range, kernel_range, size=1)
 
-        pos_feats = rng.standard_normal((t, d)) + 0.5
-        neg_feats = rng.standard_normal((t, d))
+        def bag(label, i, shift):
+            return ClipFeatureBag(rng.standard_normal((t, d)) + shift, label, f"{label}_{i}", t)
 
-        with no_grad():
-            p_scores, p_att = model.score_bag(pos_feats)
-            n_scores, n_att = model.score_bag(neg_feats)
-        sel = select(ScoreBagPair(p_scores, n_scores, p_att, n_att), SelectionConfig())
+        pos = [bag(1, i, 0.5) for i in range(2)]
+        neg = [bag(0, i, 0.0) for i in range(2)]
+
+        # the confidence threshold that lets pair 0 count its 4 highest
+        # positive scores (all of them in a shorter bag) as confident
+        clean = model.score_bag(np.stack([pos[0].features, pos[1].features])).clean
+        threshold = float(np.sort(clean[0])[-min(4, t)])
+        sel_cfg = SelectionConfig(threshold=threshold, magnitude_source=magnitude_source)
+        _, sel = batch_step(pos, neg, model, sel_cfg, loss_cfg, None)
+        if sel.k.max() < 2 or sel.k.min() == sel.k.max():
+            continue
 
         def build():
-            sp, pa = model.score_bag(pos_feats)
-            sn, na = model.score_bag(neg_feats)
-            return total_loss(ScoreBagPair(sp, sn, pa, na), sel, LossConfig()).node
+            return batch_step(pos, neg, model, sel_cfg, loss_cfg, None, sel=sel)[0].node
 
         with record_kink_margins() as margins:
             build()

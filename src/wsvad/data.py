@@ -25,6 +25,7 @@ import csv
 import json
 import struct
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,18 @@ class ClipFeatureBag:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    # computed on first use, not at load: only training reads them
+
+    @cached_property
+    def clip_means(self) -> np.ndarray:
+        """Mean of each clip's features, (T,): the attention block's input."""
+        return self.features.mean(axis=1)
+
+    @cached_property
+    def clip_norms(self) -> np.ndarray:
+        """L2 norm of each clip's features, (T,): what instance selection ranks."""
+        return np.linalg.norm(self.features, axis=1)
 
 
 def load_bag(path, label=0, num_frames=None, video_id=None, class_name=None, frame_labels=None):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,12 @@ class EvalRecord:
 class EvalResult:
     overall_auc: float
     records: list[EvalRecord] = field(repr=False)
-    per_class: dict[str, float]
+
+    @cached_property
+    def per_class(self) -> dict[str, float]:
+        """AUC per anomaly class (see ``per_class_auc``), computed on first
+        access: training reads only the overall AUC."""
+        return per_class_auc(self.records)
 
 
 def auc(scores, labels) -> float:
@@ -125,11 +131,7 @@ def evaluate_bags(bags: list[ClipFeatureBag], model: AnomalyScorer) -> EvalResul
     records = [record_for_bag(b, model) for b in bags]
     scores = np.concatenate([r.frame_scores for r in records])
     labels = np.concatenate([r.frame_labels for r in records])
-    return EvalResult(
-        overall_auc=auc(scores, labels),
-        records=records,
-        per_class=per_class_auc(records),
-    )
+    return EvalResult(overall_auc=auc(scores, labels), records=records)
 
 
 def per_video_auc(records: list[EvalRecord]) -> float:

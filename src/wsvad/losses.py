@@ -1,5 +1,8 @@
 """Training objective: selected-instance log loss + temporal smoothness +
-an antagonistic top-1 term that drives the two bags' peak scores apart."""
+an antagonistic top-1 term that drives the two bags' peak scores apart.
+
+Each term is computed per pair, for one pair (scores (T,)) or a batch of B
+pairs ((B, T)); the objective is their mean over the pairs."""
 
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ class LossConfig:
 
 @dataclass
 class LossBreakdown:
-    """Per-term values for one pair; ``total`` sums only the enabled terms.
+    """Per-term means over the pairs; ``total`` sums only the enabled terms.
 
     ``node`` carries the graph tensor behind ``total`` so callers can run
     backward; the float fields are for logging.
@@ -36,27 +39,27 @@ class LossBreakdown:
 def smooth_loss(scores):
     """Mean squared step between consecutive scores; 0 iff constant."""
     d = adjacent_diff(scores)
-    n = value(scores).shape[0] - 1
-    return (d * d).sum() * (1.0 / n)
+    n = value(scores).shape[-1] - 1
+    return (d * d).sum(axis=-1) * (1.0 / n)
 
 
 def antagonistic_loss(pos_scores, neg_scores):
     """Top-1 separation pressure, written as three pulls: widen the gap
     between the best positive and best negative score, push the best
     negative down, and pull the best positive up. Ranges over [0, 4]."""
-    p = pos_scores.max()
-    n = neg_scores.max()
+    p = pos_scores.max(axis=-1)
+    n = neg_scores.max(axis=-1)
     return (1.0 - (p - n)) + n + (1.0 - p)
 
 
 def sparsity_loss(pos_scores):
     """Mean positive-bag score; anomalies should stay rare within a bag."""
-    return pos_scores.mean()
+    return pos_scores.mean(axis=-1)
 
 
 def total_loss(pair: ScoreBagPair, sel: SelectionResult, cfg: LossConfig = LossConfig()) -> LossBreakdown:
-    """Assemble the pair objective; every term is reported even when it is
-    not part of the sum."""
+    """Assemble the objective; every term is reported even when it is not
+    part of the sum."""
     ais = ais_loss(pair, sel, cfg.ais_eps)
     smooth = smooth_loss(pair.pos_scores)
     if cfg.smooth_on_both:
@@ -70,11 +73,15 @@ def total_loss(pair: ScoreBagPair, sel: SelectionResult, cfg: LossConfig = LossC
     elif cfg.use_antagonistic:
         total = total + antagonistic
 
+    def mean(term) -> float:
+        v = value(term)
+        return float(v.sum()) / v.size
+
     return LossBreakdown(
-        ais=float(value(ais)),
-        smooth=float(value(smooth)),
-        antagonistic=float(value(antagonistic)),
-        sparsity=float(value(sparsity)),
-        total=float(value(total)),
-        node=total,
+        ais=mean(ais),
+        smooth=mean(smooth),
+        antagonistic=mean(antagonistic),
+        sparsity=mean(sparsity),
+        total=mean(total),
+        node=total.mean(),
     )

@@ -4,17 +4,22 @@ Two stages run per bag of T clip feature rows. The temporal attention stage
 pools each clip's features to one scalar, slides 1-d convolutions of every
 odd width from ``k_max`` down to 3 along the clip axis, passes each response
 through a leaky ReLU, and sums them into per-clip attention logits scaled by
-``lambda1``; ``residual`` mode rescales clips by (1 + attention), so
-zero-valued kernels leave features untouched, while ``pure`` mode rescales
-by the attention alone. The scoring head then maps every (attended) clip
-row through a narrow-then-wide MLP ending in a sigmoid, one anomaly score
-per clip. The hourglass widening (64 -> 128) is what keeps the head small
-next to a conventional wide-then-narrow head.
+``lambda1``. The result is a per-clip gate: ``residual`` mode rescales clips
+by (1 + attention), so zero-valued kernels leave features untouched, while
+``pure`` mode rescales by the attention alone. The scoring head then maps
+every gated clip row through a narrow-then-wide MLP ending in a sigmoid, one
+anomaly score per clip. The hourglass widening (64 -> 128) is what keeps the
+head small next to a conventional wide-then-narrow head.
+
+Because the gate is one scalar per clip, the head applies it after its first
+matrix product: (a * X) W0 = a * (X W0). The rescaled (T, D) features are
+never built, and one forward serves one bag or a stack of N bags alike.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,14 +30,13 @@ from .autodiff import (
     ConfigurationError,
     DimensionError,
     Parameter,
-    Tensor,
     conv1d_same,
-    dropout,
-    global_avg_pool,
     leaky_relu,
     linear,
-    scale_rows,
+    no_grad,
+    reshape,
     sigmoid,
+    value,
 )
 
 MTA_MODES = ("residual", "pure")
@@ -184,42 +188,108 @@ def count_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig) -> int:
     return total
 
 
-def mta_forward(x, cfg: MtaConfig, params: ModelParameters):
-    """Attend a (T, D) bag along the clip axis; returns rescaled features."""
-    xv = x.data if isinstance(x, Tensor) else np.asarray(x)
-    t = xv.shape[0]
+def mta_forward(means, cfg: MtaConfig, params: ModelParameters):
+    """Attention gate from the clip-mean signal of one bag (T,) or of N
+    stacked bags (N, T); the gate has the signal's shape."""
+    t = value(means).shape[-1]
     if t < cfg.k_max:
         raise ConfigurationError(f"bag has {t} clips but the largest kernel needs {cfg.k_max}")
-    g = global_avg_pool(x)
     logits = None
     for k in cfg.kernel_sizes:
-        c = conv1d_same(g, params[f"mta.conv{k}.weight"], params[f"mta.conv{k}.bias"])
+        c = conv1d_same(means, params[f"mta.conv{k}.weight"], params[f"mta.conv{k}.bias"])
         a = leaky_relu(c, cfg.slope)
         logits = a if logits is None else logits + a
     s = logits * cfg.lambda1
     if cfg.mode == "pure":
-        return scale_rows(x, s)
-    return scale_rows(x, s + 1.0)
+        return s
+    return s + 1.0
 
 
-def hfc_forward(y, cfg: HfcConfig, params: ModelParameters, training: bool = False, rng=None):
-    """Score each clip row of a (T, D) tensor; returns scores of shape (T,).
+def dropout_masks(rng, n_bags: int, t: int, widths, rate: float) -> list[np.ndarray]:
+    """Inverted-dropout masks for the hidden layers of ``n_bags`` bags of
+    ``t`` clips, one (n_bags * t, width) mask per width.
 
-    Layer pattern: linear -> leaky ReLU -> dropout for both hidden layers,
-    then linear -> sigmoid. Dropout only fires when ``training``.
+    One ``rng.random`` call draws them in bag order and, within a bag, in
+    layer order: the same values, in the same order, as one draw per bag
+    and layer would take from the same generator.
     """
-    yv = y.data if isinstance(y, Tensor) else np.asarray(y)
-    if yv.ndim != 2 or yv.shape[1] != cfg.dims[0]:
-        raise DimensionError(f"head expects (T, {cfg.dims[0]}) features, got shape {yv.shape}")
-    t = yv.shape[0]
-    h = y
+    if rng is None:
+        raise ConfigurationError("dropout in training mode needs a random generator")
+    u = rng.random(n_bags * t * sum(widths)).reshape(n_bags, -1)
+    masks = []
+    start = 0
+    for w in widths:
+        keep = (u[:, start : start + t * w] >= rate).reshape(n_bags * t, w)
+        masks.append(keep / (1.0 - rate))
+        start += t * w
+    return masks
+
+
+def _head_tail(h, cfg: HfcConfig, params: ModelParameters, masks):
+    """Head layers after the first, from its activation to the sigmoid."""
     n_layers = len(cfg.dims) - 1
-    for i in range(n_layers):
+    for i in range(1, n_layers):
+        if masks is not None:
+            h = h * masks[i - 1]
         h = linear(h, params[f"head.{i}.weight"], params[f"head.{i}.bias"])
         if i < n_layers - 1:
             h = leaky_relu(h, cfg.slope)
-            h = dropout(h, cfg.dropout, training, rng)
-    return sigmoid(h).reshape(t)
+    return sigmoid(h)
+
+
+def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
+                training: bool = False, rng=None):
+    """Score every clip of one bag (T, D) or of N stacked bags (N, T, D).
+
+    Layer pattern: linear -> leaky ReLU -> dropout for both hidden layers,
+    then linear -> sigmoid; dropout only fires when ``training``. A ``gate``
+    shaped like the bag axes rescales each clip, applied after the first
+    matrix product: gate * (x W0) + b0. The features are data: no gradient
+    flows back to them.
+
+    Returns ``(scores, clean)``, both shaped like the bag axes: the scores
+    (a graph node when the parameters are traced) and, as an array, the
+    same scores with dropout off. A training pass computes both from one
+    first layer, so the dropout-free pass costs no second product with W0.
+    """
+    xv = value(x)
+    if xv.ndim not in (2, 3) or xv.shape[-1] != cfg.dims[0]:
+        raise DimensionError(
+            f"head expects (T, {cfg.dims[0]}) or (N, T, {cfg.dims[0]}) features, got shape {xv.shape}"
+        )
+    bag_axes = xv.shape[:-1]
+    h = linear(xv.reshape(-1, cfg.dims[0]), params["head.0.weight"])
+    if gate is not None:
+        h = h * reshape(gate, (-1, 1))
+    h = leaky_relu(h + params["head.0.bias"], cfg.slope)
+    masks = None
+    if training and cfg.dropout:
+        masks = dropout_masks(rng, math.prod(bag_axes[:-1]), bag_axes[-1], cfg.dims[1:-1], cfg.dropout)
+    scores = _head_tail(h, cfg, params, masks)
+    if masks is None:
+        clean = value(scores)
+    else:
+        with no_grad():
+            clean = _head_tail(value(h), cfg, params, None)
+    return reshape(scores, bag_axes), clean.reshape(bag_axes)
+
+
+@dataclass(frozen=True)
+class BagScores:
+    """One forward over a bag (T,) or N stacked bags (N, T); unpacks as
+    ``scores, gate``.
+
+    ``scores`` is a graph node when the parameters are traced, ``gate`` the
+    per-clip attention gate (all ones without attention), and ``clean`` the
+    scores with dropout off, which instance selection reads.
+    """
+
+    scores: object
+    gate: object
+    clean: np.ndarray
+
+    def __iter__(self):
+        return iter((self.scores, self.gate))
 
 
 class AnomalyScorer:
@@ -245,11 +315,22 @@ class AnomalyScorer:
     def feature_dim(self) -> int:
         return self.hfc_cfg.dims[0]
 
-    def score_bag(self, features, training: bool = False, rng=None):
-        """Returns (clip scores (T,), attended features (T, D))."""
-        attended = mta_forward(features, self.mta_cfg, self.params) if self.use_mta else features
-        scores = hfc_forward(attended, self.hfc_cfg, self.params, training=training, rng=rng)
-        return scores, attended
+    def score_bag(self, features, training: bool = False, rng=None, means=None) -> BagScores:
+        """Score one bag (T, D) or N stacked bags (N, T, D).
+
+        ``means`` are the clips' feature means, shaped like the bag axes; a
+        caller that has them cached passes them, otherwise they are computed
+        here when the attention block needs them.
+        """
+        x = value(features)
+        if not self.use_mta:
+            scores, clean = hfc_forward(x, self.hfc_cfg, self.params, None, training, rng)
+            return BagScores(scores, np.ones(x.shape[:-1]), clean)
+        if means is None:
+            means = x.mean(axis=-1)
+        gate = mta_forward(means, self.mta_cfg, self.params)
+        scores, clean = hfc_forward(x, self.hfc_cfg, self.params, gate, training, rng)
+        return BagScores(scores, gate, clean)
 
     def config_dict(self) -> dict:
         return {

@@ -1,22 +1,22 @@
 """Adaptive instance selection.
 
-A MIL step sees one positive (anomalous) and one negative (normal) bag. The
-selector estimates how far training has progressed from the two score
-sequences alone, converts that confidence into an instance budget K, and
-picks the K instances with the largest feature magnitude from each bag. The
-selection itself is score-free bookkeeping: gradients never flow through
-omega, K, or the chosen indices, only through the selected scores inside
-``ais_loss``.
+A MIL step sees positive (anomalous) and negative (normal) bags in pairs.
+The selector estimates how far training has progressed from each pair's
+two score sequences alone, converts that confidence into an instance budget
+K, and marks the K clips with the largest feature magnitude in each bag.
+Every function takes one pair (scores shaped (T,)) or a batch of B pairs
+((B, T)), with K free to differ between pairs. The selection itself is
+score-free bookkeeping: gradients never flow through omega, K, or the
+chosen clips, only through the selected scores inside ``ais_loss``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import gather, log, value
+from .autodiff import log, value
 
 
 @dataclass(frozen=True)
@@ -34,24 +34,28 @@ class SelectionConfig:
 
 @dataclass
 class ScoreBagPair:
-    """Scores and features for one positive/negative bag pair."""
+    """Clip scores, and the clip magnitudes selection ranks by, for one
+    positive/negative pair (T,) or B pairs (B, T)."""
 
     pos_scores: object
     neg_scores: object
-    pos_features: object
-    neg_features: object
+    pos_magnitudes: object = None
+    neg_magnitudes: object = None
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    omega: float
-    k: int
-    pos_topk: tuple[int, ...]
-    neg_topk: tuple[int, ...]
+    """omega and K (scalars, or one per pair) and the masks of the selected
+    clips in each bag (shaped like the scores)."""
+
+    omega: float | np.ndarray
+    k: int | np.ndarray
+    pos_mask: np.ndarray
+    neg_mask: np.ndarray
 
 
-def confidence(pair: ScoreBagPair) -> float:
-    """Training maturity in [0, 1].
+def confidence(pair: ScoreBagPair):
+    """Training maturity in [0, 1], per pair.
 
     High when the negative bag's scores sit near zero and both score
     sequences vary little between neighbouring clips; raw values below 0 or
@@ -59,23 +63,24 @@ def confidence(pair: ScoreBagPair) -> float:
     """
     sn = value(pair.neg_scores)
     sp = value(pair.pos_scores)
-    t = sn.shape[0]
-    if sn.ndim != 1 or sp.ndim != 1 or sp.shape[0] != t:
+    if sn.ndim not in (1, 2) or sp.shape != sn.shape:
         raise ValueError(f"score sequences must be 1-d and equally long, got {sp.shape} and {sn.shape}")
+    t = sn.shape[-1]
     if t < 2:
         raise ValueError(f"confidence needs at least 2 clips, got {t}")
-    roughness = np.abs(np.diff(sn)).sum() + np.abs(np.diff(sp)).sum()
-    raw = 1.0 - sn.mean() - roughness / (2 * t - 2)
-    return float(min(1.0, max(0.0, raw)))
+    roughness = np.abs(np.diff(sn)).sum(axis=-1) + np.abs(np.diff(sp)).sum(axis=-1)
+    raw = 1.0 - sn.mean(axis=-1) - roughness / (2 * t - 2)
+    omega = np.clip(raw, 0.0, 1.0)
+    return float(omega) if omega.ndim == 0 else omega
 
 
-def adaptive_k(omega: float, pos_scores, threshold: float = 0.9) -> int:
+def adaptive_k(omega, pos_scores, threshold: float = 0.9):
     """Instance budget: confidence times the count of confident positive
-    scores, rounded half-up, clamped to [1, T]."""
+    scores, rounded half-up, clamped to [1, T]; one per pair."""
     sp = value(pos_scores)
-    count = int((sp >= threshold).sum())
-    k = math.floor(omega * count + 0.5)
-    return max(1, min(sp.shape[0], k))
+    count = (sp >= threshold).sum(axis=-1)
+    k = np.clip(np.floor(np.asarray(omega) * count + 0.5).astype(np.int64), 1, sp.shape[-1])
+    return int(k) if k.ndim == 0 else k
 
 
 def topk_by_magnitude(features, k: int) -> tuple[int, ...]:
@@ -91,23 +96,35 @@ def topk_by_magnitude(features, k: int) -> tuple[int, ...]:
     return tuple(int(i) for i in order[:k])
 
 
+def topk_mask(magnitudes, k) -> np.ndarray:
+    """Mask of the k largest magnitudes along the last axis, k one per row;
+    ties go to the lower index, as in ``topk_by_magnitude``."""
+    order = np.argsort(-np.asarray(magnitudes), axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1)
+    return rank < np.expand_dims(k, -1)
+
+
 def select(pair: ScoreBagPair, cfg: SelectionConfig = SelectionConfig()) -> SelectionResult:
-    """Full selection for one pair; with ``cfg.adaptive`` off, K pins to 1
-    and the step reduces to classic top-1 MIL."""
+    """Full selection for one pair or a batch of pairs; with ``cfg.adaptive``
+    off, K pins to 1 and the step reduces to classic top-1 MIL."""
     omega = confidence(pair)
-    k = adaptive_k(omega, pair.pos_scores, cfg.threshold) if cfg.adaptive else 1
+    if cfg.adaptive:
+        k = adaptive_k(omega, pair.pos_scores, cfg.threshold)
+    else:
+        k = 1 if np.ndim(omega) == 0 else np.ones(np.shape(omega), dtype=np.int64)
     return SelectionResult(
         omega=omega,
         k=k,
-        pos_topk=topk_by_magnitude(pair.pos_features, k),
-        neg_topk=topk_by_magnitude(pair.neg_features, k),
+        pos_mask=topk_mask(pair.pos_magnitudes, k),
+        neg_mask=topk_mask(pair.neg_magnitudes, k),
     )
 
 
 def ais_loss(pair: ScoreBagPair, sel: SelectionResult, eps: float = 1e-7):
-    """Negative log-likelihood of the selected mean scores: pushes the
-    positive bag's selected mean toward 1 and the negative bag's toward 0.
-    The eps guard keeps both logs finite at the score boundaries."""
-    m_p = gather(pair.pos_scores, sel.pos_topk).mean()
-    m_n = gather(pair.neg_scores, sel.neg_topk).mean()
+    """Negative log-likelihood of the selected mean scores, per pair: pushes
+    the positive bag's selected mean toward 1 and the negative bag's toward
+    0. The eps guard keeps both logs finite at the score boundaries."""
+    inv_k = 1.0 / np.asarray(sel.k, dtype=np.float64)
+    m_p = (pair.pos_scores * sel.pos_mask).sum(axis=-1) * inv_k
+    m_n = (pair.neg_scores * sel.neg_mask).sum(axis=-1) * inv_k
     return -(log(m_p + eps) + log((1.0 - m_n) + eps))

@@ -1,12 +1,23 @@
 """Paired-bag MIL training.
 
 Each batch pairs ``batch_pairs`` anomalous bags with the same number of
-normal bags (i-th with i-th after a seeded shuffle). Per pair, one
-inference-mode pass (dropout off) feeds instance selection, then a
-training-mode pass builds the loss graph on the selected indices. Adam with
-coupled L2 weight decay updates the parameters once per batch on the mean
-pair loss. Runs are bit-reproducible: the same seed yields identical logs
-and checkpoints.
+normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
+
+- the batch's 2B bags are stacked into one (2B, T, D) array, pair by pair
+  (anomalous bag, then its normal partner), reused from batch to batch;
+- one forward over the stack computes the per-clip attention gate from the
+  bags' cached clip means, and the head's first layer as gate * (X W0) + b0,
+  with one product with W0 for the whole batch; its activation feeds both
+  the dropout-free scores that instance selection reads and the training
+  scores with dropout;
+- selection (omega, K and the top-K clip masks, where clip magnitude is
+  |gate| times the cached clip norm) and the three loss terms run for all
+  pairs at once, with K free to differ between pairs;
+- one backward over the batch's small graph, then one Adam step with
+  coupled L2 weight decay on the mean pair loss.
+
+Every bag of the train split must therefore have the same clip count. Runs
+are bit-reproducible: the same seed yields identical logs and checkpoints.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ConfigurationError, backward, no_grad
+from .autodiff import ConfigurationError, backward, value
 from .data import ClipFeatureBag
 from .evaluation import evaluate_bags
 from .losses import LossConfig, total_loss
@@ -108,20 +119,56 @@ class EpochStats:
     n_batches: int
 
 
-def _pair_step(pos_bag, neg_bag, model, sel_cfg, loss_cfg, dropout_rng):
-    with no_grad():
-        p_scores, p_att = model.score_bag(pos_bag.features)
-        n_scores, n_att = model.score_bag(neg_bag.features)
-    if sel_cfg.magnitude_source == "attended":
-        sel_pair = ScoreBagPair(p_scores, n_scores, p_att, n_att)
-    else:
-        sel_pair = ScoreBagPair(p_scores, n_scores, pos_bag.features, neg_bag.features)
-    sel = select(sel_pair, sel_cfg)
+def check_train_bags(bags, model: AnomalyScorer) -> None:
+    """Training stacks bags into one array, so every bag needs the model's
+    feature width and one shared clip count, at least 2 and at least the
+    widest attention kernel. Names the first video that breaks this."""
+    if not bags:
+        return
+    t = bags[0].num_clips
+    least = model.mta_cfg.k_max if model.use_mta else 2
+    for bag in bags:
+        if bag.feature_dim != model.feature_dim:
+            raise ConfigurationError(
+                f"train video {bag.video_id!r} has {bag.feature_dim}-dim features, "
+                f"the model expects {model.feature_dim}"
+            )
+        if bag.num_clips < least:
+            raise ConfigurationError(
+                f"train video {bag.video_id!r} has {bag.num_clips} clips, training needs at least {least}"
+            )
+        if bag.num_clips != t:
+            raise ConfigurationError(
+                f"train video {bag.video_id!r} has {bag.num_clips} clips but {bags[0].video_id!r} "
+                f"has {t}; training needs one clip count for all bags"
+            )
 
-    sp, pa = model.score_bag(pos_bag.features, training=True, rng=dropout_rng)
-    sn, na = model.score_bag(neg_bag.features, training=True, rng=dropout_rng)
-    breakdown = total_loss(ScoreBagPair(sp, sn, pa, na), sel, loss_cfg)
-    return breakdown, sel
+
+def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfig,
+               loss_cfg: LossConfig, dropout_rng, stack=None, sel=None):
+    """Loss and selection for one batch of B bag pairs (i-th with i-th).
+
+    ``stack`` is a (2B, T, D) array to stack the bags into, reused across
+    batches; ``sel`` replaces the computed selection, as a gradient check
+    needs. Returns (LossBreakdown over the pairs, SelectionResult).
+    """
+    bags = [bag for pair in zip(pos_bags, neg_bags) for bag in pair]
+    b, t = len(pos_bags), bags[0].num_clips
+    x = np.empty((2 * b, t, model.feature_dim)) if stack is None else stack
+    for i, bag in enumerate(bags):
+        x[i] = bag.features
+    out = model.score_bag(x, training=True, rng=dropout_rng,
+                          means=np.array([bag.clip_means for bag in bags]))
+    if sel is None:
+        magnitudes = np.array([bag.clip_norms for bag in bags])
+        if sel_cfg.magnitude_source == "attended":
+            # |a_t x_t| = |a_t| |x_t|: the gated features are never built
+            magnitudes = np.abs(value(out.gate)) * magnitudes
+        clean = out.clean.reshape(b, 2, t)
+        magnitudes = magnitudes.reshape(b, 2, t)
+        sel = select(ScoreBagPair(clean[:, 0], clean[:, 1], magnitudes[:, 0], magnitudes[:, 1]), sel_cfg)
+    scores = out.scores.reshape(b, 2, t)
+    return total_loss(ScoreBagPair(scores[:, 0], scores[:, 1]), sel, loss_cfg), sel
 
 
 def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg: TrainConfig,
@@ -133,34 +180,38 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
             f"batch_pairs={cfg.batch_pairs} needs at least that many bags per class, "
             f"got {len(pos_bags)} anomalous / {len(neg_bags)} normal"
         )
+    check_train_bags(list(pos_bags) + list(neg_bags), model)
     pos_order = shuffle_rng.permutation(len(pos_bags))
     neg_order = shuffle_rng.permutation(len(neg_bags))
     n_batches = min(len(pos_bags), len(neg_bags)) // cfg.batch_pairs
+    stack = np.empty((2 * cfg.batch_pairs, pos_bags[0].num_clips, model.feature_dim))
 
     sums = np.zeros(7)  # ais, smooth, antagonistic, sparsity, total, omega, k
-    n_pairs = 0
     for b in range(n_batches):
+        batch = slice(b * cfg.batch_pairs, (b + 1) * cfg.batch_pairs)
         model.params.zero_grads()
-        batch_node = None
-        for i in range(cfg.batch_pairs):
-            idx = b * cfg.batch_pairs + i
-            pos_bag = pos_bags[pos_order[idx]]
-            neg_bag = neg_bags[neg_order[idx]]
-            breakdown, sel = _pair_step(pos_bag, neg_bag, model, sel_cfg, loss_cfg, dropout_rng)
-            batch_node = breakdown.node if batch_node is None else batch_node + breakdown.node
-            sums += (
-                breakdown.ais,
-                breakdown.smooth,
-                breakdown.antagonistic,
-                breakdown.sparsity,
-                breakdown.total,
-                sel.omega,
-                sel.k,
-            )
-            n_pairs += 1
-        backward(batch_node * (1.0 / cfg.batch_pairs))
+        breakdown, sel = batch_step(
+            [pos_bags[i] for i in pos_order[batch]],
+            [neg_bags[i] for i in neg_order[batch]],
+            model, sel_cfg, loss_cfg, dropout_rng, stack,
+        )
+        backward(breakdown.node)
         adam_step(model.params, state, cfg)
-    means = sums / n_pairs
+        sums += (
+            breakdown.ais,
+            breakdown.smooth,
+            breakdown.antagonistic,
+            breakdown.sparsity,
+            breakdown.total,
+            np.mean(sel.omega),
+            np.mean(sel.k),
+        )
+        # the graph holds this batch's activations and gradients; let it go
+        # before the next batch builds its own
+        del breakdown
+    # every batch holds batch_pairs pairs, so the mean of the batch means
+    # is the mean over pairs
+    means = sums / n_batches
     return EpochStats(*means, n_batches=n_batches)
 
 
@@ -222,6 +273,7 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     ``resume_from`` points at a previous run's output directory; its final
     checkpoint and optimizer state are loaded so the step counter continues.
     """
+    check_train_bags(train_bags, model)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.csv"

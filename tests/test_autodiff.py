@@ -126,6 +126,18 @@ class TestLeakyRelu:
         with pytest.raises(ConfigurationError):
             leaky_relu(Tensor([1.0]), 1.0)
 
+    @pytest.mark.parametrize("slope", [0.0, 0.5, 0.99])
+    def test_bitwise_equal_to_branch_form(self, slope):
+        # max(x, slope*x) picks the same float as the x >= 0 branch select,
+        # signed zeros and subnormals included
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310, 1e308, -1e308],
+            rng(3).standard_normal(2048 * 8) * 10.0 ** rng(4).integers(-300, 300, 2048 * 8),
+        ])
+        out = value(leaky_relu(Tensor(x), slope))
+        assert out.tobytes() == np.where(x >= 0.0, x, slope * x).tobytes()
+
 
 class TestSigmoid:
     def test_symmetry_point(self):
@@ -308,6 +320,17 @@ def test_every_op_matches_finite_differences(seed):
         "log": ([Parameter(r.uniform(0.2, 2.0, 6), name="a")], lambda ps: log(ps[0]).sum()),
         "mean_max": ([Parameter(u(6), name="a")], lambda ps: ps[0].mean() + ps[0].max()),
         "reshape": ([Parameter(u(6), name="a")], lambda ps: ps[0].reshape(2, 3).sum()),
+        "axis_reductions": (
+            [Parameter(u(4, 5), name="a")],
+            lambda ps: (ps[0].sum(axis=1) * Tensor(x[:, 0])).sum() + (ps[0].mean(axis=0) * ps[0].max(axis=1).mean()).sum(),
+        ),
+        "index": ([Parameter(u(4, 5), name="a")], lambda ps: (ps[0][1:3, 2] * ps[0][:, 0].sum()).sum()),
+        "row_diff": ([Parameter(u(3, 5), name="a")], lambda ps: (adjacent_diff(ps[0]) * adjacent_diff(ps[0])).sum()),
+        "row_conv": (
+            [Parameter(u(3), name="k"), Parameter(u(1), name="kb"), Parameter(u(3, 7), name="x")],
+            lambda ps: (conv1d_same(ps[2], ps[0], ps[1]) * Tensor(x_conv[:7])).sum(),
+        ),
+        "linear_no_bias": ([Parameter(u(5, 3), name="w")], lambda ps: sigmoid(linear(Tensor(x), ps[0])).sum()),
     }
     for name, (params, build_loss) in cases.items():
         for p in params:

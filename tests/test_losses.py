@@ -14,7 +14,7 @@ from wsvad.losses import (
     sparsity_loss,
     total_loss,
 )
-from wsvad.selection import ScoreBagPair, SelectionResult
+from wsvad.selection import ScoreBagPair, SelectionResult, topk_mask
 
 scores_strategy = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=16).map(np.array)
 
@@ -110,11 +110,17 @@ class TestSparsityLoss:
 # assembly
 
 
+def _first_clip(t):
+    mask = np.zeros(t, dtype=bool)
+    mask[0] = True
+    return mask
+
+
 def _pair_and_sel(pos, neg):
     pos = np.asarray(pos, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
-    pair = ScoreBagPair(_t(pos), _t(neg), np.ones((len(pos), 2)), np.ones((len(neg), 2)))
-    sel = SelectionResult(omega=1.0, k=1, pos_topk=(0,), neg_topk=(0,))
+    pair = ScoreBagPair(_t(pos), _t(neg))
+    sel = SelectionResult(omega=1.0, k=1, pos_mask=_first_clip(len(pos)), neg_mask=_first_clip(len(neg)))
     return pair, sel
 
 
@@ -151,9 +157,37 @@ class TestTotalLoss:
     def test_gradients_flow_through_total(self):
         pos = Parameter(np.array([0.8, 0.6, 0.7]), name="pos")
         neg = Parameter(np.array([0.2, 0.1, 0.3]), name="neg")
-        pair = ScoreBagPair(pos, neg, np.ones((3, 2)), np.ones((3, 2)))
-        sel = SelectionResult(omega=1.0, k=1, pos_topk=(0,), neg_topk=(0,))
+        pair = ScoreBagPair(pos, neg)
+        sel = SelectionResult(omega=1.0, k=1, pos_mask=_first_clip(3), neg_mask=_first_clip(3))
         out = total_loss(pair, sel)
         backward(out.node)
         assert np.any(pos.grad != 0) and np.any(neg.grad != 0)
         assert np.isfinite(pos.grad).all() and np.isfinite(neg.grad).all()
+
+
+@pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(use_sparsity=True), LossConfig(smooth_on_both=True)])
+def test_batch_of_pairs_is_the_mean_of_single_pairs(cfg):
+    # a (B, T) batch with K differing between pairs: each term, the total and
+    # every score gradient equal the per-pair computation averaged over B
+    rng = np.random.default_rng(4)
+    pos, neg = rng.uniform(size=(3, 6)), rng.uniform(size=(3, 6))
+    k = np.array([1, 3, 2])
+    pos_mask = topk_mask(rng.uniform(size=(3, 6)), k)
+    neg_mask = topk_mask(rng.uniform(size=(3, 6)), k)
+
+    batch_pos, batch_neg = Parameter(pos, name="pos"), Parameter(neg, name="neg")
+    batch = total_loss(ScoreBagPair(batch_pos, batch_neg),
+                       SelectionResult(np.ones(3), k, pos_mask, neg_mask), cfg)
+    backward(batch.node)
+    singles = []
+    for i in range(3):
+        p, n = Parameter(pos[i], name="p"), Parameter(neg[i], name="n")
+        out = total_loss(ScoreBagPair(p, n), SelectionResult(1.0, int(k[i]), pos_mask[i], neg_mask[i]), cfg)
+        backward(out.node)
+        singles.append(out)
+        np.testing.assert_allclose(batch_pos.grad[i], p.grad / 3, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(batch_neg.grad[i], n.grad / 3, rtol=1e-12, atol=1e-15)
+    for term in ("ais", "smooth", "antagonistic", "sparsity", "total"):
+        expected = np.mean([getattr(o, term) for o in singles])
+        assert getattr(batch, term) == pytest.approx(expected, rel=1e-12)
+    assert float(batch.node.data) == pytest.approx(batch.total, rel=1e-15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsvad.autodiff import ConfigurationError, DimensionError, Tensor, no_grad
+from wsvad.autodiff import ConfigurationError, DimensionError, Tensor, dropout, no_grad, value
 from wsvad.checks import full_graph_grad_check
 from wsvad.model import (
     AnomalyScorer,
@@ -15,6 +15,7 @@ from wsvad.model import (
     ModelParameters,
     MtaConfig,
     count_parameters,
+    dropout_masks,
     hfc_forward,
     init_parameters,
     load_checkpoint,
@@ -121,44 +122,59 @@ class TestParameterCount:
 
 
 class TestMta:
+    # the block outputs a per-clip gate a; the attended features are a * x
+
     def test_zero_init_is_identity_in_residual_mode(self):
         cfg = MtaConfig(mode="residual")
         params = init_parameters(cfg, HfcConfig.for_feature_dim(6), seed=1)
         x = np.random.default_rng(2).standard_normal((8, 6))
-        y = mta_forward(Tensor(x), cfg, params)
-        np.testing.assert_array_equal(y.data, x)
+        gate = value(mta_forward(x.mean(axis=1), cfg, params))
+        np.testing.assert_array_equal(gate, np.ones(8))
+        np.testing.assert_array_equal(gate[:, None] * x, x)
 
     def test_zero_init_is_zero_in_pure_mode(self):
         cfg = MtaConfig(mode="pure")
         params = init_parameters(cfg, HfcConfig.for_feature_dim(6), seed=1)
         x = np.random.default_rng(2).standard_normal((8, 6))
-        y = mta_forward(Tensor(x), cfg, params)
-        np.testing.assert_array_equal(y.data, np.zeros_like(x))
+        gate = value(mta_forward(x.mean(axis=1), cfg, params))
+        np.testing.assert_array_equal(gate, np.zeros(8))
 
     def test_identity_kernel_pure_mode_hand_example(self):
         cfg = MtaConfig(k_max=3, mode="pure")
         params = init_parameters(cfg, HfcConfig.for_feature_dim(1), seed=0)
         params["mta.conv3.weight"].data[:] = [0.0, 1.0, 0.0]
-        y = mta_forward(Tensor(np.array([[1.0], [2.0], [3.0], [4.0]])), cfg, params)
-        np.testing.assert_allclose(y.data, [[0.1], [0.4], [0.9], [1.6]], atol=1e-12)
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        gate = value(mta_forward(x.mean(axis=1), cfg, params))
+        np.testing.assert_allclose(gate[:, None] * x, [[0.1], [0.4], [0.9], [1.6]], atol=1e-12)
 
     def test_bag_shorter_than_largest_kernel_rejected(self):
         cfg = MtaConfig(k_max=5)
         params = init_parameters(cfg, HfcConfig.for_feature_dim(4), seed=0)
         with pytest.raises(ConfigurationError, match="clips"):
-            mta_forward(Tensor(np.ones((4, 4))), cfg, params)
+            mta_forward(np.ones(4), cfg, params)
 
     def test_residual_equals_pure_plus_input(self):
-        # same kernels: residual output = input + pure output, by construction
+        # same kernels: residual gate = pure gate + 1, so residual output =
+        # input + pure output, by construction
         hfc = HfcConfig.for_feature_dim(5)
         res_cfg, pure_cfg = MtaConfig(mode="residual"), MtaConfig(mode="pure")
         params = init_parameters(res_cfg, hfc, seed=3)
         for k in res_cfg.kernel_sizes:
             params[f"mta.conv{k}.weight"].data[:] = np.random.default_rng(k).uniform(-1, 1, k)
-        x = np.random.default_rng(4).standard_normal((9, 5))
-        res = mta_forward(Tensor(x), res_cfg, params)
-        pure = mta_forward(Tensor(x), pure_cfg, params)
-        np.testing.assert_allclose(res.data, x + pure.data, atol=1e-12)
+        means = np.random.default_rng(4).standard_normal((9, 5)).mean(axis=1)
+        res = value(mta_forward(means, res_cfg, params))
+        pure = value(mta_forward(means, pure_cfg, params))
+        np.testing.assert_allclose(res, pure + 1.0, atol=1e-12)
+
+    def test_stacked_bags_gate_each_bag_alone(self):
+        cfg = MtaConfig(k_max=7)
+        params = init_parameters(cfg, HfcConfig.for_feature_dim(3), seed=0)
+        for k in cfg.kernel_sizes:
+            params[f"mta.conv{k}.weight"].data[:] = np.random.default_rng(k).uniform(-1, 1, k)
+        means = np.random.default_rng(6).standard_normal((4, 9))
+        stacked = value(mta_forward(means, cfg, params))
+        for n in range(4):
+            np.testing.assert_allclose(stacked[n], value(mta_forward(means[n], cfg, params)), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +187,20 @@ class TestHfc:
         params = init_parameters(None, cfg, seed=0)
         for name, p in params.items():
             p.data[...] = 0.0
-        scores = hfc_forward(Tensor(np.random.default_rng(0).standard_normal((5, 7))), cfg, params)
+        scores, _ = hfc_forward(Tensor(np.random.default_rng(0).standard_normal((5, 7))), cfg, params)
         np.testing.assert_array_equal(scores.data, np.full(5, 0.5))
 
     def test_matches_scalar_loop_reference(self):
         cfg = HfcConfig.for_feature_dim(9, narrow=4, wide=6)
         params = init_parameters(None, cfg, seed=11)
         feats = np.random.default_rng(12).standard_normal((6, 9))
-        scores = hfc_forward(Tensor(feats), cfg, params)
+        scores, _ = hfc_forward(Tensor(feats), cfg, params)
         np.testing.assert_allclose(scores.data, _reference_head(feats, cfg, params), atol=1e-10)
 
     def test_scores_strictly_inside_unit_interval(self):
         cfg = HfcConfig.for_feature_dim(8)
         params = init_parameters(None, cfg, seed=5)
-        scores = hfc_forward(Tensor(np.random.default_rng(6).standard_normal((20, 8)) * 10), cfg, params)
+        scores, _ = hfc_forward(Tensor(np.random.default_rng(6).standard_normal((20, 8)) * 10), cfg, params)
         assert (scores.data > 0).all() and (scores.data < 1).all()
 
     def test_wrong_feature_dim_rejected(self):
@@ -201,20 +217,43 @@ class TestHfc:
         params = init_parameters(None, cfg, seed=seed)
         feats = rng.standard_normal((7, 5))
         perm = rng.permutation(7)
-        base = hfc_forward(Tensor(feats), cfg, params).data
-        permuted = hfc_forward(Tensor(feats[perm]), cfg, params).data
+        base = hfc_forward(Tensor(feats), cfg, params)[0].data
+        permuted = hfc_forward(Tensor(feats[perm]), cfg, params)[0].data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_dropout_only_fires_in_training(self):
         cfg = HfcConfig.for_feature_dim(8, dropout=0.5)
         params = init_parameters(None, cfg, seed=5)
         feats = np.random.default_rng(6).standard_normal((5, 8))
-        a = hfc_forward(Tensor(feats), cfg, params, training=False).data
-        b = hfc_forward(Tensor(feats), cfg, params, training=False).data
+        a = hfc_forward(Tensor(feats), cfg, params, training=False)[0].data
+        b = hfc_forward(Tensor(feats), cfg, params, training=False)[0].data
         np.testing.assert_array_equal(a, b)
-        c = hfc_forward(Tensor(feats), cfg, params, training=True,
-                        rng=np.random.default_rng(1)).data
-        assert not np.array_equal(a, c)
+        c, clean = hfc_forward(Tensor(feats), cfg, params, training=True, rng=np.random.default_rng(1))
+        assert not np.array_equal(a, c.data)
+        # the dropout-free pass of a training forward is the inference pass
+        np.testing.assert_array_equal(clean, a)
+
+    def test_dropout_masks_match_per_bag_draws(self):
+        # one draw for a stack of bags takes the values that one dropout
+        # draw per bag and layer takes from the same generator, in the
+        # order: bag 0 layer 0, bag 0 layer 1, bag 1 layer 0, ...
+        t, widths, rate = 5, (4, 6), 0.5
+        masks = dropout_masks(np.random.default_rng(3), 4, t, widths, rate)
+        per_bag = np.random.default_rng(3)
+        for n in range(4):
+            for layer, width in enumerate(widths):
+                expected = value(dropout(Tensor(np.ones((t, width))), rate, True, per_bag))
+                np.testing.assert_array_equal(masks[layer][n * t : (n + 1) * t], expected)
+
+    def test_stacked_training_pass_matches_per_bag_passes(self):
+        cfg = HfcConfig.for_feature_dim(6, narrow=4, wide=5)
+        params = init_parameters(None, cfg, seed=2)
+        feats = np.random.default_rng(7).standard_normal((3, 5, 6))
+        stacked, _ = hfc_forward(feats, cfg, params, training=True, rng=np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for n in range(3):
+            one, _ = hfc_forward(feats[n], cfg, params, training=True, rng=rng)
+            np.testing.assert_allclose(stacked.data[n], one.data, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +264,34 @@ class TestAnomalyScorer:
     def test_score_bag_shapes(self):
         model = AnomalyScorer(HfcConfig.for_feature_dim(12), MtaConfig(), seed=7)
         feats = np.random.default_rng(8).standard_normal((10, 12))
-        scores, attended = model.score_bag(Tensor(feats))
+        scores, gate = model.score_bag(Tensor(feats))
         assert scores.data.shape == (10,)
-        assert attended.data.shape == (10, 12)
+        assert gate.data.shape == (10,)
+        stacked, stacked_gate = model.score_bag(np.stack([feats, feats]))
+        assert stacked.data.shape == (2, 10) and stacked_gate.data.shape == (2, 10)
 
     def test_without_attention_features_pass_through(self):
         model = AnomalyScorer(HfcConfig.for_feature_dim(12), mta_cfg=None, seed=7)
-        feats = Tensor(np.random.default_rng(8).standard_normal((10, 12)))
-        scores, attended = model.score_bag(feats)
-        assert attended is feats
+        feats = np.random.default_rng(8).standard_normal((10, 12))
+        scores, gate = model.score_bag(feats)
+        np.testing.assert_array_equal(gate, np.ones(10))
+        np.testing.assert_array_equal(scores.data, hfc_forward(feats, model.hfc_cfg, model.params)[0].data)
+
+    @pytest.mark.parametrize("mode", ["residual", "pure"])
+    def test_factored_head_matches_rescaled_features(self, mode):
+        # the head applies the gate after its first product; an unfactored
+        # reference that rescales the features first must agree
+        model = AnomalyScorer(HfcConfig.for_feature_dim(9, narrow=4, wide=6), MtaConfig(mode=mode), seed=5)
+        rng = np.random.default_rng(9)
+        for k in model.mta_cfg.kernel_sizes:
+            model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+        feats = rng.standard_normal((3, 7, 9))
+        with no_grad():
+            scores, gate = model.score_bag(feats)
+        for n in range(3):
+            rescaled = gate[n][:, None] * feats[n]
+            np.testing.assert_allclose(scores[n], _reference_head(rescaled, model.hfc_cfg, model.params),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_registry_size_mismatch_rejected(self):
         hfc = HfcConfig.for_feature_dim(6)
@@ -247,6 +305,14 @@ class TestAnomalyScorer:
 
     def test_full_graph_gradients_pure_mode(self):
         report = full_graph_grad_check(t=6, d=8, mode="pure", seed=3)
+        assert report.max_rel_error < 1e-4
+
+    def test_full_graph_gradients_without_attention(self):
+        report = full_graph_grad_check(t=6, d=8, seed=3, use_mta=False)
+        assert report.max_rel_error < 1e-4
+
+    def test_full_graph_gradients_raw_magnitudes(self):
+        report = full_graph_grad_check(t=6, d=8, seed=3, magnitude_source="raw")
         assert report.max_rel_error < 1e-4
 
 

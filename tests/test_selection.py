@@ -18,6 +18,7 @@ from wsvad.selection import (
     confidence,
     select,
     topk_by_magnitude,
+    topk_mask,
 )
 
 scores_strategy = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=24).map(np.array)
@@ -32,7 +33,13 @@ def _pair(pos, neg, pos_feats=None, neg_feats=None):
     if neg_feats is None:
         neg_feats = np.ones((len(neg), 3))
     return ScoreBagPair(pos_scores=pos, neg_scores=neg,
-                        pos_features=pos_feats, neg_features=neg_feats)
+                        pos_magnitudes=np.linalg.norm(pos_feats, axis=1),
+                        neg_magnitudes=np.linalg.norm(neg_feats, axis=1))
+
+
+def _first(t, k):
+    """Mask of the first k of t clips."""
+    return np.arange(t) < k
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +70,7 @@ class TestConfidence:
             confidence(_pair([0.5, 0.5], [0.5, 0.5, 0.5]))
 
     def test_accepts_graph_tensors(self):
-        pair = ScoreBagPair(Tensor(np.array([0.5, 0.5])), Tensor(np.array([0.0, 0.0])),
-                            np.ones((2, 2)), np.ones((2, 2)))
+        pair = ScoreBagPair(Tensor(np.array([0.5, 0.5])), Tensor(np.array([0.0, 0.0])))
         assert confidence(pair) == 1.0
 
     @settings(max_examples=60, deadline=None)
@@ -162,6 +168,24 @@ class TestTopkByMagnitude:
             topk_by_magnitude(np.ones(5), 1)
 
     @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), t=st.integers(1, 12), ks=st.lists(st.integers(1, 12), min_size=3, max_size=3),
+           ties=st.booleans())
+    def test_batched_mask_matches_topk_by_magnitude(self, seed, t, ks, ties):
+        # one mask over a (B, T) stack of magnitudes, K per bag, selects the
+        # rows topk_by_magnitude picks from each bag, ties to the lower index
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((3, t, 4))
+        if ties:
+            feats = np.round(feats)  # integer rows: many equal norms
+            feats[:, t // 2] = feats[:, 0]
+        k = np.minimum(ks, t)
+        mask = topk_mask(np.linalg.norm(feats, axis=2), k)
+        for b in range(3):
+            picked = np.zeros(t, dtype=bool)
+            picked[list(topk_by_magnitude(feats[b], int(k[b])))] = True
+            np.testing.assert_array_equal(mask[b], picked)
+
+    @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), t=st.integers(1, 12), k=st.integers(1, 12))
     def test_selects_k_distinct_rows_with_max_norms(self, seed, t, k):
         k = min(k, t)
@@ -182,7 +206,7 @@ class TestSelect:
     def test_adaptive_off_pins_k_to_one(self):
         pair = _pair([0.99, 0.99, 0.99, 0.99], [0.0, 0.0, 0.0, 0.0])
         sel = select(pair, SelectionConfig(adaptive=False))
-        assert sel.k == 1 and len(sel.pos_topk) == 1
+        assert sel.k == 1 and sel.pos_mask.sum() == 1 and sel.neg_mask.sum() == 1
 
     def test_adaptive_on_uses_budget(self):
         pair = _pair([0.99, 0.99, 0.99, 0.99], [0.0, 0.0, 0.0, 0.0])
@@ -193,7 +217,25 @@ class TestSelect:
         rng = np.random.default_rng(3)
         pair = _pair(rng.uniform(size=8), rng.uniform(size=8),
                      rng.standard_normal((8, 5)), rng.standard_normal((8, 5)))
-        assert select(pair) == select(pair)
+        a, b = select(pair), select(pair)
+        assert (a.omega, a.k) == (b.omega, b.k)
+        np.testing.assert_array_equal(a.pos_mask, b.pos_mask)
+        np.testing.assert_array_equal(a.neg_mask, b.neg_mask)
+
+    def test_batch_equals_each_pair(self):
+        # one (B, T) call selects exactly what B single-pair calls select
+        rng = np.random.default_rng(5)
+        pos = rng.uniform(0.6, 1.0, size=(6, 10))
+        neg = rng.uniform(0.0, 0.2, size=(6, 10))
+        pos_mag, neg_mag = rng.uniform(size=(6, 10)), rng.uniform(size=(6, 10))
+        cfg = SelectionConfig(threshold=0.8)
+        batch = select(ScoreBagPair(pos, neg, pos_mag, neg_mag), cfg)
+        assert len(set(batch.k)) > 1
+        for i in range(6):
+            one = select(ScoreBagPair(pos[i], neg[i], pos_mag[i], neg_mag[i]), cfg)
+            assert one.omega == batch.omega[i] and one.k == batch.k[i]
+            np.testing.assert_array_equal(one.pos_mask, batch.pos_mask[i])
+            np.testing.assert_array_equal(one.neg_mask, batch.neg_mask[i])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -205,10 +247,8 @@ class TestSelect:
 class TestAisLoss:
     def _loss_value(self, pos, neg, k=1):
         pair = ScoreBagPair(Tensor(np.asarray(pos, dtype=np.float64)),
-                            Tensor(np.asarray(neg, dtype=np.float64)),
-                            np.ones((len(pos), 2)), np.ones((len(neg), 2)))
-        sel = SelectionResult(omega=1.0, k=k,
-                              pos_topk=tuple(range(k)), neg_topk=tuple(range(k)))
+                            Tensor(np.asarray(neg, dtype=np.float64)))
+        sel = SelectionResult(omega=1.0, k=k, pos_mask=_first(len(pos), k), neg_mask=_first(len(neg), k))
         return float(ais_loss(pair, sel).data)
 
     def test_perfect_separation_is_almost_zero(self):
@@ -226,8 +266,8 @@ class TestAisLoss:
 
         pos = Parameter(np.array([0.5, 0.5]), name="pos")
         neg = Parameter(np.array([0.5, 0.5]), name="neg")
-        pair = ScoreBagPair(pos, neg, np.ones((2, 2)), np.ones((2, 2)))
-        sel = SelectionResult(omega=1.0, k=2, pos_topk=(0, 1), neg_topk=(0, 1))
+        pair = ScoreBagPair(pos, neg)
+        sel = SelectionResult(omega=1.0, k=2, pos_mask=_first(2, 2), neg_mask=_first(2, 2))
         backward(ais_loss(pair, sel))
         assert (pos.grad < 0).all()  # descent raises positive scores
         assert (neg.grad > 0).all()  # descent lowers negative scores
@@ -237,8 +277,9 @@ class TestAisLoss:
 
         pos = Parameter(np.array([0.9, 0.2, 0.8]), name="pos")
         neg = Parameter(np.array([0.1, 0.7, 0.3]), name="neg")
-        pair = ScoreBagPair(pos, neg, np.ones((3, 2)), np.ones((3, 2)))
-        sel = SelectionResult(omega=1.0, k=1, pos_topk=(0,), neg_topk=(1,))
+        pair = ScoreBagPair(pos, neg)
+        sel = SelectionResult(omega=1.0, k=1, pos_mask=np.array([True, False, False]),
+                              neg_mask=np.array([False, True, False]))
         backward(ais_loss(pair, sel))
         assert pos.grad[0] != 0 and pos.grad[1] == 0 and pos.grad[2] == 0
         assert neg.grad[1] != 0 and neg.grad[0] == 0 and neg.grad[2] == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wsvad.autodiff import ConfigurationError
-from wsvad.data import load_bags
+from wsvad.data import ClipFeatureBag, load_bags
 from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig, load_checkpoint
 from wsvad.losses import LossConfig
 from wsvad.selection import SelectionConfig
@@ -125,6 +125,24 @@ class TestTrainEpoch:
                     np.random.default_rng(0), np.random.default_rng(1))
         for name, arr in before.items():
             np.testing.assert_array_equal(model.params[name].data, arr)
+
+    def test_mixed_clip_counts_rejected_naming_the_video(self, tiny_bags, tmp_path):
+        model, pos, neg = _fresh(tiny_bags)
+        odd = pos[3]
+        pos[3] = ClipFeatureBag(odd.features[:-2], odd.label, "short_video", odd.num_frames)
+        with pytest.raises(ConfigurationError, match="'short_video' has 14 clips"):
+            fit(pos + neg, tiny_bags["test"], model, TrainConfig(epochs=1, batch_pairs=4), tmp_path)
+        assert not (tmp_path / "train_log.csv").exists()
+        with pytest.raises(ConfigurationError, match="short_video"):
+            train_epoch(pos, neg, model, TrainState(model.params), TrainConfig(batch_pairs=4),
+                        SelectionConfig(), LossConfig(),
+                        np.random.default_rng(0), np.random.default_rng(1))
+
+    def test_bags_shorter_than_widest_kernel_rejected(self, tiny_bags, tmp_path):
+        model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(k_max=17), seed=7)
+        train = tiny_bags["train"]
+        with pytest.raises(ConfigurationError, match=f"{train[0].video_id!r} has 16 clips, training needs at least 17"):
+            fit(train, tiny_bags["test"], model, TrainConfig(epochs=1, batch_pairs=4), tmp_path)
 
     def test_stats_ranges(self, tiny_bags):
         model, pos, neg = _fresh(tiny_bags)
