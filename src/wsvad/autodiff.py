@@ -35,17 +35,13 @@ __all__ = [
     "sub",
     "mul",
     "log",
-    "gather",
     "index",
     "adjacent_diff",
     "reshape",
     "linear",
     "conv1d_same",
-    "global_avg_pool",
     "leaky_relu",
     "sigmoid",
-    "dropout",
-    "scale_rows",
 ]
 
 
@@ -113,15 +109,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __float__(self) -> float:
-        return float(self.data)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, data={self.data!r})"
 
@@ -140,11 +127,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("Tensor division supports scalar divisors only")
-        return mul(self, 1.0 / other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -371,28 +353,6 @@ def reshape(x, *shape):
     return _node(out, (x,), grad_fn)
 
 
-def gather(x, indices):
-    """Select entries of a 1-d tensor by index."""
-    xv = _val(x)
-    if xv.ndim != 1:
-        raise DimensionError(f"gather expects a 1-d tensor, got shape {xv.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size == 0:
-        raise DimensionError("gather needs at least one index")
-    if idx.min() < 0 or idx.max() >= xv.shape[0]:
-        raise DimensionError(f"gather index out of range for length {xv.shape[0]}")
-    out = xv[idx]
-    if not _tracing(x):
-        return out
-
-    def grad_fn(g):
-        contrib = np.zeros_like(xv)
-        np.add.at(contrib, idx, g)
-        _accum(x, contrib)
-
-    return _node(out, (x,), grad_fn)
-
-
 def adjacent_diff(x):
     """First difference along the last axis: out[..., i] = x[..., i+1] - x[..., i]."""
     xv = _val(x)
@@ -497,22 +457,6 @@ def conv1d_same(x, weight, bias):
     return _node(out, (x, weight, bias), grad_fn)
 
 
-def global_avg_pool(x):
-    """Mean over the feature axis: (T, D) -> (T,)."""
-    xv = _val(x)
-    if xv.ndim != 2:
-        raise DimensionError(f"global_avg_pool expects a 2-d tensor, got shape {xv.shape}")
-    d = xv.shape[1]
-    out = xv.mean(axis=1)
-    if not _tracing(x):
-        return out
-
-    def grad_fn(g):
-        _accum(x, np.broadcast_to((g / d)[:, None], xv.shape))
-
-    return _node(out, (x,), grad_fn)
-
-
 def leaky_relu(x, slope=0.5):
     """max(x, slope * x); the derivative at exactly zero takes the x >= 0 branch."""
     if not 0.0 <= slope < 1.0:
@@ -544,44 +488,6 @@ def sigmoid(x):
         _accum(x, g * out * (1.0 - out))
 
     return _node(out, (x,), grad_fn)
-
-
-def dropout(x, rate, training, rng=None):
-    """Inverted dropout; the identity when not training or rate == 0."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ConfigurationError("dropout in training mode needs a random generator")
-    xv = _val(x)
-    mask = (rng.random(xv.shape) >= rate) / (1.0 - rate)
-    out = xv * mask
-    if not _tracing(x):
-        return out
-
-    def grad_fn(g):
-        _accum(x, g * mask)
-
-    return _node(out, (x,), grad_fn)
-
-
-def scale_rows(x, s):
-    """Row-wise rescale: out[t, d] = s[t] * x[t, d]."""
-    xv, sv = _val(x), _val(s)
-    if xv.ndim != 2 or sv.ndim != 1 or xv.shape[0] != sv.shape[0]:
-        raise DimensionError(f"scale_rows: incompatible shapes x{xv.shape} s{sv.shape}")
-    out = xv * sv[:, None]
-    if not _tracing(x, s):
-        return out
-
-    def grad_fn(g):
-        if isinstance(x, Tensor):
-            _accum(x, g * sv[:, None])
-        if isinstance(s, Tensor):
-            _accum(s, (g * xv).sum(axis=1))
-
-    return _node(out, (x, s), grad_fn)
 
 
 # ---------------------------------------------------------------------------

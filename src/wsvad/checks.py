@@ -15,8 +15,7 @@ from .training import batch_step
 def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed: int = 3,
                           k_max: int = 5, eps: float = 1e-5, tol: float = 1e-4,
                           margin_min: float = 2e-4, max_attempts: int = 20,
-                          use_mta: bool = True,
-                          magnitude_source: str = "attended") -> GradCheckReport:
+                          use_mta: bool = True) -> GradCheckReport:
     """Finite-difference check of d(batch loss)/d(every parameter).
 
     Drives the training step itself (``training.batch_step``) on a batch of
@@ -66,7 +65,7 @@ def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed:
         # positive scores (all of them in a shorter bag) as confident
         clean = model.score_bag(np.stack([pos[0].features, pos[1].features])).clean
         threshold = float(np.sort(clean[0])[-min(4, t)])
-        sel_cfg = SelectionConfig(threshold=threshold, magnitude_source=magnitude_source)
+        sel_cfg = SelectionConfig(threshold=threshold)
         _, sel = batch_step(pos, neg, model, sel_cfg, loss_cfg, None)
         if sel.k.max() < 2 or sel.k.min() == sel.k.max():
             continue
@@ -78,7 +77,7 @@ def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed:
             build()
         if margins and min(margins) < margin_min:
             continue
-        return grad_check(build, model.params.tensors(), eps=eps, tol=tol)
+        return grad_check(build, model.params.values(), eps=eps, tol=tol)
 
     raise RuntimeError(
         f"no kink-safe input found in {max_attempts} draws (margin_min={margin_min})"

@@ -38,11 +38,8 @@ class RunConfig:
     # selection
     use_ais: bool = True
     score_threshold: float = 0.9
-    magnitude_source: str = "attended"
     # losses
     use_antagonistic: bool = True
-    use_sparsity: bool = False
-    smooth_on_both: bool = False
     # optimization
     lr: float = 0.001
     weight_decay: float = 0.0005
@@ -70,18 +67,10 @@ class RunConfig:
         )
 
     def selection_config(self) -> SelectionConfig:
-        return SelectionConfig(
-            threshold=self.score_threshold,
-            adaptive=self.use_ais,
-            magnitude_source=self.magnitude_source,
-        )
+        return SelectionConfig(threshold=self.score_threshold, adaptive=self.use_ais)
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            use_antagonistic=self.use_antagonistic,
-            use_sparsity=self.use_sparsity,
-            smooth_on_both=self.smooth_on_both,
-        )
+        return LossConfig(use_antagonistic=self.use_antagonistic)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(

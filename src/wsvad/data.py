@@ -71,13 +71,23 @@ def save_features(path, features) -> Path:
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature file back as float64, bit-exact w.r.t. the stored f32."""
+    """Read a feature file back as float64, bit-exact w.r.t. the stored f32.
+
+    NaN and infinite values are rejected, naming the CSV line or the byte
+    offset of the first one.
+    """
     path = Path(path)
     if path.suffix == ".csv":
         try:
             arr = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
         except ValueError as exc:
             raise FormatError(f"{path}: malformed feature CSV: {exc}") from None
+        if not np.isfinite(arr).all():
+            row = int(np.argmin(np.isfinite(arr).all(axis=1)))
+            # loadtxt skips blank and comment lines; count only the data rows
+            lines = [n for n, text in enumerate(path.read_text().splitlines(), 1)
+                     if text.split("#", 1)[0].strip()]
+            raise FormatError(f"{path}:{lines[row]}: non-finite feature value")
         return arr.astype(np.float64)
 
     blob = path.read_bytes()
@@ -103,7 +113,16 @@ def load_features(path) -> np.ndarray:
     if payload > expected:
         raise FormatError(f"{path}: trailing bytes after payload", offset=_HEADER.size + expected)
     arr = np.frombuffer(blob, dtype="<f4", count=t * d, offset=_HEADER.size)
-    return arr.reshape(t, d).astype(np.float64)
+    out = arr.reshape(t, d).astype(np.float64)
+    # the promotion keeps NaN and inf; the promoted copy is aligned, so it
+    # checks faster than the f32 view of a payload that starts at byte 14
+    if not np.isfinite(out).all():
+        i = int(np.argmin(np.isfinite(out.reshape(-1))))
+        raise FormatError(
+            f"{path}: non-finite feature value {arr[i]} at clip {i // d}, dim {i % d}",
+            offset=_HEADER.size + 4 * i,
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ from .selection import ScoreBagPair, SelectionResult, ais_loss
 @dataclass(frozen=True)
 class LossConfig:
     use_antagonistic: bool = True
-    use_sparsity: bool = False     # ablation: sparsity replaces the antagonistic term
-    smooth_on_both: bool = False   # smooth the negative bag's scores too
-    ais_eps: float = 1e-7
 
 
 @dataclass
@@ -53,24 +50,20 @@ def antagonistic_loss(pos_scores, neg_scores):
 
 
 def sparsity_loss(pos_scores):
-    """Mean positive-bag score; anomalies should stay rare within a bag."""
+    """Mean positive-bag score; logged as a diagnostic, not part of the sum."""
     return pos_scores.mean(axis=-1)
 
 
 def total_loss(pair: ScoreBagPair, sel: SelectionResult, cfg: LossConfig = LossConfig()) -> LossBreakdown:
     """Assemble the objective; every term is reported even when it is not
     part of the sum."""
-    ais = ais_loss(pair, sel, cfg.ais_eps)
+    ais = ais_loss(pair, sel)
     smooth = smooth_loss(pair.pos_scores)
-    if cfg.smooth_on_both:
-        smooth = (smooth + smooth_loss(pair.neg_scores)) * 0.5
     antagonistic = antagonistic_loss(pair.pos_scores, pair.neg_scores)
     sparsity = sparsity_loss(pair.pos_scores)
 
     total = ais + smooth
-    if cfg.use_sparsity:
-        total = total + sparsity
-    elif cfg.use_antagonistic:
+    if cfg.use_antagonistic:
         total = total + antagonistic
 
     def mean(term) -> float:

@@ -106,53 +106,32 @@ class HfcConfig:
         return cls(dims=dims, dropout=dropout, head_shape=head_shape, slope=slope)
 
 
-class ModelParameters:
-    """Registry of named trainable tensors with a countable audit surface."""
-
-    def __init__(self):
-        self._params: dict[str, Parameter] = {}
+class ModelParameters(dict[str, Parameter]):
+    """Named trainable tensors, in registration order."""
 
     def register(self, name: str, values) -> Parameter:
-        if name in self._params:
+        if name in self:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
         p = Parameter(np.asarray(values, dtype=np.float64), name=name)
-        self._params[name] = p
+        self[name] = p
         return p
 
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def tensors(self) -> list[Parameter]:
-        return list(self._params.values())
-
     def zero_grads(self) -> None:
-        for p in self._params.values():
+        for p in self.values():
             p.zero_grad()
 
     def count_entries(self) -> int:
-        return sum(p.data.size for p in self._params.values())
+        return sum(p.data.size for p in self.values())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
+        return {name: p.data.copy() for name, p in self.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(arrays)
-        extra = set(arrays) - set(self._params)
+        missing = set(self) - set(arrays)
+        extra = set(arrays) - set(self)
         if missing or extra:
             raise CheckpointError(f"parameter names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, p in self._params.items():
+        for name, p in self.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != p.data.shape:
                 raise CheckpointError(

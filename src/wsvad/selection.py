@@ -23,13 +23,10 @@ from .autodiff import log, value
 class SelectionConfig:
     threshold: float = 0.9            # positive scores at/above this count as confident
     adaptive: bool = True             # False pins K = 1 (classic top-1 MIL)
-    magnitude_source: str = "attended"  # rank by "attended" or "raw" features
 
     def __post_init__(self):
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.magnitude_source not in ("attended", "raw"):
-            raise ValueError(f"magnitude_source must be 'attended' or 'raw', got {self.magnitude_source!r}")
 
 
 @dataclass

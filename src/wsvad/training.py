@@ -160,10 +160,8 @@ def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfi
     out = model.score_bag(x, training=True, rng=dropout_rng,
                           means=np.array([bag.clip_means for bag in bags]))
     if sel is None:
-        magnitudes = np.array([bag.clip_norms for bag in bags])
-        if sel_cfg.magnitude_source == "attended":
-            # |a_t x_t| = |a_t| |x_t|: the gated features are never built
-            magnitudes = np.abs(value(out.gate)) * magnitudes
+        # |a_t x_t| = |a_t| |x_t|: the gated features are never built
+        magnitudes = np.abs(value(out.gate)) * np.array([bag.clip_norms for bag in bags])
         clean = out.clean.reshape(b, 2, t)
         magnitudes = magnitudes.reshape(b, 2, t)
         sel = select(ScoreBagPair(clean[:, 0], clean[:, 1], magnitudes[:, 0], magnitudes[:, 1]), sel_cfg)
@@ -240,7 +238,7 @@ def load_train_state(path, params: ModelParameters) -> TrainState:
     state = TrainState(params)
     state.step = int(config["step"])
     state.best_auc = float(config["best_auc"])
-    for name in params.names():
+    for name in params:
         for prefix, store in (("m", state.m), ("v", state.v)):
             key = f"{prefix}.{name}"
             if key not in arrays or arrays[key].shape != store[name].shape:

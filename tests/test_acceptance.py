@@ -108,11 +108,13 @@ def test_criterion_1_parameter_count(capsys):
 
 
 def test_criterion_2_gradient_correctness():
-    start = time.monotonic()
+    # CPU time of this process: time the host gives to other work is not
+    # the check's cost
+    start = time.process_time()
     for mode in ("residual", "pure"):
         report = full_graph_grad_check(t=8, d=16, mode=mode)
         assert report.max_rel_error < 1e-4, f"{mode}: {report.max_rel_error:.3e}"
-    assert time.monotonic() - start < 10.0
+    assert time.process_time() - start < 10.0
 
 
 def test_criterion_3_auc_oracle_equivalence():

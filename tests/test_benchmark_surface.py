@@ -1,0 +1,67 @@
+"""The part of wsvad that the benchmark in ``perfbench/`` drives.
+
+The benchmark wraps wsvad's module-level names from outside in a traced run
+and builds every run from ``RunConfig``. A deletion or rename of any of
+those names fails here rather than in a benchmark run.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wsvad import data, model, training
+from wsvad.model import count_parameters
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+
+        yield workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_traced_run_wraps_and_restores_every_layer(workloads):
+    sites = [(owner, attr) for _, owner, attr, _ in workloads._SPAN_SITES]
+    sites += [(data, "load_features"), (training, "backward"), (model.AnomalyScorer, "score_bag")]
+    originals = [getattr(owner, attr) for owner, attr in sites]
+    tracer = workloads.Tracer()
+    try:
+        workloads.install_layer_spans(tracer)
+        for (owner, attr), original in zip(sites, originals):
+            assert getattr(owner, attr) is not original, f"{attr} was not wrapped"
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in zip(sites, originals):
+        assert getattr(owner, attr) is original, f"{attr} was not restored"
+
+
+def test_run_config_surface(workloads):
+    for w in workloads.WORKLOADS.values():
+        cfg = workloads.RunConfig(feature_dim=w.feature_dim, epochs=w.epochs, eval_every=1, seed=1)
+        scorer = cfg.build_model()
+        assert scorer.params.count_entries() == count_parameters(cfg.mta_config(), cfg.hfc_config())
+        assert cfg.train_config().epochs == w.epochs
+        assert cfg.selection_config().adaptive and cfg.loss_config().use_antagonistic
+    assert workloads.RunConfig(feature_dim=2048).build_model().params.count_entries() == 139_595
+    assert workloads.RunConfig().batch_pairs >= 1
+
+
+def test_graph_node_count_walks_a_training_step(workloads):
+    cfg = workloads.RunConfig(feature_dim=8, seed=1)
+    scorer = cfg.build_model()
+    rng = np.random.default_rng(0)
+    pos = [data.ClipFeatureBag(rng.standard_normal((6, 8)), 1, f"a{i}", 6) for i in range(2)]
+    neg = [data.ClipFeatureBag(rng.standard_normal((6, 8)), 0, f"n{i}", 6) for i in range(2)]
+    breakdown, _ = training.batch_step(pos, neg, scorer, cfg.selection_config(), cfg.loss_config(),
+                                       np.random.default_rng(1))
+    assert workloads.count_graph_nodes(breakdown.node) > len(scorer.params)

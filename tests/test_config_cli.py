@@ -78,11 +78,11 @@ class TestRunConfig:
             load_run_config(None, overrides=["use_ais=maybe"])
 
     def test_sub_config_builders(self):
-        cfg = RunConfig(feature_dim=24, use_mta=False, use_ais=False, use_sparsity=True)
+        cfg = RunConfig(feature_dim=24, use_mta=False, use_ais=False, use_antagonistic=False)
         assert cfg.mta_config() is None
         assert cfg.hfc_config().dims == (24, 64, 128, 1)
         assert cfg.selection_config().adaptive is False
-        assert cfg.loss_config().use_sparsity is True
+        assert cfg.loss_config().use_antagonistic is False
         assert cfg.train_config().seed == 7
 
     def test_text_form_lists_every_field(self):

@@ -107,6 +107,26 @@ class TestFeatureFiles:
             load_features(p)
         assert err.value.offset == 6
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_binary_value_rejected_with_offset(self, tmp_path, bad):
+        feats = np.ones((3, 4), dtype=np.float32)
+        feats[1, 2] = bad
+        feats[2, 0] = bad  # only the first bad value is named
+        p = save_features(tmp_path / "v.lwvf", feats)
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_features(p)
+        # 14-byte header, then row-major f32: entry (1, 2) is value 6
+        assert err.value.offset == 14 + 4 * 6
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value_rejected_with_line(self, tmp_path, bad):
+        p = tmp_path / "v.csv"
+        p.write_text(f"# clip features\n1,2\n\n3,4\n5,{bad}\n{bad},6\n")
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_features(p)
+        assert f"{p}:5:" in str(err.value)
+
 
 # ---------------------------------------------------------------------------
 # bags, manifests, frame labels

@@ -131,11 +131,6 @@ class TestTotalLoss:
         assert out.total == pytest.approx(out.ais + out.smooth + out.antagonistic, abs=1e-12)
         assert out.total == pytest.approx(float(out.node.data), abs=0.0)
 
-    def test_sparsity_replaces_antagonistic(self):
-        pair, sel = _pair_and_sel([0.8, 0.6, 0.7], [0.2, 0.1, 0.3])
-        out = total_loss(pair, sel, LossConfig(use_sparsity=True))
-        assert out.total == pytest.approx(out.ais + out.smooth + out.sparsity, abs=1e-12)
-
     def test_both_extra_terms_off(self):
         pair, sel = _pair_and_sel([0.8, 0.6, 0.7], [0.2, 0.1, 0.3])
         out = total_loss(pair, sel, LossConfig(use_antagonistic=False))
@@ -145,14 +140,6 @@ class TestTotalLoss:
         pair, sel = _pair_and_sel([0.8, 0.6, 0.7], [0.2, 0.1, 0.3])
         out = total_loss(pair, sel, LossConfig(use_antagonistic=False))
         assert out.antagonistic > 0.0 and out.sparsity > 0.0
-
-    def test_smooth_on_both_averages_the_two_bags(self):
-        pos, neg = [0.0, 1.0, 0.0], [0.2, 0.2, 0.2]
-        pair, sel = _pair_and_sel(pos, neg)
-        only_pos = total_loss(pair, sel)
-        both = total_loss(pair, sel, LossConfig(smooth_on_both=True))
-        assert only_pos.smooth == pytest.approx(1.0, abs=1e-12)
-        assert both.smooth == pytest.approx(0.5, abs=1e-12)  # negative bag is flat
 
     def test_gradients_flow_through_total(self):
         pos = Parameter(np.array([0.8, 0.6, 0.7]), name="pos")
@@ -165,7 +152,7 @@ class TestTotalLoss:
         assert np.isfinite(pos.grad).all() and np.isfinite(neg.grad).all()
 
 
-@pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(use_sparsity=True), LossConfig(smooth_on_both=True)])
+@pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(use_antagonistic=False)])
 def test_batch_of_pairs_is_the_mean_of_single_pairs(cfg):
     # a (B, T) batch with K differing between pairs: each term, the total and
     # every score gradient equal the per-pair computation averaged over B

@@ -240,8 +240,6 @@ class TestSelect:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="threshold"):
             SelectionConfig(threshold=0.0)
-        with pytest.raises(ValueError, match="magnitude_source"):
-            SelectionConfig(magnitude_source="scores")
 
 
 class TestAisLoss:
