@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
+# config keys that `wsvad train` also takes as flags: --out-dir X is --set out_dir=X
+_TRAIN_FLAG_KEYS = ("train_manifest", "test_manifest", "out_dir", "epochs", "seed")
+
 _INPUT_ERRORS = (
     FileNotFoundError,
     NotADirectoryError,
@@ -56,11 +59,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
-
-
-def _collect_config(args, extra_overrides=()) -> "RunConfig":
-    overrides = list(args.overrides) + list(extra_overrides)
-    return load_run_config(args.config, overrides)
 
 
 def cmd_gen_synth(args) -> int:
@@ -90,18 +88,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    extra = []
-    if args.train_manifest:
-        extra.append(f"train_manifest={args.train_manifest}")
-    if args.test_manifest:
-        extra.append(f"test_manifest={args.test_manifest}")
-    if args.out_dir:
-        extra.append(f"out_dir={args.out_dir}")
-    if args.epochs is not None:
-        extra.append(f"epochs={args.epochs}")
-    if args.seed is not None:
-        extra.append(f"seed={args.seed}")
-    cfg = _collect_config(args, extra)
+    cfg = load_run_config(args.config, args.overrides)
     if not cfg.train_manifest or not cfg.test_manifest:
         raise ConfigurationError("train_manifest and test_manifest must both be set")
 
@@ -175,7 +162,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_params(args) -> int:
-    cfg = _collect_config(args)
+    cfg = load_run_config(args.config, args.overrides)
     mta_cfg = cfg.mta_config()
     hourglass = replace(cfg, head_shape="hourglass").hfc_config()
     conventional = replace(cfg, head_shape="conventional").hfc_config()
@@ -215,27 +202,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic weak-label corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--n-normal", type=int, default=100)
-    p.add_argument("--n-abnormal", type=int, default=100)
-    p.add_argument("--n-test-normal", type=int, default=30)
-    p.add_argument("--n-test-abnormal", type=int, default=30)
-    p.add_argument("--clips", type=int, default=32)
-    p.add_argument("--dims", type=int, default=64)
-    p.add_argument("--span-min", type=int, default=2)
-    p.add_argument("--span-max", type=int, default=8)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--noise-sigma", type=float, default=1.0)
-    p.add_argument("--class-name", default="synthetic")
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
+    p.add_argument("--n-normal", type=int, default=SyntheticSpec.n_normal)
+    p.add_argument("--n-abnormal", type=int, default=SyntheticSpec.n_abnormal)
+    p.add_argument("--n-test-normal", type=int, default=SyntheticSpec.n_test_normal)
+    p.add_argument("--n-test-abnormal", type=int, default=SyntheticSpec.n_test_abnormal)
+    p.add_argument("--clips", type=int, default=SyntheticSpec.clip_count)
+    p.add_argument("--dims", type=int, default=SyntheticSpec.feature_dim)
+    p.add_argument("--span-min", type=int, default=SyntheticSpec.anomaly_span[0])
+    p.add_argument("--span-max", type=int, default=SyntheticSpec.anomaly_span[1])
+    p.add_argument("--separation", type=float, default=SyntheticSpec.separation)
+    p.add_argument("--noise-sigma", type=float, default=SyntheticSpec.noise_sigma)
+    p.add_argument("--class-name", default=SyntheticSpec.class_name)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("train", help="train on a manifest pair")
     _add_config_args(p)
-    p.add_argument("--train-manifest")
-    p.add_argument("--test-manifest")
-    p.add_argument("--out-dir")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+    for key in _TRAIN_FLAG_KEYS:
+        p.add_argument(f"--{key.replace('_', '-')}", dest="overrides", action="append",
+                       type=lambda text, key=key: f"{key}={text}", metavar=key.upper(),
+                       help=f"same as --set {key}=...")
     p.add_argument("--resume-from", help="previous run directory to continue from")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)

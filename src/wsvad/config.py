@@ -1,7 +1,7 @@
 """Flat key=value run configuration.
 
 One file drives a whole run: ``key=value`` lines, ``#`` comments, unknown
-keys rejected. The same ``key=value`` strings work as command-line
+keys and invalid values rejected when read. The same ``key=value`` strings work as command-line
 overrides, and the effective configuration can be echoed back out in a form
 that parses to an equal config.
 """
@@ -19,37 +19,37 @@ from .training import TrainConfig
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(TrainConfig):
+    """Every setting of a run. The optimization keys are ``TrainConfig``'s;
+    the rest default to the values of the component configs they build."""
+
     # data / paths
     train_manifest: str = ""
     test_manifest: str = ""
     out_dir: str = "runs/default"
-    feature_dim: int = 2048
+    feature_dim: int = HfcConfig.dims[0]
     # model
     use_mta: bool = True
-    k_max: int = 5
-    lambda1: float = 0.1
-    leaky_slope: float = 0.5
-    mta_mode: str = "residual"
-    head_shape: str = "hourglass"
-    hidden_narrow: int = 64
-    hidden_wide: int = 128
-    dropout: float = 0.5
+    k_max: int = MtaConfig.k_max
+    lambda1: float = MtaConfig.lambda1
+    leaky_slope: float = MtaConfig.slope
+    mta_mode: str = MtaConfig.mode
+    head_shape: str = HfcConfig.head_shape
+    hidden_narrow: int = HfcConfig.dims[1]
+    hidden_wide: int = HfcConfig.dims[2]
+    dropout: float = HfcConfig.dropout
     # selection
-    use_ais: bool = True
-    score_threshold: float = 0.9
+    use_ais: bool = SelectionConfig.adaptive
+    score_threshold: float = SelectionConfig.threshold
     # losses
-    use_antagonistic: bool = True
-    # optimization
-    lr: float = 0.001
-    weight_decay: float = 0.0005
-    batch_pairs: int = 32
-    epochs: int = 200
-    seed: int = 7
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    eval_every: int = 1
+    use_antagonistic: bool = LossConfig.use_antagonistic
+
+    def __post_init__(self):
+        # a run config is valid iff the configs it builds are
+        super().__post_init__()
+        self.mta_config()
+        self.hfc_config()
+        self.selection_config()
 
     def mta_config(self) -> MtaConfig | None:
         if not self.use_mta:
@@ -73,17 +73,7 @@ class RunConfig:
         return LossConfig(use_antagonistic=self.use_antagonistic)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-            batch_pairs=self.batch_pairs,
-            epochs=self.epochs,
-            seed=self.seed,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-            eval_every=self.eval_every,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def build_model(self) -> AnomalyScorer:
         return AnomalyScorer(self.hfc_config(), self.mta_config(), seed=self.seed)

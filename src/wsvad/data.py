@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -74,14 +75,19 @@ def load_features(path) -> np.ndarray:
     """Read a feature file back as float64, bit-exact w.r.t. the stored f32.
 
     NaN and infinite values are rejected, naming the CSV line or the byte
-    offset of the first one.
+    offset of the first one, and so is a CSV without data rows.
     """
     path = Path(path)
     if path.suffix == ".csv":
         try:
-            arr = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
+            with warnings.catch_warnings():
+                # a CSV without data rows is rejected below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
         except ValueError as exc:
             raise FormatError(f"{path}: malformed feature CSV: {exc}") from None
+        if arr.size == 0:
+            raise FormatError(f"{path}: feature CSV holds no data rows")
         if not np.isfinite(arr).all():
             row = int(np.argmin(np.isfinite(arr).all(axis=1)))
             # loadtxt skips blank and comment lines; count only the data rows

@@ -96,9 +96,10 @@ class HfcConfig:
         if not 0.0 <= self.slope < 1.0:
             raise ConfigurationError(f"slope must be in [0, 1), got {self.slope}")
 
+    # the defaults below are the field defaults above, read in the class body
     @classmethod
-    def for_feature_dim(cls, feature_dim, head_shape="hourglass", narrow=64, wide=128,
-                        dropout=0.5, slope=0.5):
+    def for_feature_dim(cls, feature_dim, head_shape=head_shape, narrow=dims[1], wide=dims[2],
+                        dropout=dropout, slope=slope):
         if head_shape == "hourglass":
             dims = (feature_dim, narrow, wide, 1)
         else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import log, value
+from .autodiff import ConfigurationError, log, value
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class SelectionConfig:
 
     def __post_init__(self):
         if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+            raise ConfigurationError(f"threshold must be in (0, 1], got {self.threshold}")
 
 
 @dataclass

@@ -44,6 +44,8 @@ from .model import (
 from .selection import ScoreBagPair, SelectionConfig, select
 
 LOG_COLUMNS = ("epoch", "ais", "smooth", "antagonistic", "sparsity", "total", "auc", "omega", "k")
+# the columns train_epoch averages over the pairs: LossBreakdown and SelectionResult fields
+_MEAN_COLUMNS = tuple(c for c in LOG_COLUMNS if c not in ("epoch", "auc"))
 
 
 class TrainingError(RuntimeError):
@@ -105,20 +107,6 @@ def adam_step(params: ModelParameters, state: TrainState, cfg: TrainConfig) -> N
         p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
 
 
-@dataclass
-class EpochStats:
-    """Per-pair means over one epoch."""
-
-    ais: float
-    smooth: float
-    antagonistic: float
-    sparsity: float
-    total: float
-    omega: float
-    k: float
-    n_batches: int
-
-
 def check_train_bags(bags, model: AnomalyScorer) -> None:
     """Training stacks bags into one array, so every bag needs the model's
     feature width and one shared clip count, at least 2 and at least the
@@ -171,8 +159,9 @@ def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfi
 
 def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg: TrainConfig,
                 sel_cfg: SelectionConfig, loss_cfg: LossConfig,
-                shuffle_rng, dropout_rng) -> EpochStats:
-    """One pass over min(len(pos), len(neg)) // batch_pairs batches."""
+                shuffle_rng, dropout_rng) -> dict[str, float]:
+    """One pass over min(len(pos), len(neg)) // batch_pairs batches; returns
+    the per-pair means of the loss terms, omega and K by log column name."""
     if len(pos_bags) < cfg.batch_pairs or len(neg_bags) < cfg.batch_pairs:
         raise ConfigurationError(
             f"batch_pairs={cfg.batch_pairs} needs at least that many bags per class, "
@@ -184,7 +173,7 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
     n_batches = min(len(pos_bags), len(neg_bags)) // cfg.batch_pairs
     stack = np.empty((2 * cfg.batch_pairs, pos_bags[0].num_clips, model.feature_dim))
 
-    sums = np.zeros(7)  # ais, smooth, antagonistic, sparsity, total, omega, k
+    sums = np.zeros(len(_MEAN_COLUMNS))
     for b in range(n_batches):
         batch = slice(b * cfg.batch_pairs, (b + 1) * cfg.batch_pairs)
         model.params.zero_grads()
@@ -195,22 +184,13 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
         )
         backward(breakdown.node)
         adam_step(model.params, state, cfg)
-        sums += (
-            breakdown.ais,
-            breakdown.smooth,
-            breakdown.antagonistic,
-            breakdown.sparsity,
-            breakdown.total,
-            np.mean(sel.omega),
-            np.mean(sel.k),
-        )
+        sums += [np.mean(getattr(breakdown if hasattr(breakdown, c) else sel, c)) for c in _MEAN_COLUMNS]
         # the graph holds this batch's activations and gradients; let it go
         # before the next batch builds its own
         del breakdown
     # every batch holds batch_pairs pairs, so the mean of the batch means
     # is the mean over pairs
-    means = sums / n_batches
-    return EpochStats(*means, n_batches=n_batches)
+    return dict(zip(_MEAN_COLUMNS, sums / n_batches))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +280,7 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     with open(log_path, "w") as log:
         log.write(",".join(LOG_COLUMNS) + "\n")
         for epoch in range(1, cfg.epochs + 1):
-            stats = train_epoch(
+            means = train_epoch(
                 pos_bags, neg_bags, model, state, cfg, sel_cfg, loss_cfg, shuffle_rng, dropout_rng
             )
             auc_value = None
@@ -310,17 +290,8 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
                     best_auc = auc_value
                     save_checkpoint(best_path, model)
                     saved_best = True
-            row = {
-                "epoch": epoch,
-                "ais": stats.ais,
-                "smooth": stats.smooth,
-                "antagonistic": stats.antagonistic,
-                "sparsity": stats.sparsity,
-                "total": stats.total,
-                "auc": auc_value,
-                "omega": stats.omega,
-                "k": stats.k,
-            }
+            values = {"epoch": epoch, "auc": auc_value, **means}
+            row = {col: values[col] for col in LOG_COLUMNS}
             rows.append(row)
             log.write(_format_row(row) + "\n")
             log.flush()

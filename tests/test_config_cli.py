@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wsvad.autodiff import ConfigurationError
-from wsvad.cli import main
+from wsvad.cli import build_parser, main
 from wsvad.config import RunConfig, load_run_config, run_config_to_text, write_run_config
-from wsvad.data import save_features
+from wsvad.data import SyntheticSpec, save_features
+from wsvad.losses import LossConfig
+from wsvad.model import HfcConfig, MtaConfig
+from wsvad.selection import SelectionConfig
+from wsvad.training import TrainConfig
 
 
 def _tree_hash(root: Path) -> str:
@@ -87,10 +93,43 @@ class TestRunConfig:
 
     def test_text_form_lists_every_field(self):
         text = run_config_to_text(RunConfig())
-        from dataclasses import fields
-
         for f in fields(RunConfig):
             assert f"{f.name}=" in text
+
+    def test_defaults_are_the_component_defaults(self):
+        cfg = RunConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.mta_config() == MtaConfig()
+        assert cfg.hfc_config() == HfcConfig()
+        assert cfg.selection_config() == SelectionConfig()
+        assert cfg.loss_config() == LossConfig()
+
+    @pytest.mark.parametrize("bad", ["k_max=4", "dropout=1.0", "head_shape=wide",
+                                     "score_threshold=0", "batch_pairs=0"])
+    def test_invalid_value_rejected_at_load(self, bad):
+        with pytest.raises(ConfigurationError):
+            load_run_config(None, overrides=[bad])
+
+    def test_file_in_earlier_key_order_loads(self, tmp_path):
+        # config.txt files once listed the data and model keys before the
+        # optimization keys; key order must not matter
+        p = tmp_path / "config.txt"
+        p.write_text(
+            "train_manifest=a.csv\ntest_manifest=b.csv\nout_dir=runs/x\nfeature_dim=24\n"
+            "use_mta=false\nk_max=7\nlambda1=0.2\nleaky_slope=0.25\nmta_mode=pure\n"
+            "head_shape=conventional\nhidden_narrow=8\nhidden_wide=16\ndropout=0.0\n"
+            "use_ais=false\nscore_threshold=0.8\nuse_antagonistic=false\nlr=0.01\n"
+            "weight_decay=0.0\nbatch_pairs=4\nepochs=3\nseed=11\nadam_beta1=0.8\n"
+            "adam_beta2=0.99\nadam_eps=1e-06\neval_every=2\n"
+        )
+        assert load_run_config(p) == RunConfig(
+            train_manifest="a.csv", test_manifest="b.csv", out_dir="runs/x", feature_dim=24,
+            use_mta=False, k_max=7, lambda1=0.2, leaky_slope=0.25, mta_mode="pure",
+            head_shape="conventional", hidden_narrow=8, hidden_wide=16, dropout=0.0,
+            use_ais=False, score_threshold=0.8, use_antagonistic=False, lr=0.01,
+            weight_decay=0.0, batch_pairs=4, epochs=3, seed=11, adam_beta1=0.8,
+            adam_beta2=0.99, adam_eps=1e-06, eval_every=2,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +153,12 @@ class TestGenSynthCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "not separable" in captured.err
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path, capsys):
+        assert main(["gen-synth", "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "d" / "summary.json").read_text())
+        assert summary["spec"] == json.loads(json.dumps(asdict(SyntheticSpec())))
 
     def test_bad_span_is_usage_error(self, tmp_path, capsys):
         code = main(["gen-synth", "--out", str(tmp_path / "z"), "--span-min", "9",
@@ -190,6 +235,19 @@ class TestTrainEvalScoreCommands:
                      "--out-dir", str(tmp_path / "run")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_train_flags_are_set_aliases(self):
+        args = build_parser().parse_args(["train", "--epochs", "3", "--set", "seed=2",
+                                          "--out-dir", "x", "--seed", "5"])
+        assert args.overrides == ["epochs=3", "seed=2", "out_dir=x", "seed=5"]
+
+    def test_bad_config_value_reported_before_inputs_are_read(self, tmp_path, capsys):
+        code = main(["train", "--train-manifest", str(tmp_path / "none.csv"),
+                     "--test-manifest", str(tmp_path / "none.csv"),
+                     "--out-dir", str(tmp_path / "run"), "--set", "k_max=4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "k_max" in err and "none.csv" not in err
 
     def test_unknown_config_key_is_usage_error(self, tiny_dataset, tmp_path, capsys):
         code = main(["train", "--train-manifest", str(tiny_dataset["train"]),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,16 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="non-finite") as err:
             load_features(p)
         assert f"{p}:5:" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# clip features\n\n# none\n"])
+    def test_csv_without_data_rows_rejected(self, tmp_path, text):
+        p = tmp_path / "v.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="no data rows") as err:
+                load_bag(p)
+        assert str(p) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

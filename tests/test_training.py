@@ -11,6 +11,7 @@ from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig, load_checkpoint
 from wsvad.losses import LossConfig
 from wsvad.selection import SelectionConfig
 from wsvad.training import (
+    LOG_COLUMNS,
     TrainConfig,
     TrainState,
     TrainingError,
@@ -147,13 +148,15 @@ class TestTrainEpoch:
     def test_stats_ranges(self, tiny_bags):
         model, pos, neg = _fresh(tiny_bags)
         cfg = TrainConfig(batch_pairs=4, lr=0.001)
-        stats = train_epoch(pos, neg, model, TrainState(model.params), cfg,
+        state = TrainState(model.params)
+        stats = train_epoch(pos, neg, model, state, cfg,
                             SelectionConfig(), LossConfig(),
                             np.random.default_rng(0), np.random.default_rng(1))
-        assert stats.n_batches == 3  # 12 pairs / 4 per batch
-        assert 0.0 <= stats.omega <= 1.0
-        assert stats.k >= 1.0
-        assert np.isfinite(stats.total)
+        assert state.step == 3  # one Adam step per batch: 12 pairs / 4 per batch
+        assert set(stats) == set(LOG_COLUMNS) - {"epoch", "auc"}
+        assert 0.0 <= stats["omega"] <= 1.0
+        assert stats["k"] >= 1.0
+        assert np.isfinite(stats["total"])
 
 
 # ---------------------------------------------------------------------------
