@@ -2,8 +2,10 @@
 
 A MIL model (multi-width temporal attention plus an hourglass scoring head)
 trained with adaptive instance selection and an antagonistic top-1 loss.
-Ships with a small reverse-mode autodiff engine, binary/CSV feature formats,
-a synthetic corpus generator, frame-level ROC/AUC evaluation, and a CLI.
+The training step is three ops with hand-written gradients (attention gate,
+scoring head, MIL objective) run by a small graph runner that a
+finite-difference check verifies. Ships with binary/CSV feature formats, a
+synthetic corpus generator, frame-level ROC/AUC evaluation, and a CLI.
 """
 
 from .autodiff import (
@@ -14,7 +16,6 @@ from .autodiff import (
     Tensor,
     backward,
     grad_check,
-    no_grad,
 )
 from .data import (
     ClipFeatureBag,

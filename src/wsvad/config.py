@@ -18,6 +18,11 @@ from .selection import SelectionConfig
 from .training import TrainConfig
 
 
+# component config fields that a run config sets under another key; their
+# errors, which start with the field's name, are reported under the key
+_RUN_KEYS = {"threshold": "score_threshold", "slope": "leaky_slope", "mode": "mta_mode"}
+
+
 @dataclass(frozen=True)
 class RunConfig(TrainConfig):
     """Every setting of a run. The optimization keys are ``TrainConfig``'s;
@@ -45,16 +50,25 @@ class RunConfig(TrainConfig):
     use_antagonistic: bool = LossConfig.use_antagonistic
 
     def __post_init__(self):
-        # a run config is valid iff the configs it builds are
+        # a run config is valid iff the configs it builds are; the attention
+        # keys are checked with use_mta off too, so that the config.txt a
+        # run writes stays loadable once attention is switched back on
         super().__post_init__()
-        self.mta_config()
-        self.hfc_config()
-        self.selection_config()
+        try:
+            self._attention_config()
+            self.hfc_config()
+            self.selection_config()
+        except ConfigurationError as err:
+            field, _, rest = str(err).partition(" ")
+            if field not in _RUN_KEYS:
+                raise
+            raise ConfigurationError(f"{_RUN_KEYS[field]} {rest}") from None
+
+    def _attention_config(self) -> MtaConfig:
+        return MtaConfig(k_max=self.k_max, lambda1=self.lambda1, slope=self.leaky_slope, mode=self.mta_mode)
 
     def mta_config(self) -> MtaConfig | None:
-        if not self.use_mta:
-            return None
-        return MtaConfig(k_max=self.k_max, lambda1=self.lambda1, slope=self.leaky_slope, mode=self.mta_mode)
+        return self._attention_config() if self.use_mta else None
 
     def hfc_config(self) -> HfcConfig:
         return HfcConfig.for_feature_dim(

@@ -119,9 +119,11 @@ def load_features(path) -> np.ndarray:
     if payload > expected:
         raise FormatError(f"{path}: trailing bytes after payload", offset=_HEADER.size + expected)
     arr = np.frombuffer(blob, dtype="<f4", count=t * d, offset=_HEADER.size)
-    out = arr.reshape(t, d).astype(np.float64)
-    # the promotion keeps NaN and inf; the promoted copy is aligned, so it
-    # checks faster than the f32 view of a payload that starts at byte 14
+    # the promotion keeps NaN and inf (a signalling NaN, quietly: the check
+    # below reports it); the promoted copy is aligned, so it checks faster
+    # than the f32 view of a payload that starts at byte 14
+    with np.errstate(invalid="ignore"):
+        out = arr.reshape(t, d).astype(np.float64)
     if not np.isfinite(out).all():
         i = int(np.argmin(np.isfinite(out.reshape(-1))))
         raise FormatError(

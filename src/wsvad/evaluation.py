@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import no_grad
 from .data import ClipFeatureBag, clip_frame_bounds
 from .model import AnomalyScorer
 
@@ -83,8 +82,7 @@ def auc(scores, labels) -> float:
 
 def score_video(bag: ClipFeatureBag, model: AnomalyScorer) -> np.ndarray:
     """Inference-mode clip scores broadcast over each clip's frame range."""
-    with no_grad():
-        clip_scores, _ = model.score_bag(bag.features)
+    clip_scores, _ = model.score_bag(bag.features)
     clip_scores = np.asarray(clip_scores, dtype=np.float64)
     bounds = clip_frame_bounds(bag.num_clips, bag.num_frames)
     return np.repeat(clip_scores, np.diff(bounds))

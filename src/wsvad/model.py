@@ -13,31 +13,28 @@ head small next to a conventional wide-then-narrow head.
 
 Because the gate is one scalar per clip, the head applies it after its first
 matrix product: (a * X) W0 = a * (X W0). The rescaled (T, D) features are
-never built, and one forward serves one bag or a stack of N bags alike.
+never built, and one forward serves one bag or a stack of bags alike.
+
+Each stage is one op with a hand-written backward. In a training pass
+``mta_forward`` returns the gate as a graph node over the attention kernels,
+and ``hfc_forward`` the scores as a node over the head's weights and the gate
+node; the head's backward gives the first layer's weight gradient as
+X^T (a * g) and hands the gate its gradient. An inference pass runs the same
+forward on plain arrays and builds no node.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    ConfigurationError,
-    DimensionError,
-    Parameter,
-    conv1d_same,
-    leaky_relu,
-    linear,
-    no_grad,
-    reshape,
-    sigmoid,
-    value,
-)
+from .autodiff import ConfigurationError, DimensionError, Parameter, Tensor, note_kink_margin
 
 MTA_MODES = ("residual", "pure")
 HEAD_SHAPES = ("hourglass", "conventional")
@@ -168,21 +165,125 @@ def count_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig) -> int:
     return total
 
 
-def mta_forward(means, cfg: MtaConfig, params: ModelParameters):
-    """Attention gate from the clip-mean signal of one bag (T,) or of N
-    stacked bags (N, T); the gate has the signal's shape."""
-    t = value(means).shape[-1]
-    if t < cfg.k_max:
-        raise ConfigurationError(f"bag has {t} clips but the largest kernel needs {cfg.k_max}")
+# ---------------------------------------------------------------------------
+# layers: plain array -> array forwards
+
+
+def linear(x, weight, bias=None):
+    """Affine map on row vectors: out[n, o] = sum_i x[n, i] W[i, o] (+ b[o])."""
+    if (
+        x.ndim != 2
+        or weight.ndim != 2
+        or x.shape[1] != weight.shape[0]
+        or (bias is not None and (bias.ndim != 1 or weight.shape[1] != bias.shape[0]))
+    ):
+        shapes = f"x{x.shape} W{weight.shape}" + ("" if bias is None else f" b{bias.shape}")
+        raise DimensionError(f"linear: incompatible shapes {shapes}")
+    out = x @ weight
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _padded_rows(v, t: int, half: int, at: int) -> np.ndarray:
+    """Every length-t row of v inside a zero row of width t + 2*half, starting
+    at column ``at``, end to end, plus 2*half zeros, so that a 'valid'
+    correlation yields one output per padded column."""
+    n = v.size // t
+    width = t + 2 * half
+    buf = np.zeros(n * width + 2 * half)
+    buf[: n * width].reshape(n, width)[:, at : at + t] = v.reshape(n, t)
+    return buf
+
+
+def conv1d_same(x, weight, bias):
+    """1-d cross-correlation with zero 'same' padding, along the last axis of
+    a signal or of each row of a stack of them.
+
+    out[..., i] = b + sum_j w[j] * x[..., i + j - k//2], out-of-range x
+    entries read as zero, so the output length equals the input length.
+    """
+    if weight.ndim != 1:
+        raise DimensionError(f"conv1d_same expects a 1-d kernel, got shape {weight.shape}")
+    if bias.size != 1:
+        raise DimensionError(f"conv1d_same expects a single bias value, got shape {bias.shape}")
+    k = weight.shape[0]
+    t = x.shape[-1]
+    if k % 2 == 0 or k < 3:
+        raise ConfigurationError(f"conv1d_same kernel size must be odd and >= 3, got {k}")
+    if k > t:
+        raise ConfigurationError(f"conv1d_same kernel size {k} exceeds signal length {t}")
+    half = k // 2
+    corr = np.correlate(_padded_rows(x, t, half, half), weight, mode="valid")
+    # the first t outputs of each padded row are that row's; the rest
+    # straddle two rows and are dropped
+    return corr.reshape(-1, t + 2 * half)[:, :t].reshape(x.shape) + bias.reshape(())
+
+
+def _conv1d_weight_grad(x, g, k: int) -> np.ndarray:
+    """Gradient of sum(g * conv1d_same(x, w, b)) with respect to w."""
+    t = x.shape[-1]
+    half = k // 2
+    n_cols = (x.size // t) * (t + 2 * half)
+    return np.correlate(_padded_rows(x, t, half, half), _padded_rows(g, t, half, 0)[:n_cols], mode="valid")
+
+
+def leaky_relu(x, slope=0.5):
+    """max(x, slope * x); its derivative at exactly zero takes the x >= 0 branch."""
+    if not 0.0 <= slope < 1.0:
+        raise ConfigurationError(f"leaky_relu slope must be in [0, 1), got {slope}")
+    if x.size:
+        note_kink_margin(lambda: np.abs(x).min())
+    return np.maximum(x, slope * x)
+
+
+def _leaky_relu_slope(x, slope):
+    return np.where(x >= 0.0, 1.0, slope)
+
+
+def sigmoid(x):
+    """Numerically stable logistic; finite for any finite input."""
+    # 1 / (1 + exp(-x)) at and above zero, exp(x) / (1 + exp(x)) below it;
+    # exp(-|x|) is the exponential either branch needs, and never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+# ---------------------------------------------------------------------------
+# the gate and head ops
+
+
+def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool = False):
+    """Attention gate from the clip-mean signal of one bag (T,) or of a stack
+    of bags (..., T); the gate has the signal's shape.
+
+    With ``training`` the gate is a graph node over the attention kernels,
+    otherwise a plain array.
+    """
+    means = np.asarray(means, dtype=np.float64)
+    if means.shape[-1] < cfg.k_max:
+        raise ConfigurationError(f"bag has {means.shape[-1]} clips but the largest kernel needs {cfg.k_max}")
+    kernels = [(params[f"mta.conv{k}.weight"], params[f"mta.conv{k}.bias"]) for k in cfg.kernel_sizes]
+    responses = [conv1d_same(means, w.data, b.data) for w, b in kernels]
     logits = None
-    for k in cfg.kernel_sizes:
-        c = conv1d_same(means, params[f"mta.conv{k}.weight"], params[f"mta.conv{k}.bias"])
+    for c in responses:
         a = leaky_relu(c, cfg.slope)
         logits = a if logits is None else logits + a
-    s = logits * cfg.lambda1
-    if cfg.mode == "pure":
-        return s
-    return s + 1.0
+    gate = logits * cfg.lambda1
+    if cfg.mode == "residual":
+        gate = gate + 1.0
+    if not training:
+        return gate
+
+    def grad_fn(g):
+        g = g * cfg.lambda1
+        grads = []
+        for c, (w, _) in zip(responses, kernels):
+            gc = g * _leaky_relu_slope(c, cfg.slope)
+            grads += [_conv1d_weight_grad(means, gc, w.data.size), np.asarray(gc.sum()).reshape(1)]
+        return grads
+
+    return Tensor(gate, [p for kernel in kernels for p in kernel], grad_fn)
 
 
 def dropout_masks(rng, n_bags: int, t: int, widths, rate: float) -> list[np.ndarray]:
@@ -205,67 +306,94 @@ def dropout_masks(rng, n_bags: int, t: int, widths, rate: float) -> list[np.ndar
     return masks
 
 
-def _head_tail(h, cfg: HfcConfig, params: ModelParameters, masks):
-    """Head layers after the first, from its activation to the sigmoid."""
-    n_layers = len(cfg.dims) - 1
-    for i in range(1, n_layers):
-        if masks is not None:
-            h = h * masks[i - 1]
-        h = linear(h, params[f"head.{i}.weight"], params[f"head.{i}.bias"])
-        if i < n_layers - 1:
-            h = leaky_relu(h, cfg.slope)
-    return sigmoid(h)
+def _head_tail(h1, slope: float, w1, b1, w2, b2, masks):
+    """Head layers after the first, from its activation to the sigmoid;
+    returns the scores and the inputs the backward pass reads."""
+    h1 = h1 if masks is None else h1 * masks[0]
+    z2 = linear(h1, w1, b1)
+    h2 = leaky_relu(z2, slope)
+    h2 = h2 if masks is None else h2 * masks[1]
+    return sigmoid(linear(h2, w2, b2)), h1, z2, h2
 
 
 def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
                 training: bool = False, rng=None):
-    """Score every clip of one bag (T, D) or of N stacked bags (N, T, D).
+    """Score every clip of one bag (T, D) or of a stack of bags (..., T, D).
 
     Layer pattern: linear -> leaky ReLU -> dropout for both hidden layers,
     then linear -> sigmoid; dropout only fires when ``training``. A ``gate``
-    shaped like the bag axes rescales each clip, applied after the first
-    matrix product: gate * (x W0) + b0. The features are data: no gradient
-    flows back to them.
+    shaped like the bag axes (an array, or the gate node) rescales each
+    clip, applied after the first matrix product: gate * (x W0) + b0. The
+    features are data: no gradient flows back to them.
 
     Returns ``(scores, clean)``, both shaped like the bag axes: the scores
-    (a graph node when the parameters are traced) and, as an array, the
-    same scores with dropout off. A training pass computes both from one
-    first layer, so the dropout-free pass costs no second product with W0.
+    (with ``training``, a graph node over the head's parameters and the gate
+    node) and, as an array, the same scores with dropout off. A training
+    pass computes both from one first layer, so the dropout-free pass costs
+    no second product with W0.
     """
-    xv = value(x)
-    if xv.ndim not in (2, 3) or xv.shape[-1] != cfg.dims[0]:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-1] != cfg.dims[0]:
         raise DimensionError(
-            f"head expects (T, {cfg.dims[0]}) or (N, T, {cfg.dims[0]}) features, got shape {xv.shape}"
+            f"head expects (T, {cfg.dims[0]}) or (..., T, {cfg.dims[0]}) features, got shape {x.shape}"
         )
-    bag_axes = xv.shape[:-1]
-    h = linear(xv.reshape(-1, cfg.dims[0]), params["head.0.weight"])
-    if gate is not None:
-        h = h * reshape(gate, (-1, 1))
-    h = leaky_relu(h + params["head.0.bias"], cfg.slope)
+    bag_axes = x.shape[:-1]
+    head = [params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias")]
+    w0, b0, w1, b1, w2, b2 = (p.data for p in head)
+    x = x.reshape(-1, cfg.dims[0])
+    gate_node = gate if isinstance(gate, Tensor) else None
+    if gate_node is not None:
+        gate = gate_node.data
+    gate_col = None if gate is None else np.asarray(gate).reshape(-1, 1)
+    xw = linear(x, w0)
+    z1 = (xw if gate_col is None else xw * gate_col) + b0
+    h1 = leaky_relu(z1, cfg.slope)
     masks = None
     if training and cfg.dropout:
         masks = dropout_masks(rng, math.prod(bag_axes[:-1]), bag_axes[-1], cfg.dims[1:-1], cfg.dropout)
-    scores = _head_tail(h, cfg, params, masks)
-    if masks is None:
-        clean = value(scores)
-    else:
-        with no_grad():
-            clean = _head_tail(value(h), cfg, params, None)
-    return reshape(scores, bag_axes), clean.reshape(bag_axes)
+    out, h1m, z2, h2m = _head_tail(h1, cfg.slope, w1, b1, w2, b2, masks)
+    clean = out if masks is None else _head_tail(h1, cfg.slope, w1, b1, w2, b2, None)[0]
+    clean = clean.reshape(bag_axes)
+    if not training:
+        return out.reshape(bag_axes), clean
+
+    def grad_fn(g):
+        g = g.reshape(-1, 1) * out * (1.0 - out)
+        gw2, gb2 = h2m.T @ g, g.sum(axis=0)
+        g = g @ w2.T
+        if masks is not None:
+            g = g * masks[1]
+        g = g * _leaky_relu_slope(z2, cfg.slope)
+        gw1, gb1 = h1m.T @ g, g.sum(axis=0)
+        g = g @ w1.T
+        if masks is not None:
+            g = g * masks[0]
+        g = g * _leaky_relu_slope(z1, cfg.slope)
+        grads = [None, g.sum(axis=0), gw1, gb1, gw2, gb2]
+        if gate_node is not None:
+            grads.append((g * xw).sum(axis=1).reshape(gate_node.data.shape))
+        if gate_col is not None:
+            g = g * gate_col
+        grads[0] = x.T @ g
+        return grads
+
+    parents = head if gate_node is None else head + [gate_node]
+    return Tensor(out.reshape(bag_axes), parents, grad_fn), clean
 
 
 @dataclass(frozen=True)
 class BagScores:
-    """One forward over a bag (T,) or N stacked bags (N, T); unpacks as
+    """One forward over a bag (T,) or a stack of bags (..., T); unpacks as
     ``scores, gate``.
 
-    ``scores`` is a graph node when the parameters are traced, ``gate`` the
-    per-clip attention gate (all ones without attention), and ``clean`` the
-    scores with dropout off, which instance selection reads.
+    ``scores`` is the head's graph node in a training pass and an array
+    otherwise; ``gate`` holds the per-clip attention gate (all ones without
+    attention) and ``clean`` the scores with dropout off, which instance
+    selection reads.
     """
 
     scores: object
-    gate: object
+    gate: np.ndarray
     clean: np.ndarray
 
     def __iter__(self):
@@ -296,21 +424,22 @@ class AnomalyScorer:
         return self.hfc_cfg.dims[0]
 
     def score_bag(self, features, training: bool = False, rng=None, means=None) -> BagScores:
-        """Score one bag (T, D) or N stacked bags (N, T, D).
+        """Score one bag (T, D) or a stack of bags (..., T, D); with
+        ``training``, the scores are a graph node (see ``hfc_forward``).
 
         ``means`` are the clips' feature means, shaped like the bag axes; a
         caller that has them cached passes them, otherwise they are computed
         here when the attention block needs them.
         """
-        x = value(features)
+        x = np.asarray(features, dtype=np.float64)
         if not self.use_mta:
             scores, clean = hfc_forward(x, self.hfc_cfg, self.params, None, training, rng)
             return BagScores(scores, np.ones(x.shape[:-1]), clean)
         if means is None:
             means = x.mean(axis=-1)
-        gate = mta_forward(means, self.mta_cfg, self.params)
+        gate = mta_forward(means, self.mta_cfg, self.params, training)
         scores, clean = hfc_forward(x, self.hfc_cfg, self.params, gate, training, rng)
-        return BagScores(scores, gate, clean)
+        return BagScores(scores, gate.data if training else gate, clean)
 
     def config_dict(self) -> dict:
         return {
@@ -336,26 +465,37 @@ class CheckpointError(ValueError):
 
 
 def write_container(path, magic: bytes, config: dict, arrays: dict[str, np.ndarray]) -> Path:
+    """Write a container to ``path`` atomically: the bytes go to a temporary
+    file in the same directory, which then replaces ``path``, so an
+    interrupted write leaves any earlier file as it was."""
     path = Path(path)
     cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<HI", CONTAINER_VERSION, len(cfg_bytes)))
-        fh.write(cfg_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<HI", CONTAINER_VERSION, len(cfg_bytes)))
+            fh.write(cfg_bytes)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.asarray(arr, dtype=np.float64)
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container; any malformed content raises ``CheckpointError``
+    naming the file."""
     path = Path(path)
     blob = path.read_bytes()
     pos = 0
@@ -368,22 +508,38 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         pos += n
         return chunk
 
+    def text(n: int, what: str) -> str:
+        chunk = take(n, what)
+        try:
+            return chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not UTF-8") from None
+
     if take(len(magic), "magic") != magic:
         raise CheckpointError(f"{path}: bad magic, expected {magic!r}")
     version, cfg_len = struct.unpack("<HI", take(6, "header"))
     if version != CONTAINER_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    config = json.loads(take(cfg_len, "config block").decode("utf-8"))
+    try:
+        config = json.loads(text(cfg_len, "config block"))
+    except json.JSONDecodeError as err:
+        raise CheckpointError(f"{path}: config block is not valid JSON: {err}") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config block is not a JSON object")
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name = text(name_len, "tensor name")
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
         shape = tuple(struct.unpack("<I", take(4, "dim"))[0] for _ in range(ndim))
-        n_values = int(np.prod(shape)) if shape else 1
-        payload = take(8 * n_values, f"tensor {name!r}")
-        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        payload = take(8 * math.prod(shape), f"tensor {name!r}")
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        try:
+            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError:
+            raise CheckpointError(f"{path}: tensor {name!r} has an unrepresentable shape {shape}") from None
     if pos != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return config, arrays
@@ -399,16 +555,21 @@ def save_checkpoint(path, model: AnomalyScorer) -> Path:
 
 
 def load_checkpoint(path, expected_config: dict | None = None) -> AnomalyScorer:
-    """Rebuild a model from a checkpoint; rejects config mismatches."""
+    """Rebuild a model from a checkpoint; rejects config mismatches. Any
+    malformed content raises ``CheckpointError`` naming the file."""
     config, arrays = read_container(path, CHECKPOINT_MAGIC)
     if expected_config is not None and _normalize_config(expected_config) != _normalize_config(config):
         raise CheckpointError(
             f"{path}: checkpoint config {config} does not match expected {_normalize_config(expected_config)}"
         )
-    mta_cfg = MtaConfig(**config["mta"]) if config.get("mta") else None
-    hfc_raw = dict(config["hfc"])
-    hfc_raw["dims"] = tuple(hfc_raw["dims"])
-    hfc_cfg = HfcConfig(**hfc_raw)
-    params = init_parameters(mta_cfg, hfc_cfg, seed=0)
-    params.load_arrays(arrays)
-    return AnomalyScorer(hfc_cfg, mta_cfg, params=params)
+    try:
+        mta_cfg = MtaConfig(**config["mta"]) if config.get("mta") else None
+        hfc_raw = dict(config["hfc"])
+        hfc_raw["dims"] = tuple(hfc_raw["dims"])
+        hfc_cfg = HfcConfig(**hfc_raw)
+        params = init_parameters(mta_cfg, hfc_cfg, seed=0)
+        params.load_arrays(arrays)
+        return AnomalyScorer(hfc_cfg, mta_cfg, params=params)
+    except (KeyError, TypeError, ValueError) as err:
+        # ValueError covers the configs' own checks and load_arrays' errors
+        raise CheckpointError(f"{path}: {type(err).__name__}: {err}") from None

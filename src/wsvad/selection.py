@@ -6,8 +6,9 @@ two score sequences alone, converts that confidence into an instance budget
 K, and marks the K clips with the largest feature magnitude in each bag.
 Every function takes one pair (scores shaped (T,)) or a batch of B pairs
 ((B, T)), with K free to differ between pairs. The selection itself is
-score-free bookkeeping: gradients never flow through omega, K, or the
-chosen clips, only through the selected scores inside ``ais_loss``.
+score-free bookkeeping: the objective (``losses.total_loss``) holds omega,
+K and the chosen clips fixed and differentiates the AIS term through the
+selected scores only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ConfigurationError, log, value
+from .autodiff import ConfigurationError
+
+
+AIS_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -34,10 +38,10 @@ class ScoreBagPair:
     """Clip scores, and the clip magnitudes selection ranks by, for one
     positive/negative pair (T,) or B pairs (B, T)."""
 
-    pos_scores: object
-    neg_scores: object
-    pos_magnitudes: object = None
-    neg_magnitudes: object = None
+    pos_scores: np.ndarray
+    neg_scores: np.ndarray
+    pos_magnitudes: np.ndarray | None = None
+    neg_magnitudes: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,8 @@ def confidence(pair: ScoreBagPair):
     sequences vary little between neighbouring clips; raw values below 0 or
     above 1 clamp to the ends.
     """
-    sn = value(pair.neg_scores)
-    sp = value(pair.pos_scores)
+    sn = np.asarray(pair.neg_scores)
+    sp = np.asarray(pair.pos_scores)
     if sn.ndim not in (1, 2) or sp.shape != sn.shape:
         raise ValueError(f"score sequences must be 1-d and equally long, got {sp.shape} and {sn.shape}")
     t = sn.shape[-1]
@@ -74,7 +78,7 @@ def confidence(pair: ScoreBagPair):
 def adaptive_k(omega, pos_scores, threshold: float = 0.9):
     """Instance budget: confidence times the count of confident positive
     scores, rounded half-up, clamped to [1, T]; one per pair."""
-    sp = value(pos_scores)
+    sp = np.asarray(pos_scores)
     count = (sp >= threshold).sum(axis=-1)
     k = np.clip(np.floor(np.asarray(omega) * count + 0.5).astype(np.int64), 1, sp.shape[-1])
     return int(k) if k.ndim == 0 else k
@@ -83,7 +87,7 @@ def adaptive_k(omega, pos_scores, threshold: float = 0.9):
 def topk_by_magnitude(features, k: int) -> tuple[int, ...]:
     """Indices of the k rows with the largest L2 norm, descending; ties keep
     the lower index first."""
-    feats = value(features)
+    feats = np.asarray(features)
     if feats.ndim != 2:
         raise ValueError(f"features must be 2-d, got shape {feats.shape}")
     if not 1 <= k <= feats.shape[0]:
@@ -117,11 +121,18 @@ def select(pair: ScoreBagPair, cfg: SelectionConfig = SelectionConfig()) -> Sele
     )
 
 
-def ais_loss(pair: ScoreBagPair, sel: SelectionResult, eps: float = 1e-7):
+def ais_loss(pair: ScoreBagPair, sel: SelectionResult):
     """Negative log-likelihood of the selected mean scores, per pair: pushes
     the positive bag's selected mean toward 1 and the negative bag's toward
-    0. The eps guard keeps both logs finite at the score boundaries."""
+    0. ``AIS_EPS`` keeps both logs finite at the score boundaries."""
+    m_p, m_n = selected_means(pair, sel)
+    return -(np.log(m_p + AIS_EPS) + np.log((1.0 - m_n) + AIS_EPS))
+
+
+def selected_means(pair: ScoreBagPair, sel: SelectionResult):
+    """Mean score of the selected clips of the positive and of the negative
+    bag, per pair."""
     inv_k = 1.0 / np.asarray(sel.k, dtype=np.float64)
     m_p = (pair.pos_scores * sel.pos_mask).sum(axis=-1) * inv_k
     m_n = (pair.neg_scores * sel.neg_mask).sum(axis=-1) * inv_k
-    return -(log(m_p + eps) + log((1.0 - m_n) + eps))
+    return m_p, m_n

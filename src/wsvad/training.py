@@ -3,7 +3,7 @@
 Each batch pairs ``batch_pairs`` anomalous bags with the same number of
 normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
 
-- the batch's 2B bags are stacked into one (2B, T, D) array, pair by pair
+- the batch's 2B bags are stacked into one (B, 2, T, D) array, pair by pair
   (anomalous bag, then its normal partner), reused from batch to batch;
 - one forward over the stack computes the per-clip attention gate from the
   bags' cached clip means, and the head's first layer as gate * (X W0) + b0,
@@ -13,8 +13,10 @@ normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
 - selection (omega, K and the top-K clip masks, where clip magnitude is
   |gate| times the cached clip norm) and the three loss terms run for all
   pairs at once, with K free to differ between pairs;
-- one backward over the batch's small graph, then one Adam step with
-  coupled L2 weight decay on the mean pair loss.
+- one backward, then one Adam step with coupled L2 weight decay on the mean
+  pair loss. The graph is three hand-differentiated ops over the
+  parameters: the gate (``model.mta_forward``), the head
+  (``model.hfc_forward``) and the objective (``losses.total_loss``).
 
 Every bag of the train split must therefore have the same clip count. Runs
 are bit-reproducible: the same seed yields identical logs and checkpoints.
@@ -28,13 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ConfigurationError, backward, value
+from .autodiff import ConfigurationError, backward
 from .data import ClipFeatureBag
 from .evaluation import evaluate_bags
 from .losses import LossConfig, total_loss
 from .model import (
     STATE_MAGIC,
     AnomalyScorer,
+    CheckpointError,
     ModelParameters,
     load_checkpoint,
     read_container,
@@ -136,25 +139,24 @@ def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfi
                loss_cfg: LossConfig, dropout_rng, stack=None, sel=None):
     """Loss and selection for one batch of B bag pairs (i-th with i-th).
 
-    ``stack`` is a (2B, T, D) array to stack the bags into, reused across
+    ``stack`` is a (B, 2, T, D) array to stack the bags into, reused across
     batches; ``sel`` replaces the computed selection, as a gradient check
     needs. Returns (LossBreakdown over the pairs, SelectionResult).
     """
     bags = [bag for pair in zip(pos_bags, neg_bags) for bag in pair]
     b, t = len(pos_bags), bags[0].num_clips
-    x = np.empty((2 * b, t, model.feature_dim)) if stack is None else stack
+    x = np.empty((b, 2, t, model.feature_dim)) if stack is None else stack
+    rows = x.reshape(2 * b, t, model.feature_dim)
     for i, bag in enumerate(bags):
-        x[i] = bag.features
+        rows[i] = bag.features
     out = model.score_bag(x, training=True, rng=dropout_rng,
-                          means=np.array([bag.clip_means for bag in bags]))
+                          means=np.array([bag.clip_means for bag in bags]).reshape(b, 2, t))
     if sel is None:
         # |a_t x_t| = |a_t| |x_t|: the gated features are never built
-        magnitudes = np.abs(value(out.gate)) * np.array([bag.clip_norms for bag in bags])
-        clean = out.clean.reshape(b, 2, t)
-        magnitudes = magnitudes.reshape(b, 2, t)
-        sel = select(ScoreBagPair(clean[:, 0], clean[:, 1], magnitudes[:, 0], magnitudes[:, 1]), sel_cfg)
-    scores = out.scores.reshape(b, 2, t)
-    return total_loss(ScoreBagPair(scores[:, 0], scores[:, 1]), sel, loss_cfg), sel
+        magnitudes = np.abs(out.gate) * np.array([bag.clip_norms for bag in bags]).reshape(b, 2, t)
+        sel = select(ScoreBagPair(out.clean[:, 0], out.clean[:, 1], magnitudes[:, 0], magnitudes[:, 1]),
+                     sel_cfg)
+    return total_loss(out.scores, sel, loss_cfg), sel
 
 
 def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg: TrainConfig,
@@ -171,7 +173,7 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
     pos_order = shuffle_rng.permutation(len(pos_bags))
     neg_order = shuffle_rng.permutation(len(neg_bags))
     n_batches = min(len(pos_bags), len(neg_bags)) // cfg.batch_pairs
-    stack = np.empty((2 * cfg.batch_pairs, pos_bags[0].num_clips, model.feature_dim))
+    stack = np.empty((cfg.batch_pairs, 2, pos_bags[0].num_clips, model.feature_dim))
 
     sums = np.zeros(len(_MEAN_COLUMNS))
     for b in range(n_batches):
@@ -216,8 +218,11 @@ def save_train_state(path, state: TrainState) -> Path:
 def load_train_state(path, params: ModelParameters) -> TrainState:
     config, arrays = read_container(path, STATE_MAGIC)
     state = TrainState(params)
-    state.step = int(config["step"])
-    state.best_auc = float(config["best_auc"])
+    try:
+        state.step = int(config["step"])
+        state.best_auc = float(config["best_auc"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: bad optimizer state header: {type(err).__name__}: {err}") from None
     for name in params:
         for prefix, store in (("m", state.m), ("v", state.v)):
             key = f"{prefix}.{name}"

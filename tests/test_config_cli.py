@@ -110,6 +110,21 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             load_run_config(None, overrides=[bad])
 
+    @pytest.mark.parametrize("bad", ["score_threshold=2", "leaky_slope=1.0", "mta_mode=x"])
+    def test_renamed_key_errors_name_the_run_key(self, bad):
+        key = bad.split("=")[0]
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            load_run_config(None, overrides=[bad])
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            load_run_config(None, overrides=["use_mta=false", bad])
+
+    def test_attention_keys_checked_with_attention_off(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="k_max"):
+            load_run_config(None, overrides=["use_mta=false", "k_max=4"])
+        # what a run with attention off writes loads again with it on
+        path = write_run_config(tmp_path / "config.txt", load_run_config(None, ["use_mta=false", "k_max=7"]))
+        assert load_run_config(path, ["use_mta=true"]).mta_config() == MtaConfig(k_max=7)
+
     def test_file_in_earlier_key_order_loads(self, tmp_path):
         # config.txt files once listed the data and model keys before the
         # optimization keys; key order must not matter

@@ -120,6 +120,17 @@ class TestFeatureFiles:
         assert err.value.offset == 14 + 4 * 6
         assert str(p) in str(err.value)
 
+    def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        p = save_features(tmp_path / "v.lwvf", np.ones((2, 3), dtype=np.float32))
+        blob = bytearray(p.read_bytes())
+        blob[14:18] = (0x7F800001).to_bytes(4, "little")  # the first value
+        p.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite") as err:
+                load_features(p)
+        assert err.value.offset == 14
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_csv_value_rejected_with_line(self, tmp_path, bad):
         p = tmp_path / "v.csv"

@@ -14,13 +14,13 @@ from wsvad.losses import (
     sparsity_loss,
     total_loss,
 )
-from wsvad.selection import ScoreBagPair, SelectionResult, topk_mask
+from wsvad.selection import SelectionResult, topk_mask
 
 scores_strategy = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=16).map(np.array)
 
 
 def _t(values):
-    return Tensor(np.asarray(values, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -29,15 +29,15 @@ def _t(values):
 
 class TestSmoothLoss:
     def test_constant_scores_cost_nothing(self):
-        assert float(smooth_loss(_t([0.4, 0.4, 0.4, 0.4])).data) == 0.0
+        assert float(smooth_loss(_t([0.4, 0.4, 0.4, 0.4]))) == 0.0
 
     def test_spike_hand_example(self):
         # diffs (1, -1), squared sum 2, over T-1 = 2 steps
-        assert float(smooth_loss(_t([0.0, 1.0, 0.0])).data) == pytest.approx(1.0, abs=1e-12)
+        assert float(smooth_loss(_t([0.0, 1.0, 0.0]))) == pytest.approx(1.0, abs=1e-12)
 
     def test_ramp_hand_example(self):
         # diffs (0.5, 0.5), squared sum 0.5, over 2 steps
-        assert float(smooth_loss(_t([0.0, 0.5, 1.0])).data) == pytest.approx(0.25, abs=1e-12)
+        assert float(smooth_loss(_t([0.0, 0.5, 1.0]))) == pytest.approx(0.25, abs=1e-12)
 
     def test_single_clip_rejected(self):
         with pytest.raises((ValueError, DimensionError)):
@@ -48,7 +48,7 @@ class TestSmoothLoss:
                            min_size=2, max_size=16).map(np.array))
     def test_nonnegative_and_zero_iff_constant(self, scores):
         # scores quantized to 1e-6 so squared steps cannot underflow to zero
-        v = float(smooth_loss(_t(scores)).data)
+        v = float(smooth_loss(_t(scores)))
         assert v >= 0.0
         if np.all(scores == scores[0]):
             assert v == 0.0
@@ -62,37 +62,43 @@ class TestSmoothLoss:
 
 class TestAntagonisticLoss:
     def test_perfect_separation_is_zero(self):
-        v = float(antagonistic_loss(_t([1.0, 0.3]), _t([0.0, 0.0])).data)
+        v = float(antagonistic_loss(_t([1.0, 0.3]), _t([0.0, 0.0])))
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_indifferent_peaks_cost_two(self):
-        v = float(antagonistic_loss(_t([0.5, 0.1]), _t([0.5, 0.2])).data)
+        v = float(antagonistic_loss(_t([0.5, 0.1]), _t([0.5, 0.2])))
         assert v == pytest.approx(2.0, abs=1e-12)
 
     def test_inverted_peaks_cost_four(self):
-        v = float(antagonistic_loss(_t([0.0, 0.0]), _t([1.0, 0.9])).data)
+        v = float(antagonistic_loss(_t([0.0, 0.0]), _t([1.0, 0.9])))
         assert v == pytest.approx(4.0, abs=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(pos=scores_strategy, neg=scores_strategy)
     def test_range_is_zero_to_four(self, pos, neg):
-        v = float(antagonistic_loss(_t(pos), _t(neg)).data)
+        v = float(antagonistic_loss(_t(pos), _t(neg)))
         assert -1e-12 <= v <= 4.0 + 1e-12
 
     def test_equals_two_minus_twice_gap(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             pos, neg = rng.uniform(size=6), rng.uniform(size=6)
-            v = float(antagonistic_loss(_t(pos), _t(neg)).data)
+            v = float(antagonistic_loss(_t(pos), _t(neg)))
             assert v == pytest.approx(2.0 - 2.0 * (pos.max() - neg.max()), abs=1e-12)
 
     def test_gradient_signs(self):
-        # descent must push the peak positive score up, peak negative down
-        pos = Parameter(np.array([0.6, 0.2]), name="pos")
-        neg = Parameter(np.array([0.1, 0.4]), name="neg")
-        backward(antagonistic_loss(pos, neg))
-        assert pos.grad[0] < 0 and pos.grad[1] == 0
-        assert neg.grad[1] > 0 and neg.grad[0] == 0
+        # descent must push the peak positive score up, peak negative down:
+        # the term adds its gradient to the objective's at the two peaks only
+        scores = np.array([[0.6, 0.2], [0.1, 0.4]])
+        sel = SelectionResult(omega=1.0, k=1, pos_mask=_first_clip(2), neg_mask=_first_clip(2))
+        grads = []
+        for cfg in (LossConfig(), LossConfig(use_antagonistic=False)):
+            p = Parameter(scores, name="scores")
+            backward(total_loss(p, sel, cfg).node)
+            grads.append(p.grad)
+        pull = grads[0] - grads[1]
+        assert pull[0, 0] < 0 and pull[0, 1] == 0
+        assert pull[1, 1] > 0 and pull[1, 0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +107,9 @@ class TestAntagonisticLoss:
 
 class TestSparsityLoss:
     def test_values(self):
-        assert float(sparsity_loss(_t([0.0, 0.0])).data) == 0.0
-        assert float(sparsity_loss(_t([1.0, 1.0])).data) == 1.0
-        assert float(sparsity_loss(_t([0.2, 0.2, 0.6])).data) == pytest.approx(1.0 / 3.0)
+        assert float(sparsity_loss(_t([0.0, 0.0]))) == 0.0
+        assert float(sparsity_loss(_t([1.0, 1.0]))) == 1.0
+        assert float(sparsity_loss(_t([0.2, 0.2, 0.6]))) == pytest.approx(1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +125,8 @@ def _first_clip(t):
 def _pair_and_sel(pos, neg):
     pos = np.asarray(pos, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
-    pair = ScoreBagPair(_t(pos), _t(neg))
     sel = SelectionResult(omega=1.0, k=1, pos_mask=_first_clip(len(pos)), neg_mask=_first_clip(len(neg)))
-    return pair, sel
+    return Tensor(np.stack([pos, neg])), sel
 
 
 class TestTotalLoss:
@@ -142,14 +147,12 @@ class TestTotalLoss:
         assert out.antagonistic > 0.0 and out.sparsity > 0.0
 
     def test_gradients_flow_through_total(self):
-        pos = Parameter(np.array([0.8, 0.6, 0.7]), name="pos")
-        neg = Parameter(np.array([0.2, 0.1, 0.3]), name="neg")
-        pair = ScoreBagPair(pos, neg)
+        scores = Parameter(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), name="scores")
         sel = SelectionResult(omega=1.0, k=1, pos_mask=_first_clip(3), neg_mask=_first_clip(3))
-        out = total_loss(pair, sel)
+        out = total_loss(scores, sel)
         backward(out.node)
-        assert np.any(pos.grad != 0) and np.any(neg.grad != 0)
-        assert np.isfinite(pos.grad).all() and np.isfinite(neg.grad).all()
+        assert np.any(scores.grad[0] != 0) and np.any(scores.grad[1] != 0)
+        assert np.isfinite(scores.grad).all()
 
 
 @pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(use_antagonistic=False)])
@@ -162,18 +165,16 @@ def test_batch_of_pairs_is_the_mean_of_single_pairs(cfg):
     pos_mask = topk_mask(rng.uniform(size=(3, 6)), k)
     neg_mask = topk_mask(rng.uniform(size=(3, 6)), k)
 
-    batch_pos, batch_neg = Parameter(pos, name="pos"), Parameter(neg, name="neg")
-    batch = total_loss(ScoreBagPair(batch_pos, batch_neg),
-                       SelectionResult(np.ones(3), k, pos_mask, neg_mask), cfg)
+    batch_scores = Parameter(np.stack([pos, neg], axis=1), name="scores")
+    batch = total_loss(batch_scores, SelectionResult(np.ones(3), k, pos_mask, neg_mask), cfg)
     backward(batch.node)
     singles = []
     for i in range(3):
-        p, n = Parameter(pos[i], name="p"), Parameter(neg[i], name="n")
-        out = total_loss(ScoreBagPair(p, n), SelectionResult(1.0, int(k[i]), pos_mask[i], neg_mask[i]), cfg)
+        scores = Parameter(np.stack([pos[i], neg[i]]), name="pair")
+        out = total_loss(scores, SelectionResult(1.0, int(k[i]), pos_mask[i], neg_mask[i]), cfg)
         backward(out.node)
         singles.append(out)
-        np.testing.assert_allclose(batch_pos.grad[i], p.grad / 3, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(batch_neg.grad[i], n.grad / 3, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(batch_scores.grad[i], scores.grad / 3, rtol=1e-12, atol=1e-15)
     for term in ("ais", "smooth", "antagonistic", "sparsity", "total"):
         expected = np.mean([getattr(o, term) for o in singles])
         assert getattr(batch, term) == pytest.approx(expected, rel=1e-12)

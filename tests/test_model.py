@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wsvad.autodiff import ConfigurationError, DimensionError, Tensor, no_grad, value
+from wsvad.autodiff import ConfigurationError, DimensionError, Tensor
 from wsvad.checks import full_graph_grad_check
 from wsvad.model import (
     AnomalyScorer,
@@ -21,6 +21,7 @@ from wsvad.model import (
     load_checkpoint,
     mta_forward,
     save_checkpoint,
+    write_container,
 )
 
 
@@ -128,7 +129,7 @@ class TestMta:
         cfg = MtaConfig(mode="residual")
         params = init_parameters(cfg, HfcConfig.for_feature_dim(6), seed=1)
         x = np.random.default_rng(2).standard_normal((8, 6))
-        gate = value(mta_forward(x.mean(axis=1), cfg, params))
+        gate = mta_forward(x.mean(axis=1), cfg, params)
         np.testing.assert_array_equal(gate, np.ones(8))
         np.testing.assert_array_equal(gate[:, None] * x, x)
 
@@ -136,7 +137,7 @@ class TestMta:
         cfg = MtaConfig(mode="pure")
         params = init_parameters(cfg, HfcConfig.for_feature_dim(6), seed=1)
         x = np.random.default_rng(2).standard_normal((8, 6))
-        gate = value(mta_forward(x.mean(axis=1), cfg, params))
+        gate = mta_forward(x.mean(axis=1), cfg, params)
         np.testing.assert_array_equal(gate, np.zeros(8))
 
     def test_identity_kernel_pure_mode_hand_example(self):
@@ -144,7 +145,7 @@ class TestMta:
         params = init_parameters(cfg, HfcConfig.for_feature_dim(1), seed=0)
         params["mta.conv3.weight"].data[:] = [0.0, 1.0, 0.0]
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        gate = value(mta_forward(x.mean(axis=1), cfg, params))
+        gate = mta_forward(x.mean(axis=1), cfg, params)
         np.testing.assert_allclose(gate[:, None] * x, [[0.1], [0.4], [0.9], [1.6]], atol=1e-12)
 
     def test_bag_shorter_than_largest_kernel_rejected(self):
@@ -162,8 +163,8 @@ class TestMta:
         for k in res_cfg.kernel_sizes:
             params[f"mta.conv{k}.weight"].data[:] = np.random.default_rng(k).uniform(-1, 1, k)
         means = np.random.default_rng(4).standard_normal((9, 5)).mean(axis=1)
-        res = value(mta_forward(means, res_cfg, params))
-        pure = value(mta_forward(means, pure_cfg, params))
+        res = mta_forward(means, res_cfg, params)
+        pure = mta_forward(means, pure_cfg, params)
         np.testing.assert_allclose(res, pure + 1.0, atol=1e-12)
 
     def test_stacked_bags_gate_each_bag_alone(self):
@@ -172,9 +173,9 @@ class TestMta:
         for k in cfg.kernel_sizes:
             params[f"mta.conv{k}.weight"].data[:] = np.random.default_rng(k).uniform(-1, 1, k)
         means = np.random.default_rng(6).standard_normal((4, 9))
-        stacked = value(mta_forward(means, cfg, params))
+        stacked = mta_forward(means, cfg, params)
         for n in range(4):
-            np.testing.assert_allclose(stacked[n], value(mta_forward(means[n], cfg, params)), rtol=1e-15)
+            np.testing.assert_allclose(stacked[n], mta_forward(means[n], cfg, params), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +188,27 @@ class TestHfc:
         params = init_parameters(None, cfg, seed=0)
         for name, p in params.items():
             p.data[...] = 0.0
-        scores, _ = hfc_forward(Tensor(np.random.default_rng(0).standard_normal((5, 7))), cfg, params)
-        np.testing.assert_array_equal(scores.data, np.full(5, 0.5))
+        scores, _ = hfc_forward(np.random.default_rng(0).standard_normal((5, 7)), cfg, params)
+        np.testing.assert_array_equal(scores, np.full(5, 0.5))
 
     def test_matches_scalar_loop_reference(self):
         cfg = HfcConfig.for_feature_dim(9, narrow=4, wide=6)
         params = init_parameters(None, cfg, seed=11)
         feats = np.random.default_rng(12).standard_normal((6, 9))
-        scores, _ = hfc_forward(Tensor(feats), cfg, params)
-        np.testing.assert_allclose(scores.data, _reference_head(feats, cfg, params), atol=1e-10)
+        scores, _ = hfc_forward(feats, cfg, params)
+        np.testing.assert_allclose(scores, _reference_head(feats, cfg, params), atol=1e-10)
 
     def test_scores_strictly_inside_unit_interval(self):
         cfg = HfcConfig.for_feature_dim(8)
         params = init_parameters(None, cfg, seed=5)
-        scores, _ = hfc_forward(Tensor(np.random.default_rng(6).standard_normal((20, 8)) * 10), cfg, params)
-        assert (scores.data > 0).all() and (scores.data < 1).all()
+        scores, _ = hfc_forward(np.random.default_rng(6).standard_normal((20, 8)) * 10, cfg, params)
+        assert (scores > 0).all() and (scores < 1).all()
 
     def test_wrong_feature_dim_rejected(self):
         cfg = HfcConfig.for_feature_dim(8)
         params = init_parameters(None, cfg, seed=0)
         with pytest.raises(DimensionError, match="head expects"):
-            hfc_forward(Tensor(np.ones((4, 9))), cfg, params)
+            hfc_forward(np.ones((4, 9)), cfg, params)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -217,18 +218,18 @@ class TestHfc:
         params = init_parameters(None, cfg, seed=seed)
         feats = rng.standard_normal((7, 5))
         perm = rng.permutation(7)
-        base = hfc_forward(Tensor(feats), cfg, params)[0].data
-        permuted = hfc_forward(Tensor(feats[perm]), cfg, params)[0].data
+        base = hfc_forward(feats, cfg, params)[0]
+        permuted = hfc_forward(feats[perm], cfg, params)[0]
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_dropout_only_fires_in_training(self):
         cfg = HfcConfig.for_feature_dim(8, dropout=0.5)
         params = init_parameters(None, cfg, seed=5)
         feats = np.random.default_rng(6).standard_normal((5, 8))
-        a = hfc_forward(Tensor(feats), cfg, params, training=False)[0].data
-        b = hfc_forward(Tensor(feats), cfg, params, training=False)[0].data
+        a = hfc_forward(feats, cfg, params, training=False)[0]
+        b = hfc_forward(feats, cfg, params, training=False)[0]
         np.testing.assert_array_equal(a, b)
-        c, clean = hfc_forward(Tensor(feats), cfg, params, training=True, rng=np.random.default_rng(1))
+        c, clean = hfc_forward(feats, cfg, params, training=True, rng=np.random.default_rng(1))
         assert not np.array_equal(a, c.data)
         # the dropout-free pass of a training forward is the inference pass
         np.testing.assert_array_equal(clean, a)
@@ -264,18 +265,31 @@ class TestAnomalyScorer:
     def test_score_bag_shapes(self):
         model = AnomalyScorer(HfcConfig.for_feature_dim(12), MtaConfig(), seed=7)
         feats = np.random.default_rng(8).standard_normal((10, 12))
-        scores, gate = model.score_bag(Tensor(feats))
-        assert scores.data.shape == (10,)
-        assert gate.data.shape == (10,)
+        scores, gate = model.score_bag(feats)
+        assert scores.shape == (10,)
+        assert gate.shape == (10,)
         stacked, stacked_gate = model.score_bag(np.stack([feats, feats]))
-        assert stacked.data.shape == (2, 10) and stacked_gate.data.shape == (2, 10)
+        assert stacked.shape == (2, 10) and stacked_gate.shape == (2, 10)
+
+    def test_only_a_training_pass_builds_graph_nodes(self):
+        model = AnomalyScorer(HfcConfig.for_feature_dim(12, dropout=0.0), MtaConfig(), seed=7)
+        feats = np.random.default_rng(8).standard_normal((2, 10, 12))
+        inference = model.score_bag(feats)
+        assert type(inference.scores) is np.ndarray and type(inference.gate) is np.ndarray
+        training = model.score_bag(feats, training=True)
+        assert isinstance(training.scores, Tensor) and type(training.gate) is np.ndarray
+        # head node -> gate node -> attention kernels
+        gate_node = training.scores._parents[-1]
+        assert list(gate_node._parents) == [p for name, p in model.params.items() if name.startswith("mta.")]
+        np.testing.assert_array_equal(gate_node.data, inference.gate)
+        np.testing.assert_array_equal(training.scores.data, inference.scores)
 
     def test_without_attention_features_pass_through(self):
         model = AnomalyScorer(HfcConfig.for_feature_dim(12), mta_cfg=None, seed=7)
         feats = np.random.default_rng(8).standard_normal((10, 12))
         scores, gate = model.score_bag(feats)
         np.testing.assert_array_equal(gate, np.ones(10))
-        np.testing.assert_array_equal(scores.data, hfc_forward(feats, model.hfc_cfg, model.params)[0].data)
+        np.testing.assert_array_equal(scores, hfc_forward(feats, model.hfc_cfg, model.params)[0])
 
     @pytest.mark.parametrize("mode", ["residual", "pure"])
     def test_factored_head_matches_rescaled_features(self, mode):
@@ -286,8 +300,7 @@ class TestAnomalyScorer:
         for k in model.mta_cfg.kernel_sizes:
             model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
         feats = rng.standard_normal((3, 7, 9))
-        with no_grad():
-            scores, gate = model.score_bag(feats)
+        scores, gate = model.score_bag(feats)
         for n in range(3):
             rescaled = gate[n][:, None] * feats[n]
             np.testing.assert_allclose(scores[n], _reference_head(rescaled, model.hfc_cfg, model.params),
@@ -325,9 +338,8 @@ class TestCheckpoints:
         path = save_checkpoint(tmp_path / "m.lwck", model)
         loaded = load_checkpoint(path)
         feats = np.random.default_rng(1).standard_normal((8, 10))
-        with no_grad():
-            a, _ = model.score_bag(feats)
-            b, _ = loaded.score_bag(feats)
+        a, _ = model.score_bag(feats)
+        b, _ = loaded.score_bag(feats)
         np.testing.assert_array_equal(a, b)
 
     def test_round_trip_preserves_config(self, tmp_path):
@@ -369,3 +381,39 @@ class TestCheckpoints:
         a = save_checkpoint(tmp_path / "a.lwck", self._model())
         b = save_checkpoint(tmp_path / "b.lwck", self._model())
         assert a.read_bytes() == b.read_bytes()
+
+    def test_interrupted_write_leaves_the_previous_file(self, tmp_path):
+        path = save_checkpoint(tmp_path / "m.lwck", self._model())
+        before = path.read_bytes()
+        # the second tensor cannot be converted, so the write fails after
+        # the header and the first tensor
+        with pytest.raises(ValueError):
+            write_container(path, b"LWCK", {}, {"a": np.zeros(3), "b": "not a number"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.lwck"]
+
+
+@pytest.fixture(scope="module")
+def d16_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("damaged") / "d16.lwck"
+    return save_checkpoint(path, AnomalyScorer(HfcConfig.for_feature_dim(16), MtaConfig(), seed=4))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(d16_checkpoint, data):
+    # truncations and single-bit flips; most flips are drawn in the header
+    # and config block, where the structure lives, the rest anywhere
+    blob = bytearray(d16_checkpoint.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        limit = data.draw(st.sampled_from([8 * 400, 8 * len(blob)]), label="region")
+        bit = data.draw(st.integers(0, limit - 1), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+    path = d16_checkpoint.with_name("damaged.lwck")
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except CheckpointError as err:
+        assert str(path) in str(err)
