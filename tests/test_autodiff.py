@@ -142,8 +142,6 @@ class TestSigmoid:
         assert sigmoid(np.array([np.log(3.0)]))[0] == pytest.approx(0.75, abs=1e-15)
 
 
-
-
 # ---------------------------------------------------------------------------
 # test-local ops for the graph runner
 
@@ -167,6 +165,30 @@ def _add(a, b):
 
 
 class TestBackward:
+    def test_linear_grad_matches_hand_derivation(self):
+        # one clip through a head of width 1 with every pre-activation
+        # positive: z1 = gate * (x . W0) = 2, z2 = W1 * z1 = 3, and
+        # sigmoid(W2 * z2 + b2) = sigmoid(0), so dL/dlogit = 1/4,
+        # dL/dz2 = -1/4 and dL/dz1 = -3/8; then dW0 = gate * x * dL/dz1 and
+        # dgate = (x . W0) * dL/dz1
+        cfg = HfcConfig.for_feature_dim(2, narrow=1, wide=2, dropout=0.0)
+        params = init_parameters(None, cfg)
+        for name, values in {
+            "head.0.weight": [[0.5], [0.25]], "head.0.bias": [0.0],
+            "head.1.weight": [[1.5, 0.0]], "head.1.bias": [0.0, 0.0],
+            "head.2.weight": [[-1.0], [0.0]], "head.2.bias": [3.0],
+        }.items():
+            params[name].data[...] = values
+        gate = Parameter(np.array([2.0]), name="gate")
+        scores, _ = hfc_forward(np.array([[1.0, 2.0]]), cfg, params, gate, training=True)
+        backward(_dot(scores, np.array([1.0])))
+        np.testing.assert_array_equal(params["head.0.weight"].grad, [[-0.75], [-1.5]])
+        np.testing.assert_array_equal(params["head.0.bias"].grad, [-0.375])
+        np.testing.assert_array_equal(gate.grad, [-0.375])
+        np.testing.assert_array_equal(params["head.1.weight"].grad, [[-0.5, 0.0]])
+        np.testing.assert_array_equal(params["head.2.weight"].grad, [[0.75], [0.0]])
+        np.testing.assert_array_equal(params["head.2.bias"].grad, [0.25])
+
     def test_objective_grad_matches_hand_derivation(self):
         # one pair, K=1 on the first clips, antagonistic term off:
         # AIS gives -1/(0.8+eps) and 1/(1-0.2+eps) at the selected clips;
@@ -209,6 +231,27 @@ class TestBackward:
             backward(_add(p, p))
         with pytest.raises(TypeError):
             backward(np.array(1.0))
+
+    def test_no_grad_returns_plain_arrays(self):
+        # an inference forward builds no graph node
+        mta_cfg = MtaConfig(k_max=3)
+        hfc_cfg = HfcConfig.for_feature_dim(4, narrow=3, wide=5)
+        params = init_parameters(mta_cfg, hfc_cfg, seed=1)
+        x = rng(1).standard_normal((2, 5, 4))
+        gate = mta_forward(x.mean(axis=-1), mta_cfg, params)
+        scores, clean = hfc_forward(x, hfc_cfg, params, gate)
+        for out in (gate, scores, clean):
+            assert isinstance(out, np.ndarray)
+            assert not isinstance(out, Tensor)
+
+    def test_gather_and_adjacent_diff_gradients(self):
+        # the objective reads the scores through the top-K masks (a gather
+        # of every other clip), their peaks and their adjacent differences
+        scores = Parameter(np.array([[0.3, 0.9, 0.1, 0.5], [0.2, 0.6, 0.35, 0.4]]), name="scores")
+        odd = np.array([False, True, False, True])
+        sel = SelectionResult(omega=1.0, k=2, pos_mask=odd, neg_mask=odd)
+        report = grad_check(lambda: total_loss(scores, sel).node, [scores], eps=1e-5, tol=1e-6)
+        assert report.passed, report.summary()
 
     def test_composite_graph_matches_finite_differences(self):
         # gate -> head (dropout on, masks fixed by the seed) -> objective
@@ -357,6 +400,20 @@ def test_every_op_matches_finite_differences(seed):
         report = _checked(params, build)
         assert report is not None, f"{name}: seed {seed} draws an input next to a kink"
         assert report.passed, f"{name}: {report.summary()}"
+
+
+def test_leaky_relu_fd_away_from_kink():
+    # an identity kernel feeds the clip means straight into the gate's leaky
+    # ReLU; FD straddles the kink at 0, so keep entries away from it
+    cfg = MtaConfig(k_max=3, mode="pure")
+    params = init_parameters(cfg, HfcConfig.for_feature_dim(1))
+    params["mta.conv3.weight"].data[...] = [0.0, 1.0, 0.0]
+    params["mta.conv3.bias"].data[...] = 0.0
+    means = np.array([-1.8, -0.6, 0.4, 1.2, 1.9])
+    kernels = [params["mta.conv3.weight"], params["mta.conv3.bias"]]
+    report = grad_check(lambda: _dot(mta_forward(means, cfg, params, training=True), np.ones(5)),
+                        kernels, eps=1e-5, tol=1e-6)
+    assert report.passed, report.summary()
 
 
 def test_forward_backward_deterministic():
