@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .autodiff import ConfigurationError, DimensionError
 from .checks import full_graph_grad_check
 from .config import load_run_config, write_run_config
@@ -23,10 +21,9 @@ from .evaluation import (
     evaluate_bags,
     export_scores_csv,
     per_video_auc,
-    record_for_bag,
     score_video,
 )
-from .model import CheckpointError, count_parameters, load_checkpoint, save_checkpoint
+from .model import CheckpointError, count_parameters, load_checkpoint
 from .training import TrainingError, fit
 
 EXIT_OK = 0

@@ -54,6 +54,15 @@ class RunConfig(TrainConfig):
         # keys are checked with use_mta off too, so that the config.txt a
         # run writes stays loadable once attention is switched back on
         super().__post_init__()
+        # the head's own checks name its dims tuple; these name the run keys
+        for key in ("feature_dim", "hidden_narrow", "hidden_wide"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}")
+        if not self.hidden_narrow < self.hidden_wide:
+            raise ConfigurationError(
+                f"hidden_narrow ({self.hidden_narrow}) must be below hidden_wide ({self.hidden_wide}) "
+                f"for either head_shape"
+            )
         try:
             self._attention_config()
             self.hfc_config()

@@ -9,7 +9,8 @@ Binary feature file layout (little endian):
     D        u32       feature dims per clip
     payload  T*D f32   row major
 
-Features are stored as float32 on disk and promoted to float64 in memory.
+Features are stored as float32 on disk and stay float32 in memory; they are
+promoted to float64, exactly, where they are scored or stacked for training.
 The CSV twin (``.csv`` suffix) holds the same float32 values as T rows of D
 decimal fields.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass
@@ -72,7 +74,7 @@ def save_features(path, features) -> Path:
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature file back as float64, bit-exact w.r.t. the stored f32.
+    """Read a feature file back as the stored float32 values, bit for bit.
 
     NaN and infinite values are rejected, naming the CSV line or the byte
     offset of the first one, and so is a CSV without data rows.
@@ -94,43 +96,43 @@ def load_features(path) -> np.ndarray:
             lines = [n for n, text in enumerate(path.read_text().splitlines(), 1)
                      if text.split("#", 1)[0].strip()]
             raise FormatError(f"{path}:{lines[row]}: non-finite feature value")
-        return arr.astype(np.float64)
+        return arr
 
-    blob = path.read_bytes()
-    if len(blob) < _HEADER.size:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise FormatError(
+                f"{path}: truncated header, need {_HEADER.size} bytes, have {size}",
+                offset=size,
+            )
+        magic, version, t, d = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
+        if version != FEATURE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}", offset=4)
+        if t < 1 or d < 1:
+            raise FormatError(f"{path}: non-positive dimensions T={t} D={d}", offset=6)
+        expected = t * d * 4
+        payload = size - _HEADER.size
+        if payload < expected:
+            raise FormatError(
+                f"{path}: truncated payload, header promises {t}x{d} f32 ({expected} bytes), have {payload}",
+                offset=size,
+            )
+        if payload > expected:
+            raise FormatError(f"{path}: trailing bytes after payload", offset=_HEADER.size + expected)
+        # read straight into an aligned array: a view of a payload that
+        # starts at byte 14 would be unaligned, and slower to check and copy
+        arr = np.empty((t, d), dtype="<f4")
+        if fh.readinto(arr) != expected:
+            raise FormatError(f"{path}: file shrank while being read", offset=_HEADER.size)
+    if not np.isfinite(arr).all():
+        i = int(np.argmin(np.isfinite(arr.reshape(-1))))
         raise FormatError(
-            f"{path}: truncated header, need {_HEADER.size} bytes, have {len(blob)}",
-            offset=len(blob),
-        )
-    magic, version, t, d = _HEADER.unpack_from(blob, 0)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
-    if t < 1 or d < 1:
-        raise FormatError(f"{path}: non-positive dimensions T={t} D={d}", offset=6)
-    expected = t * d * 4
-    payload = len(blob) - _HEADER.size
-    if payload < expected:
-        raise FormatError(
-            f"{path}: truncated payload, header promises {t}x{d} f32 ({expected} bytes), have {payload}",
-            offset=len(blob),
-        )
-    if payload > expected:
-        raise FormatError(f"{path}: trailing bytes after payload", offset=_HEADER.size + expected)
-    arr = np.frombuffer(blob, dtype="<f4", count=t * d, offset=_HEADER.size)
-    # the promotion keeps NaN and inf (a signalling NaN, quietly: the check
-    # below reports it); the promoted copy is aligned, so it checks faster
-    # than the f32 view of a payload that starts at byte 14
-    with np.errstate(invalid="ignore"):
-        out = arr.reshape(t, d).astype(np.float64)
-    if not np.isfinite(out).all():
-        i = int(np.argmin(np.isfinite(out.reshape(-1))))
-        raise FormatError(
-            f"{path}: non-finite feature value {arr[i]} at clip {i // d}, dim {i % d}",
+            f"{path}: non-finite feature value {arr.flat[i]} at clip {i // d}, dim {i % d}",
             offset=_HEADER.size + 4 * i,
         )
-    return out
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,10 @@ class ClipFeatureBag:
     frame_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        # float32 features, as loaded from disk, stay float32 at half the
+        # memory; any other dtype is promoted to float64
+        features = np.asarray(self.features)
+        self.features = features if features.dtype == np.float32 else features.astype(np.float64, copy=False)
         if self.features.ndim != 2:
             raise ValueError(f"bag features must be 2-d, got shape {self.features.shape}")
         if self.label not in (0, 1):
@@ -174,17 +179,19 @@ class ClipFeatureBag:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    # computed on first use, not at load: only training reads them
+    # computed on first use, not at load: only training reads them; both
+    # reduce the exact float64 promotion, so a float32 bag and a float64 bag
+    # of the same values give the same bits
 
     @cached_property
     def clip_means(self) -> np.ndarray:
         """Mean of each clip's features, (T,): the attention block's input."""
-        return self.features.mean(axis=1)
+        return np.asarray(self.features, dtype=np.float64).mean(axis=1)
 
     @cached_property
     def clip_norms(self) -> np.ndarray:
         """L2 norm of each clip's features, (T,): what instance selection ranks."""
-        return np.linalg.norm(self.features, axis=1)
+        return np.linalg.norm(np.asarray(self.features, dtype=np.float64), axis=1)
 
 
 def load_bag(path, label=0, num_frames=None, video_id=None, class_name=None, frame_labels=None):

@@ -429,7 +429,8 @@ class AnomalyScorer:
 
         ``means`` are the clips' feature means, shaped like the bag axes; a
         caller that has them cached passes them, otherwise they are computed
-        here when the attention block needs them.
+        here when the attention block needs them. float32 features are
+        promoted to float64 here, exactly.
         """
         x = np.asarray(features, dtype=np.float64)
         if not self.use_mta:

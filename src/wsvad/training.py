@@ -24,14 +24,12 @@ are bit-reproducible: the same seed yields identical logs and checkpoints.
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import ConfigurationError, backward
-from .data import ClipFeatureBag
 from .evaluation import evaluate_bags
 from .losses import LossConfig, total_loss
 from .model import (
@@ -148,7 +146,7 @@ def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfi
     x = np.empty((b, 2, t, model.feature_dim)) if stack is None else stack
     rows = x.reshape(2 * b, t, model.feature_dim)
     for i, bag in enumerate(bags):
-        rows[i] = bag.features
+        rows[i] = bag.features  # promotes float32 bags to float64, exactly
     out = model.score_bag(x, training=True, rng=dropout_rng,
                           means=np.array([bag.clip_means for bag in bags]).reshape(b, 2, t))
     if sel is None:
@@ -309,7 +307,7 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     if not saved_best:
         # nothing was ever evaluated (epochs=0 or no eval epochs improved):
         # the final weights double as the best ones
-        shutil.copyfile(final_path, best_path)
+        save_checkpoint(best_path, model)
     return FitResult(
         log_path=log_path,
         best_checkpoint=best_path,

@@ -118,6 +118,15 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match=f"^{key} "):
             load_run_config(None, overrides=["use_mta=false", bad])
 
+    @pytest.mark.parametrize("bad", [["feature_dim=0"], ["hidden_narrow=0"], ["hidden_wide=0"],
+                                     ["hidden_narrow=200"], ["hidden_wide=10"],
+                                     ["head_shape=conventional", "hidden_narrow=200"]])
+    def test_head_width_errors_name_the_run_key(self, bad):
+        key = bad[-1].split("=")[0]
+        with pytest.raises(ConfigurationError, match=key) as err:
+            load_run_config(None, overrides=bad)
+        assert "dims" not in str(err.value)
+
     def test_attention_keys_checked_with_attention_off(self, tmp_path):
         with pytest.raises(ConfigurationError, match="k_max"):
             load_run_config(None, overrides=["use_mta=false", "k_max=4"])

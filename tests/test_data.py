@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import warnings
 from pathlib import Path
 
@@ -49,8 +50,8 @@ class TestFeatureFiles:
         feats = np.random.default_rng(0).standard_normal((7, 5)).astype(np.float32)
         path = save_features(tmp_path / "v.lwvf", feats)
         loaded = load_features(path)
-        assert loaded.dtype == np.float64
-        np.testing.assert_array_equal(loaded, feats.astype(np.float64))
+        assert loaded.dtype == np.float32
+        assert loaded.tobytes() == feats.tobytes()
 
     def test_csv_twin_matches_binary(self, tmp_path):
         feats = np.random.default_rng(1).standard_normal((4, 3)).astype(np.float32)
@@ -85,8 +86,6 @@ class TestFeatureFiles:
 
     def test_short_payload_is_truncation_error(self, tmp_path):
         # header promises 32x2048 but payload is missing
-        import struct
-
         p = tmp_path / "trunc.lwvf"
         p.write_bytes(struct.pack("<4sHII", b"LWVF", 1, 32, 2048) + bytes(16))
         with pytest.raises(FormatError, match="truncated"):
@@ -100,8 +99,6 @@ class TestFeatureFiles:
             load_features(p)
 
     def test_nonpositive_dims_rejected(self, tmp_path):
-        import struct
-
         p = tmp_path / "zero.lwvf"
         p.write_bytes(struct.pack("<4sHII", b"LWVF", 1, 0, 4))
         with pytest.raises(FormatError) as err:
@@ -130,6 +127,34 @@ class TestFeatureFiles:
             with pytest.raises(FormatError, match="non-finite") as err:
                 load_features(p)
         assert err.value.offset == 14
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_damaged_file_loads_or_raises_format_error(self, tmp_path, data):
+        # truncations and single-bit flips of a 3x4 file; a 1.0 entry turns
+        # into inf when bit 30 of its exponent flips
+        feats = np.random.default_rng(11).standard_normal((3, 4)).astype(np.float32)
+        feats[1, 1] = 1.0
+        blob = bytearray(save_features(tmp_path / "v.lwvf", feats).read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path / "damaged.lwvf"
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                loaded = load_features(path)
+            except FormatError as err:
+                assert str(path) in str(err)
+                return
+        _, _, t, d = struct.unpack_from("<4sHII", blob)
+        assert loaded.dtype == np.float32 and loaded.shape == (t, d)
+        assert np.isfinite(loaded).all()
+        assert loaded.tobytes() == bytes(blob[14:])
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_csv_value_rejected_with_line(self, tmp_path, bad):
@@ -161,6 +186,16 @@ class TestBagsAndManifests:
         bag = load_bag(path, label=1, num_frames=96, video_id="v", class_name="fight")
         assert bag.num_clips == 6 and bag.feature_dim == 4
         np.testing.assert_array_equal(bag.features, feats.astype(np.float64))
+
+    @pytest.mark.parametrize("suffix", [".lwvf", ".csv"])
+    def test_loaded_bags_hold_float32(self, tmp_path, suffix):
+        feats = np.random.default_rng(4).standard_normal((6, 5)).astype(np.float32)
+        fp = save_features(tmp_path / f"v{suffix}", feats)
+        mp = write_manifest(tmp_path / "manifest.csv", [ManifestEntry(feature_path=fp, label=1, num_frames=12)])
+        for bag in (load_bag(fp), load_bags(mp)[0]):
+            assert bag.features.dtype == np.float32
+            assert bag.features.nbytes == 6 * 5 * 4
+            assert bag.features.tobytes() == feats.tobytes()
 
     def test_bag_validation(self):
         with pytest.raises(ValueError, match="label"):

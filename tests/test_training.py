@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wsvad.autodiff import ConfigurationError
-from wsvad.data import ClipFeatureBag, load_bags
+from wsvad.autodiff import ConfigurationError, backward
+from wsvad.data import ClipFeatureBag
 from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig, load_checkpoint
 from wsvad.losses import LossConfig
 from wsvad.selection import SelectionConfig
@@ -16,6 +16,7 @@ from wsvad.training import (
     TrainState,
     TrainingError,
     adam_step,
+    batch_step,
     fit,
     load_train_state,
     save_train_state,
@@ -159,6 +160,32 @@ class TestTrainEpoch:
         assert np.isfinite(stats["total"])
 
 
+class TestFeatureDtype:
+    def test_float32_bags_give_the_bits_of_float64_bags(self, tiny_bags):
+        # loaded bags stay float32 and are promoted where the maths needs
+        # float64; the promotion is exact, so nothing downstream may differ
+        bags32 = tiny_bags["train"]
+        bags64 = [ClipFeatureBag(b.features.astype(np.float64), b.label, b.video_id, b.num_frames)
+                  for b in bags32]
+        assert bags32[0].features.dtype == np.float32 and bags64[0].features.dtype == np.float64
+        model, _, _ = _fresh(tiny_bags)
+        for a, b in zip(bags32, bags64):
+            assert a.clip_means.tobytes() == b.clip_means.tobytes()
+            assert a.clip_norms.tobytes() == b.clip_norms.tobytes()
+            out32, out64 = model.score_bag(a.features), model.score_bag(b.features)
+            assert out32.scores.tobytes() == out64.scores.tobytes()
+            assert out32.gate.tobytes() == out64.gate.tobytes()
+        grads = []
+        for bags in (bags32, bags64):
+            model, _, _ = _fresh(tiny_bags)
+            pos = [b for b in bags if b.label == 1][:4]
+            neg = [b for b in bags if b.label == 0][:4]
+            breakdown, _ = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), np.random.default_rng(3))
+            backward(breakdown.node)
+            grads.append({name: p.grad.tobytes() for name, p in model.params.items()})
+        assert grads[0] == grads[1]
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -196,6 +223,18 @@ class TestFit:
             np.testing.assert_array_equal(loaded.params[name].data, arr)
         # best falls back to final when nothing was evaluated
         assert result.best_checkpoint.read_bytes() == result.final_checkpoint.read_bytes()
+
+    def test_fallback_best_replaces_the_file_atomically(self, tiny_bags, tmp_path):
+        # a best.lwck hard-linked to another file: an in-place write would
+        # change both, an atomic replace leaves the other file as it was
+        other = tmp_path / "other.bin"
+        other.write_bytes(b"unrelated")
+        (tmp_path / "best.lwck").hardlink_to(other)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7)
+        result = fit(tiny_bags["train"], tiny_bags["test"], model,
+                     TrainConfig(epochs=0, batch_pairs=4), tmp_path)
+        assert result.best_checkpoint.read_bytes() == result.final_checkpoint.read_bytes()
+        assert other.read_bytes() == b"unrelated"
 
     def test_same_seed_reproduces_bitwise(self, tiny_bags, tmp_path):
         outs = []
