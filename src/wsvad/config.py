@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .autodiff import ConfigurationError
 from .losses import LossConfig
-from .model import AnomalyScorer, HfcConfig, MtaConfig
+from .model import AnomalyScorer, HfcConfig, MtaConfig, replacing
 from .selection import SelectionConfig
 from .training import TrainConfig
 
@@ -169,6 +169,9 @@ def run_config_to_text(cfg: RunConfig) -> str:
 
 
 def write_run_config(path, cfg: RunConfig) -> Path:
+    """Write ``cfg`` as UTF-8 text to ``path`` atomically (see
+    ``model.replacing``)."""
     path = Path(path)
-    path.write_text(run_config_to_text(cfg))
+    with replacing(path) as fh:
+        fh.write(run_config_to_text(cfg).encode("utf-8"))
     return path

@@ -23,6 +23,7 @@ line, one line per frame.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import struct
@@ -232,7 +233,7 @@ def write_manifest(path, entries) -> Path:
         except ValueError:
             return str(p)
 
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
         for e in entries:
@@ -248,14 +249,25 @@ def write_manifest(path, entries) -> Path:
     return path
 
 
+def _read_text(path: Path) -> str:
+    """The file's bytes decoded as UTF-8; bytes that are not UTF-8 raise a
+    ``FormatError`` naming the line and the byte offset."""
+    blob = path.read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = blob.count(b"\n", 0, err.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text", offset=err.start) from None
+
+
 def load_manifest(path) -> list[ManifestEntry]:
-    """Parse a manifest; every referenced path must be resolvable."""
+    """Parse a UTF-8 manifest; every referenced path must be resolvable."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
     base = path.parent
     entries: list[ManifestEntry] = []
-    with open(path, newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
@@ -275,6 +287,8 @@ def load_manifest(path) -> list[ManifestEntry]:
                 raise FormatError(f"{path}:{lineno}: label and num_frames must be integers") from None
             if label not in (0, 1):
                 raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+            if "\0" in feat_cell + flabel_cell:
+                raise FormatError(f"{path}:{lineno}: a file path holds a NUL character")
             feature_path = (base / feat_cell).resolve()
             if not feature_path.exists():
                 raise FileNotFoundError(f"{path}:{lineno}: feature file not found: {feature_path}")
@@ -300,7 +314,7 @@ def load_manifest(path) -> list[ManifestEntry]:
 def write_frame_labels(path, flags) -> Path:
     path = Path(path)
     flags = np.asarray(flags)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for v in flags:
             fh.write(f"{int(v)}\n")
     return path
@@ -310,7 +324,7 @@ def load_frame_labels(path, expected_frames: int) -> np.ndarray:
     path = Path(path)
     out = np.zeros(expected_frames, dtype=np.uint8)
     n = 0
-    with open(path) as fh:
+    with io.StringIO(_read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

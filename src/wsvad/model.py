@@ -21,6 +21,14 @@ and ``hfc_forward`` the scores as a node over the head's weights and the gate
 node; the head's backward gives the first layer's weight gradient as
 X^T (a * g) and hands the gate its gradient. An inference pass runs the same
 forward on plain arrays and builds no node.
+
+The head's backward works in place: it overwrites each pre-activation with
+the leaky ReLU's derivative there, and each layer's gradient over an
+activation it no longer needs. Given a ``Workspace`` that the caller keeps
+from batch to batch, every array of the head whose size grows with the
+batch (activations, dropout masks, weight gradients) goes into one of its
+buffers, so a steady-state training step allocates none of them; without
+one, the same code runs on fresh arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -169,8 +178,9 @@ def count_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig) -> int:
 # layers: plain array -> array forwards
 
 
-def linear(x, weight, bias=None):
-    """Affine map on row vectors: out[n, o] = sum_i x[n, i] W[i, o] (+ b[o])."""
+def linear(x, weight, bias=None, out=None):
+    """Affine map on row vectors: out[n, o] = sum_i x[n, i] W[i, o] (+ b[o]),
+    written into ``out`` when given."""
     if (
         x.ndim != 2
         or weight.ndim != 2
@@ -179,7 +189,8 @@ def linear(x, weight, bias=None):
     ):
         shapes = f"x{x.shape} W{weight.shape}" + ("" if bias is None else f" b{bias.shape}")
         raise DimensionError(f"linear: incompatible shapes {shapes}")
-    out = x @ weight
+    # the operator is the cheaper call on a bag of a few dozen clips
+    out = x @ weight if out is None else np.matmul(x, weight, out=out)
     if bias is not None:
         out += bias
     return out
@@ -228,17 +239,29 @@ def _conv1d_weight_grad(x, g, k: int) -> np.ndarray:
     return np.correlate(_padded_rows(x, t, half, half), _padded_rows(g, t, half, 0)[:n_cols], mode="valid")
 
 
-def leaky_relu(x, slope=0.5):
-    """max(x, slope * x); its derivative at exactly zero takes the x >= 0 branch."""
+def leaky_relu(x, slope=0.5, out=None):
+    """max(x, slope * x), written into ``out`` when given; its derivative at
+    exactly zero takes the x >= 0 branch."""
     if not 0.0 <= slope < 1.0:
         raise ConfigurationError(f"leaky_relu slope must be in [0, 1), got {slope}")
     if x.size:
         note_kink_margin(lambda: np.abs(x).min())
-    return np.maximum(x, slope * x)
+    out = np.multiply(x, slope, out=out)
+    return np.maximum(x, out, out=out)
 
 
 def _leaky_relu_slope(x, slope):
     return np.where(x >= 0.0, 1.0, slope)
+
+
+def _to_leaky_relu_slope(z, slope):
+    """``_leaky_relu_slope`` written over ``z`` itself, as
+    (z >= 0) * (1 - slope) + slope: exactly 1 or ``slope`` (NaN takes
+    ``slope``), since fl(fl(1 - s) + s) = 1 for s in [0, 1)."""
+    np.greater_equal(z, 0.0, out=z)
+    z *= 1.0 - slope
+    z += slope
+    return z
 
 
 def sigmoid(x):
@@ -286,38 +309,69 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
     return Tensor(gate, [p for kernel in kernels for p in kernel], grad_fn)
 
 
-def dropout_masks(rng, n_bags: int, t: int, widths, rate: float) -> list[np.ndarray]:
-    """Inverted-dropout masks for the hidden layers of ``n_bags`` bags of
-    ``t`` clips, one (n_bags * t, width) mask per width.
+class Workspace:
+    """Named float64 buffers, kept from one training batch to the next.
 
-    One ``rng.random`` call draws them in bag order and, within a bag, in
-    layer order: the same values, in the same order, as one draw per bag
-    and layer would take from the same generator.
+    ``take(name, shape)`` returns the buffer last made under ``name``, or a
+    new, uninitialised one when there is none of that shape; the caller
+    overwrites it whole. A training step writes its batch stack, the head's
+    activations, dropout masks and weight gradients here, so in steady
+    state it allocates no array that grows with the batch.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape)
+        return buf
+
+
+def _no_buffer(name: str, shape: tuple[int, ...]) -> None:
+    """``Workspace.take`` for a caller without a workspace: every ``out=``
+    it feeds is None, so each op allocates its result."""
+    return None
+
+
+def dropout_masks(rng, n_bags: int, t: int, widths, rate: float,
+                  workspace: Workspace | None = None) -> list[np.ndarray]:
+    """Inverted-dropout masks for the hidden layers of ``n_bags`` bags of
+    ``t`` clips, one (n_bags * t, width) mask per width, in buffers of
+    ``workspace`` when one is given.
+
+    The uniform draws go straight into the masks in bag order and, within a
+    bag, in layer order: the same values, in the same order, as one
+    ``rng.random`` call for the whole stack takes from the same generator.
     """
     if rng is None:
         raise ConfigurationError("dropout in training mode needs a random generator")
-    u = rng.random(n_bags * t * sum(widths)).reshape(n_bags, -1)
-    masks = []
-    start = 0
-    for w in widths:
-        keep = (u[:, start : start + t * w] >= rate).reshape(n_bags * t, w)
-        masks.append(keep / (1.0 - rate))
-        start += t * w
+    masks = [np.empty((n_bags * t, w)) if workspace is None else workspace.take(f"mask{i}", (n_bags * t, w))
+             for i, w in enumerate(widths)]
+    for start in range(0, n_bags * t, t):
+        for m in masks:
+            rng.random(out=m[start : start + t])
+    for m in masks:
+        np.greater_equal(m, rate, out=m)  # 1.0 where the unit is kept
+        m /= 1.0 - rate
     return masks
 
 
-def _head_tail(h1, slope: float, w1, b1, w2, b2, masks):
-    """Head layers after the first, from its activation to the sigmoid;
-    returns the scores and the inputs the backward pass reads."""
-    h1 = h1 if masks is None else h1 * masks[0]
-    z2 = linear(h1, w1, b1)
-    h2 = leaky_relu(z2, slope)
-    h2 = h2 if masks is None else h2 * masks[1]
-    return sigmoid(linear(h2, w2, b2)), h1, z2, h2
+def _head_tail(h1, slope: float, w1, b1, w2, b2, z2, h2, mask=None):
+    """Head layers after the first, from its activation ``h1`` (masked or
+    not) to the sigmoid. Returns the (rows, 1) scores, the second layer's
+    pre-activation and its activation times the dropout ``mask`` when
+    given; those two go into ``z2`` and ``h2`` unless they are None."""
+    z2 = linear(h1, w1, b1, out=z2)
+    h2 = leaky_relu(z2, slope, out=h2)
+    if mask is not None:
+        h2 *= mask
+    return sigmoid(linear(h2, w2, b2)), z2, h2
 
 
 def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
-                training: bool = False, rng=None):
+                training: bool = False, rng=None, workspace: Workspace | None = None):
     """Score every clip of one bag (T, D) or of a stack of bags (..., T, D).
 
     Layer pattern: linear -> leaky ReLU -> dropout for both hidden layers,
@@ -331,6 +385,15 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     node) and, as an array, the same scores with dropout off. A training
     pass computes both from one first layer, so the dropout-free pass costs
     no second product with W0.
+
+    Every (rows x width) array goes into a buffer of ``workspace`` when one
+    is given, and into a fresh array otherwise. A training pass runs the
+    dropout-free tail first, then masks the first activation in place and
+    runs the tail again through the same buffers. Its backward overwrites
+    each pre-activation with the leaky ReLU's derivative there, and each
+    layer's gradient over an activation it has read for the last time. So
+    the backward runs at most once, and before the next forward into the
+    same workspace.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != cfg.dims[0]:
@@ -341,44 +404,60 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     head = [params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias")]
     w0, b0, w1, b1, w2, b2 = (p.data for p in head)
     x = x.reshape(-1, cfg.dims[0])
+    n = x.shape[0]
+    take = _no_buffer if workspace is None else workspace.take
     gate_node = gate if isinstance(gate, Tensor) else None
     if gate_node is not None:
         gate = gate_node.data
     gate_col = None if gate is None else np.asarray(gate).reshape(-1, 1)
-    xw = linear(x, w0)
-    z1 = (xw if gate_col is None else xw * gate_col) + b0
-    h1 = leaky_relu(z1, cfg.slope)
-    masks = None
-    if training and cfg.dropout:
-        masks = dropout_masks(rng, math.prod(bag_axes[:-1]), bag_axes[-1], cfg.dims[1:-1], cfg.dropout)
-    out, h1m, z2, h2m = _head_tail(h1, cfg.slope, w1, b1, w2, b2, masks)
-    clean = out if masks is None else _head_tail(h1, cfg.slope, w1, b1, w2, b2, None)[0]
-    clean = clean.reshape(bag_axes)
+    xw = linear(x, w0, out=take("xw", (n, cfg.dims[1])))
+    # x W0 outlives the first layer only for the gate node's gradient
+    if gate_node is None:
+        z1 = xw
+        if gate_col is not None:
+            z1 *= gate_col
+    else:
+        z1 = np.multiply(xw, gate_col, out=take("z1", xw.shape))
+    z1 += b0
+    h1 = leaky_relu(z1, cfg.slope, out=take("h1", xw.shape))
+    clean, z2, h2 = _head_tail(h1, cfg.slope, w1, b1, w2, b2,
+                               take("z2", (n, cfg.dims[2])), take("h2", (n, cfg.dims[2])))
     if not training:
-        return out.reshape(bag_axes), clean
+        return clean.reshape(bag_axes), clean.reshape(bag_axes)
+    out, masks = clean, None
+    if cfg.dropout:
+        masks = dropout_masks(rng, math.prod(bag_axes[:-1]), bag_axes[-1], cfg.dims[1:-1], cfg.dropout,
+                              workspace)
+        h1 *= masks[0]
+        out = _head_tail(h1, cfg.slope, w1, b1, w2, b2, z2, h2, masks[1])[0]
+    spent = False
 
     def grad_fn(g):
+        nonlocal spent
+        if spent:
+            raise RuntimeError("the head's backward has overwritten its saved activations; run the forward again")
+        spent = True
         g = g.reshape(-1, 1) * out * (1.0 - out)
-        gw2, gb2 = h2m.T @ g, g.sum(axis=0)
-        g = g @ w2.T
+        gw2, gb2 = h2.T @ g, g.sum(axis=0)
+        g = np.matmul(g, w2.T, out=h2)
         if masks is not None:
-            g = g * masks[1]
-        g = g * _leaky_relu_slope(z2, cfg.slope)
-        gw1, gb1 = h1m.T @ g, g.sum(axis=0)
-        g = g @ w1.T
+            g *= masks[1]
+        g *= _to_leaky_relu_slope(z2, cfg.slope)
+        gw1, gb1 = np.matmul(h1.T, g, out=take("gw1", w1.shape)), g.sum(axis=0)
+        g = np.matmul(g, w1.T, out=h1)
         if masks is not None:
-            g = g * masks[0]
-        g = g * _leaky_relu_slope(z1, cfg.slope)
+            g *= masks[0]
+        g *= _to_leaky_relu_slope(z1, cfg.slope)
         grads = [None, g.sum(axis=0), gw1, gb1, gw2, gb2]
         if gate_node is not None:
-            grads.append((g * xw).sum(axis=1).reshape(gate_node.data.shape))
+            grads.append(np.multiply(xw, g, out=xw).sum(axis=1).reshape(gate_node.data.shape))
         if gate_col is not None:
-            g = g * gate_col
-        grads[0] = x.T @ g
+            g *= gate_col
+        grads[0] = np.matmul(x.T, g, out=take("gw0", w0.shape))
         return grads
 
     parents = head if gate_node is None else head + [gate_node]
-    return Tensor(out.reshape(bag_axes), parents, grad_fn), clean
+    return Tensor(out.reshape(bag_axes), parents, grad_fn), clean.reshape(bag_axes)
 
 
 @dataclass(frozen=True)
@@ -423,9 +502,11 @@ class AnomalyScorer:
     def feature_dim(self) -> int:
         return self.hfc_cfg.dims[0]
 
-    def score_bag(self, features, training: bool = False, rng=None, means=None) -> BagScores:
+    def score_bag(self, features, training: bool = False, rng=None, means=None,
+                  workspace: Workspace | None = None) -> BagScores:
         """Score one bag (T, D) or a stack of bags (..., T, D); with
-        ``training``, the scores are a graph node (see ``hfc_forward``).
+        ``training``, the scores are a graph node (see ``hfc_forward``, which
+        also says how it uses a ``workspace``).
 
         ``means`` are the clips' feature means, shaped like the bag axes; a
         caller that has them cached passes them, otherwise they are computed
@@ -434,12 +515,12 @@ class AnomalyScorer:
         """
         x = np.asarray(features, dtype=np.float64)
         if not self.use_mta:
-            scores, clean = hfc_forward(x, self.hfc_cfg, self.params, None, training, rng)
+            scores, clean = hfc_forward(x, self.hfc_cfg, self.params, None, training, rng, workspace)
             return BagScores(scores, np.ones(x.shape[:-1]), clean)
         if means is None:
             means = x.mean(axis=-1)
         gate = mta_forward(means, self.mta_cfg, self.params, training)
-        scores, clean = hfc_forward(x, self.hfc_cfg, self.params, gate, training, rng)
+        scores, clean = hfc_forward(x, self.hfc_cfg, self.params, gate, training, rng, workspace)
         return BagScores(scores, gate.data if training else gate, clean)
 
     def config_dict(self) -> dict:
@@ -465,32 +546,43 @@ class CheckpointError(ValueError):
     """A checkpoint file is malformed or does not match the expected config."""
 
 
-def write_container(path, magic: bytes, config: dict, arrays: dict[str, np.ndarray]) -> Path:
-    """Write a container to ``path`` atomically: the bytes go to a temporary
-    file in the same directory, which then replaces ``path``, so an
-    interrupted write leaves any earlier file as it was."""
+@contextmanager
+def replacing(path):
+    """Open a binary file that replaces ``path`` once the block completes.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; if the block raises, the temporary file is deleted.
+    So an interrupted write leaves any earlier file as it was.
+    """
     path = Path(path)
-    cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack("<HI", CONTAINER_VERSION, len(cfg_bytes)))
-            fh.write(cfg_bytes)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                arr = np.asarray(arr, dtype=np.float64)
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_container(path, magic: bytes, config: dict, arrays: dict[str, np.ndarray]) -> Path:
+    """Write a container to ``path`` atomically (see ``replacing``)."""
+    path = Path(path)
+    cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
+    with replacing(path) as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<HI", CONTAINER_VERSION, len(cfg_bytes)))
+        fh.write(cfg_bytes)
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            for dim in arr.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return path
 
 

@@ -4,7 +4,7 @@ Each batch pairs ``batch_pairs`` anomalous bags with the same number of
 normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
 
 - the batch's 2B bags are stacked into one (B, 2, T, D) array, pair by pair
-  (anomalous bag, then its normal partner), reused from batch to batch;
+  (anomalous bag, then its normal partner);
 - one forward over the stack computes the per-clip attention gate from the
   bags' cached clip means, and the head's first layer as gate * (X W0) + b0,
   with one product with W0 for the whole batch; its activation feeds both
@@ -17,6 +17,12 @@ normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
   pair loss. The graph is three hand-differentiated ops over the
   parameters: the gate (``model.mta_forward``), the head
   (``model.hfc_forward``) and the objective (``losses.total_loss``).
+
+The stack, the head's activations, dropout masks and weight gradients, and
+Adam's temporaries live in one ``model.Workspace`` that ``TrainState`` holds
+for the whole run. After the first batch, a step allocates only small
+arrays: one value per clip (scores, gate, selection), bias and kernel
+gradients. Every result is bit-identical to a step on fresh arrays.
 
 Every bag of the train split must therefore have the same clip count. Runs
 are bit-reproducible: the same seed yields identical logs and checkpoints.
@@ -37,6 +43,7 @@ from .model import (
     AnomalyScorer,
     CheckpointError,
     ModelParameters,
+    Workspace,
     load_checkpoint,
     read_container,
     save_checkpoint,
@@ -75,13 +82,18 @@ class TrainConfig:
 
 
 class TrainState:
-    """Adam accumulators plus run bookkeeping."""
+    """Adam accumulators plus run bookkeeping, and the workspace whose
+    buffers every batch of the run reuses: the batch stack, the head's
+    activations, dropout masks and gradients (``batch_step``) and Adam's
+    temporaries (``adam_step``). Only the accumulators and the bookkeeping
+    are saved."""
 
     def __init__(self, params: ModelParameters):
         self.step = 0
         self.best_auc = -1.0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.workspace = Workspace()
 
 
 def adam_step(params: ModelParameters, state: TrainState, cfg: TrainConfig) -> None:
@@ -89,6 +101,9 @@ def adam_step(params: ModelParameters, state: TrainState, cfg: TrainConfig) -> N
 
     Weight decay enters as a coupled L2 term (g + wd * theta) before the
     moment updates; moments are bias-corrected by the shared step counter.
+    Every update runs in place through two scratch arrays per parameter
+    from the state's workspace, with the operands and the order of
+    operations of ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
     """
     state.step += 1
     bc1 = 1.0 - cfg.adam_beta1 ** state.step
@@ -97,15 +112,24 @@ def adam_step(params: ModelParameters, state: TrainState, cfg: TrainConfig) -> N
         g = p.grad
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r} at step {state.step}")
+        s1, s2 = (state.workspace.take(f"adam.{name}.{i}", p.data.shape) for i in (0, 1))
         if cfg.weight_decay:
-            g = g + cfg.weight_decay * p.data
+            g = np.multiply(p.data, cfg.weight_decay, out=s1)
+            g += p.grad
         m = state.m[name]
         v = state.v[name]
         m *= cfg.adam_beta1
-        m += (1.0 - cfg.adam_beta1) * g
+        m += np.multiply(g, 1.0 - cfg.adam_beta1, out=s2)
         v *= cfg.adam_beta2
-        v += (1.0 - cfg.adam_beta2) * (g * g)
-        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        gg = np.multiply(g, g, out=s2)
+        gg *= 1.0 - cfg.adam_beta2
+        v += gg
+        update = np.divide(m, bc1, out=s1)
+        update *= cfg.lr
+        denom = np.sqrt(np.divide(v, bc2, out=s2), out=s2)
+        denom += cfg.adam_eps
+        update /= denom
+        p.data -= update
 
 
 def check_train_bags(bags, model: AnomalyScorer) -> None:
@@ -134,21 +158,25 @@ def check_train_bags(bags, model: AnomalyScorer) -> None:
 
 
 def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfig,
-               loss_cfg: LossConfig, dropout_rng, stack=None, sel=None):
+               loss_cfg: LossConfig, dropout_rng, workspace: Workspace | None = None, sel=None):
     """Loss and selection for one batch of B bag pairs (i-th with i-th).
 
-    ``stack`` is a (B, 2, T, D) array to stack the bags into, reused across
-    batches; ``sel`` replaces the computed selection, as a gradient check
-    needs. Returns (LossBreakdown over the pairs, SelectionResult).
+    ``workspace`` holds the (B, 2, T, D) stack the bags are copied into and
+    the head's buffers (see ``model.hfc_forward``), reused across batches;
+    without it, both are fresh arrays. ``sel`` replaces the computed
+    selection, as a gradient check needs. Returns (LossBreakdown over the
+    pairs, SelectionResult).
     """
     bags = [bag for pair in zip(pos_bags, neg_bags) for bag in pair]
     b, t = len(pos_bags), bags[0].num_clips
-    x = np.empty((b, 2, t, model.feature_dim)) if stack is None else stack
+    shape = (b, 2, t, model.feature_dim)
+    x = np.empty(shape) if workspace is None else workspace.take("stack", shape)
     rows = x.reshape(2 * b, t, model.feature_dim)
     for i, bag in enumerate(bags):
         rows[i] = bag.features  # promotes float32 bags to float64, exactly
     out = model.score_bag(x, training=True, rng=dropout_rng,
-                          means=np.array([bag.clip_means for bag in bags]).reshape(b, 2, t))
+                          means=np.array([bag.clip_means for bag in bags]).reshape(b, 2, t),
+                          workspace=workspace)
     if sel is None:
         # |a_t x_t| = |a_t| |x_t|: the gated features are never built
         magnitudes = np.abs(out.gate) * np.array([bag.clip_norms for bag in bags]).reshape(b, 2, t)
@@ -171,7 +199,6 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
     pos_order = shuffle_rng.permutation(len(pos_bags))
     neg_order = shuffle_rng.permutation(len(neg_bags))
     n_batches = min(len(pos_bags), len(neg_bags)) // cfg.batch_pairs
-    stack = np.empty((cfg.batch_pairs, 2, pos_bags[0].num_clips, model.feature_dim))
 
     sums = np.zeros(len(_MEAN_COLUMNS))
     for b in range(n_batches):
@@ -180,14 +207,11 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
         breakdown, sel = batch_step(
             [pos_bags[i] for i in pos_order[batch]],
             [neg_bags[i] for i in neg_order[batch]],
-            model, sel_cfg, loss_cfg, dropout_rng, stack,
+            model, sel_cfg, loss_cfg, dropout_rng, state.workspace,
         )
         backward(breakdown.node)
         adam_step(model.params, state, cfg)
         sums += [np.mean(getattr(breakdown if hasattr(breakdown, c) else sel, c)) for c in _MEAN_COLUMNS]
-        # the graph holds this batch's activations and gradients; let it go
-        # before the next batch builds its own
-        del breakdown
     # every batch holds batch_pairs pairs, so the mean of the batch means
     # is the mean over pairs
     return dict(zip(_MEAN_COLUMNS, sums / n_batches))

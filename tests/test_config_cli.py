@@ -41,6 +41,16 @@ class TestRunConfig:
         path = write_run_config(tmp_path / "config.txt", cfg)
         assert load_run_config(path) == cfg
 
+    def test_interrupted_write_leaves_the_previous_file(self, tmp_path):
+        path = write_run_config(tmp_path / "config.txt", RunConfig(epochs=3))
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails after the
+        # file is opened
+        with pytest.raises(UnicodeEncodeError):
+            write_run_config(path, RunConfig(out_dir="runs/\ud800"))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "config.txt"
         p.write_text("learning_rate=0.1\n")

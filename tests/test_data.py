@@ -228,6 +228,48 @@ class TestBagsAndManifests:
         with pytest.raises(FormatError, match="header"):
             load_manifest(mp)
 
+    def test_non_utf8_manifest_names_the_file_and_line(self, tmp_path):
+        fp = save_features(tmp_path / "a.lwvf", np.ones((4, 3), dtype=np.float32))
+        mp = write_manifest(tmp_path / "manifest.csv", [ManifestEntry(feature_path=fp, label=0, num_frames=16)])
+        mp.write_bytes(mp.read_bytes() + b"\xff\xfe.lwvf,1,16,,\n")
+        with pytest.raises(FormatError, match="not UTF-8") as err:
+            load_manifest(mp)
+        assert f"{mp}:3:" in str(err.value)
+
+    @pytest.mark.parametrize("row", ["a.lw\0vf,1,16,,", "a.lwvf,1,16,a\0.txt,"])
+    def test_nul_in_a_manifest_path_names_the_line(self, tmp_path, row):
+        save_features(tmp_path / "a.lwvf", np.ones((4, 3), dtype=np.float32))
+        mp = tmp_path / "manifest.csv"
+        mp.write_text(f"feature_path,label,num_frames,frame_labels,class\n{row}\n")
+        with pytest.raises(FormatError, match="NUL") as err:
+            load_manifest(mp)
+        assert f"{mp}:2:" in str(err.value)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_damaged_manifest_loads_or_raises_format_error(self, tmp_path, data):
+        # truncations and single-bit flips of a two-entry manifest
+        fp = save_features(tmp_path / "a.lwvf", np.ones((4, 3), dtype=np.float32))
+        lp = write_frame_labels(tmp_path / "a.txt", [0, 1] * 8)
+        blob = bytearray(write_manifest(tmp_path / "manifest.csv", [
+            ManifestEntry(feature_path=fp, label=1, num_frames=16, frame_label_path=lp, class_name="fight"),
+            ManifestEntry(feature_path=fp, label=0, num_frames=16),
+        ]).read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path / "damaged.csv"
+        path.write_bytes(bytes(blob))
+        try:
+            entries = load_manifest(path)
+        except (FormatError, FileNotFoundError) as err:
+            assert str(path) in str(err)
+            return
+        assert all(e.label in (0, 1) and e.feature_path.exists() for e in entries)
+
     def test_frame_labels_round_trip(self, tmp_path):
         flags = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
         p = write_frame_labels(tmp_path / "labels.txt", flags)
@@ -237,6 +279,13 @@ class TestBagsAndManifests:
         p = write_frame_labels(tmp_path / "labels.txt", [0, 1, 0])
         with pytest.raises(FormatError, match="expected 4"):
             load_frame_labels(p, 4)
+
+    def test_non_utf8_frame_labels_name_the_file_and_line(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_bytes(b"0\n1\n\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8") as err:
+            load_frame_labels(p, 3)
+        assert f"{p}:3:" in str(err.value) and "at byte 4" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wsvad.autodiff import ConfigurationError, DimensionError, Tensor
+from wsvad.autodiff import ConfigurationError, DimensionError, Parameter, Tensor, backward
 from wsvad.checks import full_graph_grad_check
 from wsvad.model import (
     AnomalyScorer,
@@ -20,7 +20,10 @@ from wsvad.model import (
     init_parameters,
     load_checkpoint,
     mta_forward,
+    _leaky_relu_slope,
+    _to_leaky_relu_slope,
     save_checkpoint,
+    sigmoid,
     write_container,
 )
 
@@ -48,6 +51,52 @@ def _reference_head(feats, cfg: HfcConfig, params: ModelParameters) -> np.ndarra
             h = _leaky(nxt, cfg.slope) if i < n_layers - 1 else nxt
         out[r] = 1.0 / (1.0 + np.exp(-h[0]))
     return out
+
+
+def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, masks, upstream):
+    """The head's training pass and backward on fresh arrays, with given
+    dropout masks (or None): scores, clean scores, and the gradients of
+    sum(upstream * scores) for W0, b0, W1, b1, W2, b2 and then the gate."""
+    w0, b0, w1, b1, w2, b2 = (params[f"head.{i}.{kind}"].data for i in range(3) for kind in ("weight", "bias"))
+    bag_axes = x.shape[:-1]
+    x = x.reshape(-1, cfg.dims[0])
+    gate_col = None if gate is None else gate.reshape(-1, 1)
+
+    def leaky(z):
+        return np.maximum(z, cfg.slope * z)
+
+    def slope(z):
+        return np.where(z >= 0.0, 1.0, cfg.slope)
+
+    def tail(h1, masks):
+        h1 = h1 if masks is None else h1 * masks[0]
+        z2 = h1 @ w1 + b1
+        h2 = leaky(z2)
+        h2 = h2 if masks is None else h2 * masks[1]
+        return sigmoid(h2 @ w2 + b2), h1, z2, h2
+
+    xw = x @ w0
+    z1 = (xw if gate_col is None else xw * gate_col) + b0
+    h1 = leaky(z1)
+    out, h1m, z2, h2m = tail(h1, masks)
+    clean = tail(h1, None)[0]
+    g = upstream.reshape(-1, 1) * out * (1.0 - out)
+    gw2, gb2 = h2m.T @ g, g.sum(axis=0)
+    g = g @ w2.T
+    if masks is not None:
+        g = g * masks[1]
+    g = g * slope(z2)
+    gw1, gb1 = h1m.T @ g, g.sum(axis=0)
+    g = g @ w1.T
+    if masks is not None:
+        g = g * masks[0]
+    g = g * slope(z1)
+    grads = [None, g.sum(axis=0), gw1, gb1, gw2, gb2]
+    if gate is not None:
+        grads.append((g * xw).sum(axis=1).reshape(gate.shape))
+        g = g * gate_col
+    grads[0] = x.T @ g
+    return out.reshape(bag_axes), clean.reshape(bag_axes), grads
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +304,47 @@ class TestHfc:
         for n in range(3):
             one, _ = hfc_forward(feats[n], cfg, params, training=True, rng=rng)
             np.testing.assert_allclose(stacked.data[n], one.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("gated", [True, False])
+    @pytest.mark.parametrize("dropout", [0.5, 0.0])
+    def test_training_pass_matches_the_allocating_reference(self, gated, dropout):
+        # the in-place pass and backward against the same maths on fresh
+        # arrays, bit for bit, with masks drawn from the same generator
+        cfg = HfcConfig.for_feature_dim(64, dropout=dropout)
+        params = init_parameters(None, cfg, seed=4)
+        r = np.random.default_rng(9)
+        x = r.standard_normal((3, 8, 64))
+        gate = Parameter(r.uniform(0.5, 1.5, (3, 8)), name="gate") if gated else None
+        upstream = r.standard_normal((3, 8))
+        scores, clean = hfc_forward(x, cfg, params, gate, training=True, rng=np.random.default_rng(2))
+        backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream,)))
+        masks = dropout_masks(np.random.default_rng(2), 3, 8, cfg.dims[1:-1], dropout) if dropout else None
+        ref_scores, ref_clean, ref_grads = _reference_training_head(
+            x, cfg, params, None if gate is None else gate.data, masks, upstream)
+        assert scores.data.tobytes() == ref_scores.tobytes()
+        assert clean.tobytes() == ref_clean.tobytes()
+        got = [p.grad for p in params.values()] + ([gate.grad] if gated else [])
+        # a parameter's gradient accumulates onto zeros, which turns -0.0 into 0.0
+        assert [g.tobytes() for g in got] == [(np.zeros_like(g) + g).tobytes() for g in ref_grads]
+
+    def test_training_backward_runs_once(self):
+        # the backward overwrites the activations it reads, so a second
+        # one would read gradients; it refuses instead
+        cfg = HfcConfig.for_feature_dim(6, narrow=4, wide=5)
+        params = init_parameters(None, cfg, seed=2)
+        scores, _ = hfc_forward(np.ones((4, 6)), cfg, params, training=True, rng=np.random.default_rng(0))
+        loss = Tensor(scores.data.sum(), (scores,), lambda g: (np.broadcast_to(g, scores.data.shape),))
+        backward(loss)
+        with pytest.raises(RuntimeError, match="forward again"):
+            backward(loss)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slope=st.floats(0.0, 1.0, exclude_max=True))
+def test_in_place_leaky_relu_derivative_is_exactly_one_or_the_slope(slope):
+    z = np.array([-2.0, -5e-324, -0.0, 0.0, 5e-324, 3.0, np.inf, -np.inf, np.nan])
+    expected = _leaky_relu_slope(z, slope)
+    assert _to_leaky_relu_slope(z.copy(), slope).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

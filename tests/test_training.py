@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,28 @@ class TestAdamStep:
             params["theta"].grad[:] = 0.0
             adam_step(params, state, TrainConfig(lr=0.01, weight_decay=0.1))
         assert 0 < params["theta"].data[0] < 5.0
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
+    def test_in_place_update_matches_the_allocating_formula(self, weight_decay):
+        # the update expression on fresh arrays, the reference the in-place
+        # steps must match bit for bit
+        r = np.random.default_rng(6)
+        params = _toy_params(r.standard_normal((5, 3)))
+        cfg = TrainConfig(lr=0.01, weight_decay=weight_decay)
+        state = TrainState(params)
+        theta, m, v = params["theta"].data.copy(), np.zeros((5, 3)), np.zeros((5, 3))
+        for step in range(1, 5):
+            g = r.standard_normal((5, 3))
+            params["theta"].grad[...] = g
+            adam_step(params, state, cfg)
+            if weight_decay:
+                g = g + weight_decay * theta
+            m = m * cfg.adam_beta1 + (1.0 - cfg.adam_beta1) * g
+            v = v * cfg.adam_beta2 + (1.0 - cfg.adam_beta2) * (g * g)
+            bc1, bc2 = 1.0 - cfg.adam_beta1 ** step, 1.0 - cfg.adam_beta2 ** step
+            theta = theta - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            assert params["theta"].data.tobytes() == theta.tobytes()
+            assert state.m["theta"].tobytes() == m.tobytes() and state.v["theta"].tobytes() == v.tobytes()
 
     def test_non_finite_gradient_names_the_parameter(self):
         params = _toy_params([1.0])
@@ -184,6 +208,78 @@ class TestFeatureDtype:
             backward(breakdown.node)
             grads.append({name: p.grad.tobytes() for name, p in model.params.items()})
         assert grads[0] == grads[1]
+
+
+# ---------------------------------------------------------------------------
+# buffers reused across batches
+
+
+def _random_bags(r, n, label, t, d):
+    return [ClipFeatureBag(r.standard_normal((t, d)).astype(np.float32), label, f"{label}-{i}", t)
+            for i in range(n)]
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("use_mta", [True, False])
+    @pytest.mark.parametrize("dropout", [0.5, 0.0])
+    def test_reused_buffers_give_the_bits_of_fresh_ones(self, monkeypatch, use_mta, dropout):
+        # two models in lockstep over three batches, one stepping through
+        # its state's workspace and one on fresh arrays, each drawing its
+        # masks from a generator of the same seed: nothing a batch leaves
+        # in the buffers may reach the next
+        r = np.random.default_rng(21)
+        batches = [(_random_bags(r, 4, 1, 8, 64), _random_bags(r, 4, 0, 8, 64)) for _ in range(3)]
+        runs = []
+        for reuse in (True, False):
+            model = AnomalyScorer(HfcConfig.for_feature_dim(64, dropout=dropout),
+                                  MtaConfig() if use_mta else None, seed=3)
+            state, rng = TrainState(model.params), np.random.default_rng(5)
+            forwards, score_bag = [], model.score_bag
+
+            def recording(*args, **kwargs):
+                forwards.append(score_bag(*args, **kwargs))
+                return forwards[-1]
+
+            monkeypatch.setattr(model, "score_bag", recording)
+            steps = []
+            for pos, neg in batches:
+                model.params.zero_grads()
+                breakdown, _ = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), rng,
+                                          state.workspace if reuse else None)
+                out = forwards[-1]
+                record = [a.tobytes() for a in (out.scores.data, out.clean, out.gate, breakdown.node.data)]
+                backward(breakdown.node)
+                record += [p.grad.tobytes() for p in model.params.values()]
+                adam_step(model.params, state, TrainConfig())
+                steps.append(record)
+            runs.append(steps)
+        assert runs[0] == runs[1]
+
+    def test_steady_state_step_allocates_under_a_megabyte(self):
+        # the benchmark's batch at D=64: 32 pairs of 32-clip bags. Once two
+        # batches have sized the state's workspace, a step's activations,
+        # masks, gradients and Adam temporaries all live there
+        r = np.random.default_rng(4)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(64), MtaConfig(), seed=1)
+        pos, neg = _random_bags(r, 32, 1, 32, 64), _random_bags(r, 32, 0, 32, 64)
+        state, cfg, rng = TrainState(model.params), TrainConfig(), np.random.default_rng(2)
+
+        def step():
+            model.params.zero_grads()
+            breakdown, _ = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), rng, state.workspace)
+            backward(breakdown.node)
+            adam_step(model.params, state, cfg)
+
+        step()
+        step()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1_000_000
 
 
 # ---------------------------------------------------------------------------
