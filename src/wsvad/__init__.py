@@ -29,7 +29,7 @@ from .data import (
     make_synthetic,
 )
 from .evaluation import EvalRecord, EvalResult, UndefinedMetricError, auc, evaluate_bags, score_video
-from .losses import LossBreakdown, LossConfig, antagonistic_loss, smooth_loss, sparsity_loss, total_loss
+from .losses import LossBreakdown, LossConfig, ais_loss, antagonistic_loss, smooth_loss, sparsity_loss, total_loss
 from .model import (
     AnomalyScorer,
     CheckpointError,
@@ -43,11 +43,9 @@ from .model import (
     save_checkpoint,
 )
 from .selection import (
-    ScoreBagPair,
     SelectionConfig,
     SelectionResult,
     adaptive_k,
-    ais_loss,
     confidence,
     select,
     topk_by_magnitude,

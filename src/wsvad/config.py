@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .autodiff import ConfigurationError
+from .data import _read_text
 from .losses import LossConfig
 from .model import AnomalyScorer, HfcConfig, MtaConfig, replacing
 from .selection import SelectionConfig
@@ -137,13 +138,15 @@ def _parse_pair(line: str) -> tuple[str, str]:
 
 
 def load_run_config(path=None, overrides=()) -> RunConfig:
-    """Read a config file (optional) and apply ``key=value`` overrides on top."""
+    """Read a UTF-8 config file (optional) and apply ``key=value`` overrides
+    on top; bytes that are not UTF-8 raise ``data.FormatError`` with the
+    file and line."""
     values: dict = {}
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        for raw in path.read_text().splitlines():
+        for raw in _read_text(path).splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -260,8 +260,18 @@ def _read_text(path: Path) -> str:
         raise FormatError(f"{path}:{line}: not UTF-8 text", offset=err.start) from None
 
 
+def _manifest_file(cell_path: Path, what: str, where: str) -> Path:
+    """The resolved path of a manifest cell, which must name a file."""
+    resolved = cell_path.resolve()
+    if not resolved.exists():
+        raise FileNotFoundError(f"{where}: {what} file not found: {resolved}")
+    if not resolved.is_file():
+        raise FormatError(f"{where}: {what} path {resolved} is not a file")
+    return resolved
+
+
 def load_manifest(path) -> list[ManifestEntry]:
-    """Parse a UTF-8 manifest; every referenced path must be resolvable."""
+    """Parse a UTF-8 manifest; every referenced path must name a file."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
@@ -289,16 +299,9 @@ def load_manifest(path) -> list[ManifestEntry]:
                 raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
             if "\0" in feat_cell + flabel_cell:
                 raise FormatError(f"{path}:{lineno}: a file path holds a NUL character")
-            feature_path = (base / feat_cell).resolve()
-            if not feature_path.exists():
-                raise FileNotFoundError(f"{path}:{lineno}: feature file not found: {feature_path}")
-            frame_label_path = None
-            if flabel_cell:
-                frame_label_path = (base / flabel_cell).resolve()
-                if not frame_label_path.exists():
-                    raise FileNotFoundError(
-                        f"{path}:{lineno}: frame label file not found: {frame_label_path}"
-                    )
+            where = f"{path}:{lineno}"
+            feature_path = _manifest_file(base / feat_cell, "feature", where)
+            frame_label_path = _manifest_file(base / flabel_cell, "frame label", where) if flabel_cell else None
             entries.append(
                 ManifestEntry(
                     feature_path=feature_path,

@@ -63,18 +63,20 @@ def auc(scores, labels) -> float:
         raise ValueError("labels must be 0 or 1")
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    y = y.astype(np.int64)
-    pos = int(y.sum())
+    pos = int(np.count_nonzero(y))
     neg = int(y.size - pos)
     if pos == 0 or neg == 0:
         raise UndefinedMetricError(f"AUC needs both classes, got {pos} positive / {neg} negative frames")
 
-    order = np.argsort(-s, kind="stable")
+    # descending scores; each group of tied scores is counted as a whole, so
+    # the order inside it does not matter
+    order = np.argsort(s, kind="stable")[::-1]
     ys = y[order]
     ss = s[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ss)) + 1))
-    pos_per_group = np.add.reduceat(ys, starts)
-    neg_per_group = np.add.reduceat(1 - ys, starts)
+    del order  # freed before reduceat widens the labels to int64
+    starts = np.concatenate(([0], np.flatnonzero(ss[1:] != ss[:-1]) + 1))
+    pos_per_group = np.add.reduceat(ys, starts, dtype=np.int64)
+    neg_per_group = np.diff(starts, append=s.size) - pos_per_group
     tp_before = np.concatenate(([0], np.cumsum(pos_per_group)[:-1]))
     numerator = int((neg_per_group * (2 * tp_before + pos_per_group)).sum())
     return numerator / (2 * pos * neg)

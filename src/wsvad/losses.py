@@ -1,9 +1,11 @@
-"""Training objective: selected-instance log loss + temporal smoothness +
-an antagonistic top-1 term that drives the two bags' peak scores apart.
+"""Training objective: selected-instance log loss (the AIS term) +
+temporal smoothness + an antagonistic top-1 term that drives the two bags'
+peak scores apart.
 
-Each term is computed per pair, for one pair (scores (T,)) or a batch of B
-pairs ((B, T)); the objective is their mean over the pairs. ``total_loss``
-is the step's last graph op: its backward is written out by hand below.
+Scores are shaped (..., 2, T), each pair's positive bag first, as in
+``selection``. Each term is computed per pair and the objective is their
+mean over the pairs. ``total_loss`` is the step's last graph op: its
+backward is written out by hand below, next to the terms it differentiates.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import DimensionError, Tensor, note_kink_margin
-from .selection import AIS_EPS, ScoreBagPair, SelectionResult, ais_loss, selected_means
+from .selection import SelectionResult
+
+AIS_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,20 @@ class LossBreakdown:
     sparsity: float
     total: float
     node: object = field(default=None, repr=False, compare=False)
+
+
+def selected_means(scores, sel: SelectionResult):
+    """Mean score of the selected clips of each bag, shaped (..., 2)."""
+    inv_k = 1.0 / np.asarray(sel.k, dtype=np.float64)
+    return (scores * sel.mask).sum(axis=-1) * np.expand_dims(inv_k, -1)
+
+
+def ais_loss(scores, sel: SelectionResult):
+    """Negative log-likelihood of the selected mean scores, per pair: pushes
+    the positive bag's selected mean toward 1 and the negative bag's toward
+    0. ``AIS_EPS`` keeps both logs finite at the score boundaries."""
+    m = selected_means(scores, sel)
+    return -(np.log(m[..., 0] + AIS_EPS) + np.log((1.0 - m[..., 1]) + AIS_EPS))
 
 
 def smooth_loss(scores):
@@ -72,17 +90,15 @@ def sparsity_loss(pos_scores):
 
 
 def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfig()) -> LossBreakdown:
-    """Assemble the objective over the scores of one pair (2, T) or B pairs
-    (B, 2, T), each pair's positive bag first; every term is reported even
-    when it is not part of the sum.
+    """Assemble the objective over (..., 2, T) scores; every term is
+    reported even when it is not part of the sum.
 
     ``node`` is the mean of the enabled terms over the pairs as a graph node
     over ``scores``; the selection ``sel`` is a constant of it.
     """
     s = scores.data
-    pair = ScoreBagPair(s[..., 0, :], s[..., 1, :])
-    pos, neg = pair.pos_scores, pair.neg_scores
-    ais = ais_loss(pair, sel)
+    pos, neg = s[..., 0, :], s[..., 1, :]
+    ais = ais_loss(s, sel)
     smooth = smooth_loss(pos)
     antagonistic = antagonistic_loss(pos, neg)
     sparsity = sparsity_loss(pos)
@@ -99,11 +115,11 @@ def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfi
         # AIS, smoothness and antagonistic gradients in that order, which
         # fixes the float result
         g = np.broadcast_to(g / total.size, total.shape)
-        m_p, m_n = selected_means(pair, sel)
+        m = selected_means(s, sel)
         inv_k = 1.0 / np.asarray(sel.k, dtype=np.float64)
         g_ais = g * -1.0
-        g_pos = np.expand_dims(g_ais / (m_p + AIS_EPS) * inv_k, -1) * sel.pos_mask
-        g_neg = np.expand_dims(-(g_ais / ((1.0 - m_n) + AIS_EPS)) * inv_k, -1) * sel.neg_mask
+        coef = np.stack([g_ais / (m[..., 0] + AIS_EPS), -(g_ais / ((1.0 - m[..., 1]) + AIS_EPS))], axis=-1)
+        grad = np.expand_dims(coef * np.expand_dims(inv_k, -1), -1) * sel.mask
 
         d = np.diff(pos)
         g_d = np.expand_dims(g * (1.0 / d.shape[-1]), -1) * d
@@ -111,18 +127,13 @@ def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfi
         g_smooth = np.zeros_like(pos)
         g_smooth[..., 1:] += g_d
         g_smooth[..., :-1] -= g_d
-        g_pos = g_pos + g_smooth
+        grad[..., 0, :] += g_smooth
 
         if cfg.use_antagonistic:
             # d/dp of (1 - (p - n)) + n + (1 - p) is -2, d/dn is +2
-            for g_bag, bag, sign in ((g_pos, pos, -1.0), (g_neg, neg, 1.0)):
-                peak = np.expand_dims(np.argmax(bag, axis=-1), -1)
-                top = np.take_along_axis(g_bag, peak, axis=-1) + sign * (g + g)[..., None]
-                np.put_along_axis(g_bag, peak, top, axis=-1)
-
-        grad = np.empty_like(s)
-        grad[..., 0, :] = g_pos
-        grad[..., 1, :] = g_neg
+            peak = np.expand_dims(np.argmax(s, axis=-1), -1)
+            pull = np.stack([-(g + g), g + g], axis=-1)[..., None]
+            np.put_along_axis(grad, peak, np.take_along_axis(grad, peak, axis=-1) + pull, axis=-1)
         return (grad,)
 
     return LossBreakdown(

@@ -10,9 +10,10 @@ normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
   with one product with W0 for the whole batch; its activation feeds both
   the dropout-free scores that instance selection reads and the training
   scores with dropout;
-- selection (omega, K and the top-K clip masks, where clip magnitude is
-  |gate| times the cached clip norm) and the three loss terms run for all
-  pairs at once, with K free to differ between pairs;
+- selection (omega, K and the (B, 2, T) mask of the top-K clips of each
+  bag, where clip magnitude is |gate| times the cached clip norm) and the
+  three loss terms read the (B, 2, T) scores of the stack without splitting
+  it, for all pairs at once, with K free to differ between pairs;
 - one backward, then one Adam step with coupled L2 weight decay on the mean
   pair loss. The graph is three hand-differentiated ops over the
   parameters: the gate (``model.mta_forward``), the head
@@ -49,7 +50,7 @@ from .model import (
     save_checkpoint,
     write_container,
 )
-from .selection import ScoreBagPair, SelectionConfig, select
+from .selection import SelectionConfig, select
 
 LOG_COLUMNS = ("epoch", "ais", "smooth", "antagonistic", "sparsity", "total", "auc", "omega", "k")
 # the columns train_epoch averages over the pairs: LossBreakdown and SelectionResult fields
@@ -180,8 +181,7 @@ def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfi
     if sel is None:
         # |a_t x_t| = |a_t| |x_t|: the gated features are never built
         magnitudes = np.abs(out.gate) * np.array([bag.clip_norms for bag in bags]).reshape(b, 2, t)
-        sel = select(ScoreBagPair(out.clean[:, 0], out.clean[:, 1], magnitudes[:, 0], magnitudes[:, 1]),
-                     sel_cfg)
+        sel = select(out.clean, magnitudes, sel_cfg)
     return total_loss(out.scores, sel, loss_cfg), sel
 
 

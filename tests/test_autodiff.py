@@ -17,7 +17,7 @@ from wsvad.autodiff import (
     grad_check,
     record_kink_margins,
 )
-from wsvad.losses import LossConfig, antagonistic_loss, total_loss
+from wsvad.losses import AIS_EPS, LossConfig, antagonistic_loss, total_loss
 from wsvad.model import (
     HfcConfig,
     MtaConfig,
@@ -29,7 +29,7 @@ from wsvad.model import (
     mta_forward,
     sigmoid,
 )
-from wsvad.selection import AIS_EPS, SelectionResult, topk_mask
+from wsvad.selection import SelectionResult, topk_mask
 
 rng = np.random.default_rng
 
@@ -195,8 +195,8 @@ class TestBackward:
         # smoothness diffs d = (-0.2, 0.1) over 2 steps give 2*d/2 = d,
         # spread as (-d0, d0 - d1, d1) over the positive clips
         scores = Parameter(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), name="scores")
-        first = np.array([True, False, False])
-        sel = SelectionResult(omega=1.0, k=1, pos_mask=first, neg_mask=first)
+        first = np.array([[True, False, False], [True, False, False]])
+        sel = SelectionResult(omega=1.0, k=1, mask=first)
         backward(total_loss(scores, sel, LossConfig(use_antagonistic=False)).node)
         expected = [[-1 / (0.8 + AIS_EPS) + 0.2, -0.3, 0.1], [1 / (1 - 0.2 + AIS_EPS), 0.0, 0.0]]
         np.testing.assert_allclose(scores.grad, expected, rtol=1e-12, atol=1e-15)
@@ -248,8 +248,8 @@ class TestBackward:
         # the objective reads the scores through the top-K masks (a gather
         # of every other clip), their peaks and their adjacent differences
         scores = Parameter(np.array([[0.3, 0.9, 0.1, 0.5], [0.2, 0.6, 0.35, 0.4]]), name="scores")
-        odd = np.array([False, True, False, True])
-        sel = SelectionResult(omega=1.0, k=2, pos_mask=odd, neg_mask=odd)
+        odd = np.array([[False, True, False, True], [False, True, False, True]])
+        sel = SelectionResult(omega=1.0, k=2, mask=odd)
         report = grad_check(lambda: total_loss(scores, sel).node, [scores], eps=1e-5, tol=1e-6)
         assert report.passed, report.summary()
 
@@ -262,8 +262,8 @@ class TestBackward:
         params["mta.conv3.weight"].data[:] = r.uniform(-1, 1, 3)
         x = r.standard_normal((2, 2, 5, 4))
         k = np.array([1, 3])
-        sel = SelectionResult(np.ones(2), k, topk_mask(r.uniform(size=(2, 5)), k),
-                              topk_mask(r.uniform(size=(2, 5)), k))
+        # the positive bags' magnitudes are drawn first, then the negative ones'
+        sel = SelectionResult(np.ones(2), k, topk_mask(np.moveaxis(r.uniform(size=(2, 2, 5)), 0, 1), k[:, None]))
 
         def build():
             gate = mta_forward(x.mean(axis=-1), mta_cfg, params, training=True)
@@ -353,8 +353,8 @@ def _objective_case(r, n_pairs=3, t=6, antagonistic=True):
     bags = () if n_pairs == 0 else (n_pairs,)
     scores = Parameter(r.uniform(0.05, 0.95, bags + (2, t)), name="scores")
     k = r.integers(1, t + 1, bags)
-    sel = SelectionResult(np.ones(bags), k, topk_mask(r.uniform(size=bags + (t,)), k),
-                          topk_mask(r.uniform(size=bags + (t,)), k))
+    magnitudes = np.moveaxis(r.uniform(size=(2,) + bags + (t,)), 0, -2)
+    sel = SelectionResult(np.ones(bags), k, topk_mask(magnitudes, k[..., None]))
     cfg = LossConfig(use_antagonistic=antagonistic)
     return [scores], lambda: total_loss(scores, sel, cfg).node
 

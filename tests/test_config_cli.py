@@ -15,7 +15,7 @@ import pytest
 from wsvad.autodiff import ConfigurationError
 from wsvad.cli import build_parser, main
 from wsvad.config import RunConfig, load_run_config, run_config_to_text, write_run_config
-from wsvad.data import SyntheticSpec, save_features
+from wsvad.data import FormatError, SyntheticSpec, save_features
 from wsvad.losses import LossConfig
 from wsvad.model import HfcConfig, MtaConfig
 from wsvad.selection import SelectionConfig
@@ -66,6 +66,15 @@ class TestRunConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_run_config(tmp_path / "none.txt")
+
+    def test_non_utf8_file_names_the_file_and_line(self, tmp_path, capsys):
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"epochs=2\nlr=\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8") as err:
+            load_run_config(p)
+        assert f"{p}:2:" in str(err.value)
+        assert main(["train", "--config", str(p), "--out-dir", str(tmp_path / "run")]) == 2
+        assert f"{p}:2:" in capsys.readouterr().err
 
     def test_overrides_beat_file(self, tmp_path):
         p = tmp_path / "config.txt"
@@ -303,6 +312,14 @@ class TestTrainEvalScoreCommands:
                      "--manifest", str(only_normal)])
         assert code == 2
         assert "both classes" in capsys.readouterr().err
+
+    def test_eval_manifest_naming_a_directory_is_usage_error(self, trained_tiny, tmp_path, capsys):
+        mp = tmp_path / "manifest.csv"
+        mp.write_text("feature_path,label,num_frames,frame_labels,class\n.,1,16,,\n")
+        code = main(["eval", "--checkpoint", str(trained_tiny["result"].best_checkpoint),
+                     "--manifest", str(mp)])
+        assert code == 2
+        assert "is not a file" in capsys.readouterr().err
 
     def test_score_command_stdout_and_file(self, trained_tiny, tmp_path, capsys):
         feats = np.random.default_rng(0).standard_normal((16, 24)).astype(np.float32)

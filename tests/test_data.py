@@ -245,6 +245,16 @@ class TestBagsAndManifests:
             load_manifest(mp)
         assert f"{mp}:2:" in str(err.value)
 
+    @pytest.mark.parametrize("row", [".,1,16,,", "a.lwvf,1,16,.,"])
+    def test_manifest_path_that_is_not_a_file_names_the_line(self, tmp_path, row):
+        # "." resolves to the manifest's own folder, which exists
+        save_features(tmp_path / "a.lwvf", np.ones((4, 3), dtype=np.float32))
+        mp = tmp_path / "manifest.csv"
+        mp.write_text(f"feature_path,label,num_frames,frame_labels,class\n{row}\n")
+        with pytest.raises(FormatError, match="is not a file") as err:
+            load_manifest(mp)
+        assert f"{mp}:2:" in str(err.value)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
     @given(data=st.data())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestAuc:
             auc([np.nan, 0.2], [1, 0])
         with pytest.raises(ValueError, match="empty"):
             auc([], [])
+
+    def test_temporaries_of_a_large_split(self):
+        # the frame count and distinct-score count of the score-d2048 test
+        # split, with the uint8 labels evaluation pools
+        rng = np.random.default_rng(0)
+        n = 155_287
+        scores = rng.integers(0, 12_800, n) / 12_800.0
+        labels = (rng.uniform(size=n) < 0.3).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            auc(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 100_000), n=st.integers(2, 60),

@@ -90,7 +90,7 @@ class TestAntagonisticLoss:
         # descent must push the peak positive score up, peak negative down:
         # the term adds its gradient to the objective's at the two peaks only
         scores = np.array([[0.6, 0.2], [0.1, 0.4]])
-        sel = SelectionResult(omega=1.0, k=1, pos_mask=_first_clip(2), neg_mask=_first_clip(2))
+        sel = SelectionResult(omega=1.0, k=1, mask=_first_clips(2))
         grads = []
         for cfg in (LossConfig(), LossConfig(use_antagonistic=False)):
             p = Parameter(scores, name="scores")
@@ -116,17 +116,16 @@ class TestSparsityLoss:
 # assembly
 
 
-def _first_clip(t):
-    mask = np.zeros(t, dtype=bool)
-    mask[0] = True
+def _first_clips(t):
+    """(2, T) mask of the first clip of both bags."""
+    mask = np.zeros((2, t), dtype=bool)
+    mask[:, 0] = True
     return mask
 
 
 def _pair_and_sel(pos, neg):
-    pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
-    sel = SelectionResult(omega=1.0, k=1, pos_mask=_first_clip(len(pos)), neg_mask=_first_clip(len(neg)))
-    return Tensor(np.stack([pos, neg])), sel
+    sel = SelectionResult(omega=1.0, k=1, mask=_first_clips(len(pos)))
+    return Tensor(np.array([pos, neg], dtype=np.float64)), sel
 
 
 class TestTotalLoss:
@@ -148,7 +147,7 @@ class TestTotalLoss:
 
     def test_gradients_flow_through_total(self):
         scores = Parameter(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), name="scores")
-        sel = SelectionResult(omega=1.0, k=1, pos_mask=_first_clip(3), neg_mask=_first_clip(3))
+        sel = SelectionResult(omega=1.0, k=1, mask=_first_clips(3))
         out = total_loss(scores, sel)
         backward(out.node)
         assert np.any(scores.grad[0] != 0) and np.any(scores.grad[1] != 0)
@@ -157,21 +156,20 @@ class TestTotalLoss:
 
 @pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(use_antagonistic=False)])
 def test_batch_of_pairs_is_the_mean_of_single_pairs(cfg):
-    # a (B, T) batch with K differing between pairs: each term, the total and
-    # every score gradient equal the per-pair computation averaged over B
+    # a (B, 2, T) batch with K differing between pairs: each term, the total
+    # and every score gradient equal the per-pair computation averaged over B
     rng = np.random.default_rng(4)
     pos, neg = rng.uniform(size=(3, 6)), rng.uniform(size=(3, 6))
     k = np.array([1, 3, 2])
-    pos_mask = topk_mask(rng.uniform(size=(3, 6)), k)
-    neg_mask = topk_mask(rng.uniform(size=(3, 6)), k)
+    mask = np.stack([topk_mask(rng.uniform(size=(3, 6)), k), topk_mask(rng.uniform(size=(3, 6)), k)], axis=1)
 
     batch_scores = Parameter(np.stack([pos, neg], axis=1), name="scores")
-    batch = total_loss(batch_scores, SelectionResult(np.ones(3), k, pos_mask, neg_mask), cfg)
+    batch = total_loss(batch_scores, SelectionResult(np.ones(3), k, mask), cfg)
     backward(batch.node)
     singles = []
     for i in range(3):
         scores = Parameter(np.stack([pos[i], neg[i]]), name="pair")
-        out = total_loss(scores, SelectionResult(1.0, int(k[i]), pos_mask[i], neg_mask[i]), cfg)
+        out = total_loss(scores, SelectionResult(np.float64(1.0), k[i], mask[i]), cfg)
         backward(out.node)
         singles.append(out)
         np.testing.assert_allclose(batch_scores.grad[i], scores.grad / 3, rtol=1e-12, atol=1e-15)

@@ -1,4 +1,6 @@
-"""Confidence estimate, adaptive budget, magnitude ranking, selection loss."""
+"""Confidence estimate, adaptive budget, magnitude ranking, selection loss.
+
+Scores, magnitudes and masks are shaped (..., 2, T), positive bag first."""
 
 from __future__ import annotations
 
@@ -8,12 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsvad.losses import ais_loss
 from wsvad.selection import (
-    ScoreBagPair,
     SelectionConfig,
     SelectionResult,
     adaptive_k,
-    ais_loss,
     confidence,
     select,
     topk_by_magnitude,
@@ -23,22 +24,14 @@ from wsvad.selection import (
 scores_strategy = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=24).map(np.array)
 
 
-def _pair(pos, neg, pos_feats=None, neg_feats=None):
-    pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
-    t = len(pos)
-    if pos_feats is None:
-        pos_feats = np.ones((t, 3))
-    if neg_feats is None:
-        neg_feats = np.ones((len(neg), 3))
-    return ScoreBagPair(pos_scores=pos, neg_scores=neg,
-                        pos_magnitudes=np.linalg.norm(pos_feats, axis=1),
-                        neg_magnitudes=np.linalg.norm(neg_feats, axis=1))
+def _pair(pos, neg):
+    """The (2, T) scores of one pair."""
+    return np.array([pos, neg], dtype=np.float64)
 
 
 def _first(t, k):
-    """Mask of the first k of t clips."""
-    return np.arange(t) < k
+    """(2, T) mask of the first k of t clips of both bags."""
+    return np.tile(np.arange(t) < k, (2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +58,17 @@ class TestConfidence:
             confidence(_pair([0.5], [0.5]))
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equally long"):
-            confidence(_pair([0.5, 0.5], [0.5, 0.5, 0.5]))
+        # bags of different lengths cannot form a (2, T) array
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, T\)"):
+            confidence(np.array([[0.5, 0.5], [0.5, 0.5, 0.5]], dtype=object))
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (5, 3, 4)])
+    def test_scores_not_in_pairs_rejected(self, shape):
+        scores = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, T\)"):
+            confidence(scores)
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, T\)"):
+            select(scores, np.ones(shape))
 
     @settings(max_examples=60, deadline=None)
     @given(pos=scores_strategy, neg=scores_strategy)
@@ -200,37 +202,38 @@ class TestTopkByMagnitude:
 class TestSelect:
     def test_adaptive_off_pins_k_to_one(self):
         pair = _pair([0.99, 0.99, 0.99, 0.99], [0.0, 0.0, 0.0, 0.0])
-        sel = select(pair, SelectionConfig(adaptive=False))
-        assert sel.k == 1 and sel.pos_mask.sum() == 1 and sel.neg_mask.sum() == 1
+        sel = select(pair, np.ones_like(pair), SelectionConfig(adaptive=False))
+        assert sel.k == 1 and sel.mask.sum(axis=-1).tolist() == [1, 1]
 
     def test_adaptive_on_uses_budget(self):
         pair = _pair([0.99, 0.99, 0.99, 0.99], [0.0, 0.0, 0.0, 0.0])
-        sel = select(pair)
+        sel = select(pair, np.ones_like(pair))
         assert sel.omega == 1.0 and sel.k == 4
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
-        pair = _pair(rng.uniform(size=8), rng.uniform(size=8),
-                     rng.standard_normal((8, 5)), rng.standard_normal((8, 5)))
-        a, b = select(pair), select(pair)
+        pair = _pair(rng.uniform(size=8), rng.uniform(size=8))
+        magnitudes = np.linalg.norm(rng.standard_normal((2, 8, 5)), axis=-1)
+        a, b = select(pair, magnitudes), select(pair, magnitudes)
         assert (a.omega, a.k) == (b.omega, b.k)
-        np.testing.assert_array_equal(a.pos_mask, b.pos_mask)
-        np.testing.assert_array_equal(a.neg_mask, b.neg_mask)
+        np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_batch_equals_each_pair(self):
-        # one (B, T) call selects exactly what B single-pair calls select
+        # one (B, 2, T) call selects exactly what B calls on (2, T) pairs
+        # select; a single pair's omega and K are 0-d
         rng = np.random.default_rng(5)
         pos = rng.uniform(0.6, 1.0, size=(6, 10))
         neg = rng.uniform(0.0, 0.2, size=(6, 10))
-        pos_mag, neg_mag = rng.uniform(size=(6, 10)), rng.uniform(size=(6, 10))
+        scores = np.stack([pos, neg], axis=1)
+        magnitudes = np.stack([rng.uniform(size=(6, 10)), rng.uniform(size=(6, 10))], axis=1)
         cfg = SelectionConfig(threshold=0.8)
-        batch = select(ScoreBagPair(pos, neg, pos_mag, neg_mag), cfg)
-        assert len(set(batch.k)) > 1
+        batch = select(scores, magnitudes, cfg)
+        assert len(set(batch.k)) > 1 and batch.mask.shape == scores.shape
         for i in range(6):
-            one = select(ScoreBagPair(pos[i], neg[i], pos_mag[i], neg_mag[i]), cfg)
+            one = select(scores[i], magnitudes[i], cfg)
+            assert np.shape(one.omega) == np.shape(one.k) == ()
             assert one.omega == batch.omega[i] and one.k == batch.k[i]
-            np.testing.assert_array_equal(one.pos_mask, batch.pos_mask[i])
-            np.testing.assert_array_equal(one.neg_mask, batch.neg_mask[i])
+            np.testing.assert_array_equal(one.mask, batch.mask[i])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -239,9 +242,8 @@ class TestSelect:
 
 class TestAisLoss:
     def _loss_value(self, pos, neg, k=1):
-        pair = ScoreBagPair(np.asarray(pos, dtype=np.float64), np.asarray(neg, dtype=np.float64))
-        sel = SelectionResult(omega=1.0, k=k, pos_mask=_first(len(pos), k), neg_mask=_first(len(neg), k))
-        return float(ais_loss(pair, sel))
+        sel = SelectionResult(omega=1.0, k=k, mask=_first(len(pos), k))
+        return float(ais_loss(_pair(pos, neg), sel))
 
     def test_perfect_separation_is_almost_zero(self):
         assert abs(self._loss_value([1.0, 0.0], [0.0, 1.0])) < 1e-6
@@ -260,19 +262,18 @@ class TestAisLoss:
         from wsvad.autodiff import Parameter, backward
         from wsvad.losses import LossConfig, total_loss
 
-        scores = Parameter(np.array([pos, neg], dtype=np.float64), name="scores")
+        scores = Parameter(_pair(pos, neg), name="scores")
         backward(total_loss(scores, sel, LossConfig(use_antagonistic=False)).node)
         return scores.grad
 
     def test_gradient_pushes_scores_apart(self):
-        sel = SelectionResult(omega=1.0, k=2, pos_mask=_first(2, 2), neg_mask=_first(2, 2))
+        sel = SelectionResult(omega=1.0, k=2, mask=_first(2, 2))
         grad = self._ais_gradient([0.5, 0.5], [0.5, 0.5], sel)
         assert (grad[0] < 0).all()  # descent raises positive scores
         assert (grad[1] > 0).all()  # descent lowers negative scores
 
     def test_only_selected_scores_receive_gradient(self):
-        sel = SelectionResult(omega=1.0, k=1, pos_mask=np.array([True, False, False]),
-                              neg_mask=np.array([False, True, False]))
+        sel = SelectionResult(omega=1.0, k=1, mask=np.array([[True, False, False], [False, True, False]]))
         grad = self._ais_gradient([0.7, 0.7, 0.7], [0.3, 0.3, 0.3], sel)
         assert grad[0, 0] != 0 and grad[0, 1] == 0 and grad[0, 2] == 0
         assert grad[1, 1] != 0 and grad[1, 0] == 0 and grad[1, 2] == 0
