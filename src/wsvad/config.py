@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .autodiff import ConfigurationError
-from .data import _read_text
+from .data import _existing_file, _read_text
 from .losses import LossConfig
 from .model import AnomalyScorer, HfcConfig, MtaConfig, replacing
 from .selection import SelectionConfig
@@ -143,9 +143,7 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
     file and line."""
     values: dict = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
+        path = _existing_file(Path(path), "config file")
         for raw in _read_text(path).splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):

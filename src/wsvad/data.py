@@ -260,21 +260,18 @@ def _read_text(path: Path) -> str:
         raise FormatError(f"{path}:{line}: not UTF-8 text", offset=err.start) from None
 
 
-def _manifest_file(cell_path: Path, what: str, where: str) -> Path:
-    """The resolved path of a manifest cell, which must name a file."""
-    resolved = cell_path.resolve()
-    if not resolved.exists():
-        raise FileNotFoundError(f"{where}: {what} file not found: {resolved}")
-    if not resolved.is_file():
-        raise FormatError(f"{where}: {what} path {resolved} is not a file")
-    return resolved
+def _existing_file(path: Path, what: str) -> Path:
+    """``path``, which must name a file; ``what`` opens either error."""
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise FormatError(f"{what} {path} is not a file")
+    return path
 
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse a UTF-8 manifest; every referenced path must name a file."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"manifest not found: {path}")
+    path = _existing_file(Path(path), "manifest")
     base = path.parent
     entries: list[ManifestEntry] = []
     with io.StringIO(_read_text(path), newline="") as fh:
@@ -300,8 +297,9 @@ def load_manifest(path) -> list[ManifestEntry]:
             if "\0" in feat_cell + flabel_cell:
                 raise FormatError(f"{path}:{lineno}: a file path holds a NUL character")
             where = f"{path}:{lineno}"
-            feature_path = _manifest_file(base / feat_cell, "feature", where)
-            frame_label_path = _manifest_file(base / flabel_cell, "frame label", where) if flabel_cell else None
+            feature_path = _existing_file((base / feat_cell).resolve(), f"{where}: feature file")
+            frame_label_path = (_existing_file((base / flabel_cell).resolve(), f"{where}: frame label file")
+                                if flabel_cell else None)
             entries.append(
                 ManifestEntry(
                     feature_path=feature_path,

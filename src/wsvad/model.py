@@ -179,12 +179,13 @@ def count_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig) -> int:
 
 
 def linear(x, weight, bias=None, out=None):
-    """Affine map on row vectors: out[n, o] = sum_i x[n, i] W[i, o] (+ b[o]),
-    written into ``out`` when given."""
+    """Affine map on row vectors: out[..., n, o] = sum_i x[..., n, i] W[i, o]
+    (+ b[o]), written into ``out`` when given. Leading axes of ``x`` are a
+    stack of matrices, each multiplied by ``weight`` in its own product."""
     if (
-        x.ndim != 2
+        x.ndim < 2
         or weight.ndim != 2
-        or x.shape[1] != weight.shape[0]
+        or x.shape[-1] != weight.shape[0]
         or (bias is not None and (bias.ndim != 1 or weight.shape[1] != bias.shape[0]))
     ):
         shapes = f"x{x.shape} W{weight.shape}" + ("" if bias is None else f" b{bias.shape}")
@@ -386,6 +387,13 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     pass computes both from one first layer, so the dropout-free pass costs
     no second product with W0.
 
+    An inference pass keeps the bag axes, so each bag goes through every
+    layer in its own matrix product, of the shape it has when scored alone:
+    a bag's scores in a stack are bit for bit its scores alone. (One flat
+    product over a stack can take another BLAS path for bags of a few clips
+    and round differently.) A training pass multiplies every clip of the
+    stack in one flat product, which is the faster call at D=2048.
+
     Every (rows x width) array goes into a buffer of ``workspace`` when one
     is given, and into a fresh array otherwise. A training pass runs the
     dropout-free tail first, then masks the first activation in place and
@@ -403,14 +411,16 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     bag_axes = x.shape[:-1]
     head = [params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias")]
     w0, b0, w1, b1, w2, b2 = (p.data for p in head)
-    x = x.reshape(-1, cfg.dims[0])
-    n = x.shape[0]
+    if training:
+        # one flat product over every clip of the stack
+        x = x.reshape(-1, cfg.dims[0])
+    rows = x.shape[:-1]
     take = _no_buffer if workspace is None else workspace.take
     gate_node = gate if isinstance(gate, Tensor) else None
     if gate_node is not None:
         gate = gate_node.data
-    gate_col = None if gate is None else np.asarray(gate).reshape(-1, 1)
-    xw = linear(x, w0, out=take("xw", (n, cfg.dims[1])))
+    gate_col = None if gate is None else np.asarray(gate).reshape(rows + (1,))
+    xw = linear(x, w0, out=take("xw", rows + (cfg.dims[1],)))
     # x W0 outlives the first layer only for the gate node's gradient
     if gate_node is None:
         z1 = xw
@@ -421,7 +431,7 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     z1 += b0
     h1 = leaky_relu(z1, cfg.slope, out=take("h1", xw.shape))
     clean, z2, h2 = _head_tail(h1, cfg.slope, w1, b1, w2, b2,
-                               take("z2", (n, cfg.dims[2])), take("h2", (n, cfg.dims[2])))
+                               take("z2", rows + (cfg.dims[2],)), take("h2", rows + (cfg.dims[2],)))
     if not training:
         return clean.reshape(bag_axes), clean.reshape(bag_axes)
     out, masks = clean, None

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsvad import data, model, training
+from wsvad import data, evaluation, model, training
 from wsvad.model import count_parameters
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,3 +65,21 @@ def test_graph_node_count_walks_a_training_step(workloads):
     breakdown, _ = training.batch_step(pos, neg, scorer, cfg.selection_config(), cfg.loss_config(),
                                        np.random.default_rng(1))
     assert workloads.count_graph_nodes(breakdown.node) > len(scorer.params)
+
+
+def test_traced_evaluation_records_the_layers_it_divides_by(workloads):
+    # the benchmark's per-layer report divides by the calls of these spans
+    scorer = workloads.RunConfig(feature_dim=8, seed=1).build_model()
+    rng = np.random.default_rng(0)
+    bags = [data.ClipFeatureBag(rng.standard_normal((6, 8)), i % 2, f"v{i}", 6,
+                                frame_labels=np.full(6, i % 2)) for i in range(4)]
+    tracer = workloads.Tracer()
+    try:
+        workloads.install_layer_spans(tracer)
+        evaluation.evaluate_bags(bags, scorer)
+    finally:
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    assert stats["evaluation.evaluate_bags"].calls == 1
+    assert stats["evaluation.auc"].calls == 1
+    assert stats["model.score_bag.infer"].calls >= 1

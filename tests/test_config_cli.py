@@ -67,6 +67,11 @@ class TestRunConfig:
         with pytest.raises(FileNotFoundError):
             load_run_config(tmp_path / "none.txt")
 
+    def test_directory_is_named(self, tmp_path):
+        with pytest.raises(FormatError, match="is not a file") as err:
+            load_run_config(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
     def test_non_utf8_file_names_the_file_and_line(self, tmp_path, capsys):
         p = tmp_path / "c.txt"
         p.write_bytes(b"epochs=2\nlr=\xff\n")

@@ -255,6 +255,11 @@ class TestBagsAndManifests:
             load_manifest(mp)
         assert f"{mp}:2:" in str(err.value)
 
+    def test_manifest_that_is_a_directory_is_named(self, tmp_path):
+        with pytest.raises(FormatError, match="is not a file") as err:
+            load_manifest(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
     @given(data=st.data())

@@ -74,6 +74,17 @@ class TestAuc:
         with pytest.raises(ValueError, match="empty"):
             auc([], [])
 
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 1], np.array([0, 1, 1], dtype=np.uint8), [False, True, True], [0.0, 1.0, 1.0],
+    ])
+    def test_accepted_label_values(self, labels):
+        assert auc([0.1, 0.2, 0.3], labels) == 1.0
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_rejected_label_values(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            auc([0.1, 0.2, 0.3], [0, 1, bad])
+
     def test_temporaries_of_a_large_split(self):
         # the frame count and distinct-score count of the score-d2048 test
         # split, with the uint8 labels evaluation pools
@@ -179,6 +190,54 @@ class TestRecordForBag:
             _bag(np.ones((8, 6)), label=1, num_frames=16, frame_labels=labels), _tiny_model()
         )
         np.testing.assert_array_equal(rec.frame_labels, labels)
+
+
+def _mixed_split(dim, seed=0):
+    """Test bags of 7, 29 and 32 clips, interleaved, float32 and float64,
+    each with frame labels; more bags of 32 clips than one chunk holds."""
+    rng = np.random.default_rng(seed)
+    bags = []
+    for i, t in enumerate([32, 7, 29, 32, 7, 32, 32, 29, 7, 32, 32, 32, 7, 32, 32, 29]):
+        feats = rng.standard_normal((t, dim)).astype(np.float32 if i % 2 else np.float64)
+        labels = (rng.uniform(size=3 * t) < 0.4).astype(np.uint8)
+        bags.append(ClipFeatureBag(feats, 1, f"v{i}", 3 * t, frame_labels=labels))
+    return bags
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("mta_cfg", [MtaConfig(), None], ids=["attention", "no-attention"])
+    @pytest.mark.parametrize("dim", [24, 2048])
+    def test_records_equal_per_video_scores_in_input_order(self, dim, mta_cfg):
+        model = AnomalyScorer(HfcConfig.for_feature_dim(dim), mta_cfg, seed=2)
+        rng = np.random.default_rng(dim)
+        if mta_cfg is not None:
+            for k in mta_cfg.kernel_sizes:
+                model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+        bags = _mixed_split(dim)
+        result = evaluate_bags(bags, model)
+        assert [r.video_id for r in result.records] == [b.video_id for b in bags]
+        for bag, rec in zip(bags, result.records):
+            assert np.array_equal(rec.frame_scores, score_video(bag, model)), bag.video_id
+            assert rec.frame_labels is bag.frame_labels
+        pooled = np.concatenate([score_video(b, model) for b in bags])
+        assert result.overall_auc == auc(pooled, np.concatenate([b.frame_labels for b in bags]))
+
+    def test_fit_logs_the_auc_of_best_checkpoint(self, tiny_bags, tmp_path):
+        from wsvad.model import load_checkpoint
+        from wsvad.training import TrainConfig, fit
+
+        test = [
+            ClipFeatureBag(b.features[:t], b.label, f"{b.video_id}-{t}", b.num_frames,
+                           frame_labels=b.frame_labels)
+            for b in tiny_bags["test"] for t in (7, 16)
+        ]
+        model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7)
+        result = fit(tiny_bags["train"], test, model, TrainConfig(epochs=4, batch_pairs=8, seed=7), tmp_path)
+        best = max(result.rows, key=lambda r: r["auc"])
+        with open(result.log_path, newline="") as fh:
+            logged = list(csv.DictReader(fh))[best["epoch"] - 1]["auc"]
+        reloaded = evaluate_bags(test, load_checkpoint(result.best_checkpoint)).overall_auc
+        assert float(logged) == best["auc"] == result.best_auc == reloaded
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,22 @@ class TestAnomalyScorer:
             np.testing.assert_allclose(scores[n], _reference_head(rescaled, model.hfc_cfg, model.params),
                                        rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("mta_cfg", [MtaConfig(), None], ids=["attention", "no-attention"])
+    @pytest.mark.parametrize("t", [7, 29, 32])
+    def test_stack_scores_each_bag_as_alone_bit_for_bit(self, mta_cfg, t):
+        # at T=7, D=2048 one flat product over the stack rounds differently
+        # from a bag's own product; inference multiplies each bag alone
+        model = AnomalyScorer(HfcConfig.for_feature_dim(2048), mta_cfg, seed=5)
+        rng = np.random.default_rng(t)
+        if mta_cfg is not None:
+            for k in mta_cfg.kernel_sizes:
+                model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+        stack = rng.standard_normal((5, t, 2048)).astype(np.float32)
+        scores, gate = model.score_bag(stack)
+        for n in range(5):
+            alone, alone_gate = model.score_bag(stack[n])
+            assert np.array_equal(scores[n], alone) and np.array_equal(gate[n], alone_gate)
+
     def test_registry_size_mismatch_rejected(self):
         hfc = HfcConfig.for_feature_dim(6)
         params = init_parameters(None, hfc, seed=0)
