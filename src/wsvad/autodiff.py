@@ -66,7 +66,8 @@ def note_kink_margin(margin) -> None:
 
 
 class Tensor:
-    """An op's float64 output plus its place in the graph.
+    """An op's output, in the dtype the op computed it in, plus its place in
+    the graph.
 
     ``grad_fn(g)`` returns the gradient of each parent, in ``parents``
     order, given the gradient ``g`` of this tensor.
@@ -75,7 +76,7 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_grad_fn")
 
     def __init__(self, data, parents=(), grad_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data)
         self.grad = None
         self._parents = tuple(parents)
         self._grad_fn = grad_fn
@@ -138,7 +139,7 @@ def backward(loss: Tensor) -> None:
             continue
         for parent, g in zip(node._parents, node._grad_fn(node.grad)):
             if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64)
+                parent.grad = np.array(g, dtype=parent.data.dtype)
             else:
                 parent.grad += g
         node.grad = None

@@ -19,7 +19,8 @@ def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed:
     """Finite-difference check of d(batch loss)/d(every parameter).
 
     Drives the training step itself (``training.batch_step``) on a batch of
-    two bag pairs with random features and dropout off. The instance
+    two bag pairs with random features and dropout off, on a float64 model:
+    differences at eps=1e-5 need float64 resolution. The instance
     selection is computed once and then frozen (selection is a constant
     during differentiation, exactly as in a training step); its confidence
     threshold is set from the scores so that one pair keeps K >= 2 clips
@@ -44,7 +45,7 @@ def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed:
         rng = np.random.default_rng(seed + attempt)
         mta_cfg = MtaConfig(k_max=k_max, mode=mode) if use_mta else None
         hfc_cfg = HfcConfig.for_feature_dim(d, dropout=0.0)
-        model = AnomalyScorer(hfc_cfg, mta_cfg, seed=seed + attempt)
+        model = AnomalyScorer(hfc_cfg, mta_cfg, seed=seed + attempt, dtype=np.float64)
         # four bags give the hidden layers thousands of pre-activations; at
         # the init scale the smallest of them would sit closer than
         # margin_min to the kink in most draws, so spread them out

@@ -9,8 +9,9 @@ Binary feature file layout (little endian):
     D        u32       feature dims per clip
     payload  T*D f32   row major
 
-Features are stored as float32 on disk and stay float32 in memory; they are
-promoted to float64, exactly, where they are scored or stacked for training.
+Features are stored as float32 on disk and stay float32 in memory; the
+scoring head computes in float32 by default, so they reach it without a
+copy. Clip means and norms are reduced from an exact float64 promotion.
 The CSV twin (``.csv`` suffix) holds the same float32 values as T rows of D
 decimal fields.
 
@@ -153,7 +154,8 @@ class ClipFeatureBag:
 
     def __post_init__(self):
         # float32 features, as loaded from disk, stay float32 at half the
-        # memory; any other dtype is promoted to float64
+        # memory, the dtype the head computes in; any other dtype is
+        # promoted to float64
         features = np.asarray(self.features)
         self.features = features if features.dtype == np.float32 else features.astype(np.float64, copy=False)
         if self.features.ndim != 2:

@@ -129,7 +129,7 @@ def _records(bags: list[ClipFeatureBag], model: AnomalyScorer) -> list[EvalRecor
         step = max(1, EVAL_CHUNK_ROWS // t)
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            stack = np.stack([bags[i].features for i in chunk], dtype=np.float64)
+            stack = np.stack([bags[i].features for i in chunk], dtype=model.dtype)
             means = np.stack([bags[i].clip_means for i in chunk]) if model.use_mta else None
             clip_scores, _ = model.score_bag(stack, means=means)
             for i, row in zip(chunk, clip_scores):

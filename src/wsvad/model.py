@@ -29,6 +29,13 @@ from batch to batch, every array of the head whose size grows with the
 batch (activations, dropout masks, weight gradients) goes into one of its
 buffers, so a steady-state training step allocates none of them; without
 one, the same code runs on fresh arrays.
+
+The parameters' dtype is the head's compute dtype: float32 by default, as
+the features are stored, and float64 for the gradient check, which takes
+finite differences. Everything that grows with D runs in it. Per-clip
+vectors (clip means, the gate, the scores) stay float64: the head's last
+logit goes through the sigmoid in float64, and the gate's gradient comes
+back in float64.
 """
 
 from __future__ import annotations
@@ -116,10 +123,10 @@ class HfcConfig:
 class ModelParameters(dict[str, Parameter]):
     """Named trainable tensors, in registration order."""
 
-    def register(self, name: str, values) -> Parameter:
+    def register(self, name: str, values, dtype=np.float32) -> Parameter:
         if name in self:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
-        p = Parameter(np.asarray(values, dtype=np.float64), name=name)
+        p = Parameter(np.asarray(values, dtype=dtype), name=name)
         self[name] = p
         return p
 
@@ -139,28 +146,35 @@ class ModelParameters(dict[str, Parameter]):
         if missing or extra:
             raise CheckpointError(f"parameter names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, p in self.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.asarray(arrays[name])
             if arr.shape != p.data.shape:
                 raise CheckpointError(
                     f"parameter {name!r} shape {arr.shape} does not match expected {p.data.shape}"
                 )
-            p.data[...] = arr
+            try:
+                with np.errstate(over="raise"):
+                    p.data[...] = arr  # rounds float64 values once into float32 parameters
+            except FloatingPointError:
+                raise CheckpointError(f"parameter {name!r} holds values outside the {p.data.dtype} range") from None
 
 
-def init_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, seed: int = 0) -> ModelParameters:
-    """Fresh registry: zero attention kernels (identity start in residual
-    mode), uniform +/- 1/sqrt(fan_in) for the head's weights and biases."""
+def init_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, seed: int = 0,
+                    dtype=np.float32) -> ModelParameters:
+    """Fresh registry of ``dtype`` arrays: zero attention kernels (identity
+    start in residual mode), uniform +/- 1/sqrt(fan_in) for the head's
+    weights and biases, drawn in float64 and cast once, so every dtype
+    starts from the same draws."""
     rng = np.random.default_rng(seed)
     params = ModelParameters()
     if mta_cfg is not None:
         for k in mta_cfg.kernel_sizes:
-            params.register(f"mta.conv{k}.weight", np.zeros(k))
-            params.register(f"mta.conv{k}.bias", np.zeros(1))
+            params.register(f"mta.conv{k}.weight", np.zeros(k), dtype)
+            params.register(f"mta.conv{k}.bias", np.zeros(1), dtype)
     dims = hfc_cfg.dims
     for i, (din, dout) in enumerate(zip(dims, dims[1:])):
         bound = 1.0 / np.sqrt(din)
-        params.register(f"head.{i}.weight", rng.uniform(-bound, bound, size=(din, dout)))
-        params.register(f"head.{i}.bias", rng.uniform(-bound, bound, size=dout))
+        params.register(f"head.{i}.weight", rng.uniform(-bound, bound, size=(din, dout)), dtype)
+        params.register(f"head.{i}.bias", rng.uniform(-bound, bound, size=dout), dtype)
     return params
 
 
@@ -257,8 +271,9 @@ def _leaky_relu_slope(x, slope):
 
 def _to_leaky_relu_slope(z, slope):
     """``_leaky_relu_slope`` written over ``z`` itself, as
-    (z >= 0) * (1 - slope) + slope: exactly 1 or ``slope`` (NaN takes
-    ``slope``), since fl(fl(1 - s) + s) = 1 for s in [0, 1)."""
+    (z >= 0) * (1 - slope) + slope: exactly 1 or ``slope`` in z's dtype
+    (NaN takes ``slope``), since fl(fl(1 - s) + fl(s)) = 1 for s in
+    [0, 1), in float64 and in float32."""
     np.greater_equal(z, 0.0, out=z)
     z *= 1.0 - slope
     z += slope
@@ -311,50 +326,56 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
 
 
 class Workspace:
-    """Named float64 buffers, kept from one training batch to the next.
+    """Named buffers, kept from one training batch to the next.
 
-    ``take(name, shape)`` returns the buffer last made under ``name``, or a
-    new, uninitialised one when there is none of that shape; the caller
-    overwrites it whole. A training step writes its batch stack, the head's
-    activations, dropout masks and weight gradients here, so in steady
-    state it allocates no array that grows with the batch.
+    ``take(name, shape, dtype)`` returns the buffer last made under
+    ``name``, or a new, uninitialised one when there is none of that shape
+    and dtype; the caller overwrites it whole. A training step writes its
+    batch stack, the head's activations, dropout masks and weight gradients
+    here, so in steady state it allocates no array that grows with the
+    batch.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[name] = np.empty(shape)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(shape, dtype)
         return buf
 
 
-def _no_buffer(name: str, shape: tuple[int, ...]) -> None:
+def _no_buffer(name: str, shape: tuple[int, ...], dtype) -> None:
     """``Workspace.take`` for a caller without a workspace: every ``out=``
     it feeds is None, so each op allocates its result."""
     return None
 
 
 def dropout_masks(rng, n_bags: int, t: int, widths, rate: float,
-                  workspace: Workspace | None = None) -> list[np.ndarray]:
+                  workspace: Workspace | None = None, dtype=np.float32) -> list[np.ndarray]:
     """Inverted-dropout masks for the hidden layers of ``n_bags`` bags of
-    ``t`` clips, one (n_bags * t, width) mask per width, in buffers of
-    ``workspace`` when one is given.
+    ``t`` clips, one (n_bags * t, width) ``dtype`` mask per width, in
+    buffers of ``workspace`` when one is given.
 
-    The uniform draws go straight into the masks in bag order and, within a
-    bag, in layer order: the same values, in the same order, as one
-    ``rng.random`` call for the whole stack takes from the same generator.
+    The uniform draws are float64, taken in bag order and, within a bag, in
+    layer order: the same values, in the same order, as one ``rng.random``
+    call for the whole stack takes from the same generator. Each (t, width)
+    draw goes through one float64 scratch array into its mask's rows, so
+    masks of any dtype keep the same dropout stream.
     """
     if rng is None:
         raise ConfigurationError("dropout in training mode needs a random generator")
-    masks = [np.empty((n_bags * t, w)) if workspace is None else workspace.take(f"mask{i}", (n_bags * t, w))
+    masks = [np.empty((n_bags * t, w), dtype) if workspace is None
+             else workspace.take(f"mask{i}", (n_bags * t, w), dtype)
              for i, w in enumerate(widths)]
+    scratch = np.empty(t * max(widths))
+    draws = [scratch[: t * w].reshape(t, w) for w in widths]
     for start in range(0, n_bags * t, t):
-        for m in masks:
-            rng.random(out=m[start : start + t])
+        for m, u in zip(masks, draws):
+            # 1 where the unit is kept
+            np.greater_equal(rng.random(out=u), rate, out=m[start : start + t])
     for m in masks:
-        np.greater_equal(m, rate, out=m)  # 1.0 where the unit is kept
         m /= 1.0 - rate
     return masks
 
@@ -363,12 +384,14 @@ def _head_tail(h1, slope: float, w1, b1, w2, b2, z2, h2, mask=None):
     """Head layers after the first, from its activation ``h1`` (masked or
     not) to the sigmoid. Returns the (rows, 1) scores, the second layer's
     pre-activation and its activation times the dropout ``mask`` when
-    given; those two go into ``z2`` and ``h2`` unless they are None."""
+    given; those two go into ``z2`` and ``h2`` unless they are None. The
+    last logit is widened to float64 before the sigmoid, so the scores keep
+    float64 resolution near 0 and 1 whatever the compute dtype."""
     z2 = linear(h1, w1, b1, out=z2)
     h2 = leaky_relu(z2, slope, out=h2)
     if mask is not None:
         h2 *= mask
-    return sigmoid(linear(h2, w2, b2)), z2, h2
+    return sigmoid(linear(h2, w2, b2).astype(np.float64, copy=False)), z2, h2
 
 
 def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
@@ -380,6 +403,12 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     shaped like the bag axes (an array, or the gate node) rescales each
     clip, applied after the first matrix product: gate * (x W0) + b0. The
     features are data: no gradient flows back to them.
+
+    The features and the gate are cast to the parameters' dtype, and every
+    layer runs in it (float32 features into float32 parameters are not
+    copied); the sigmoid runs in float64, so the scores are float64. The
+    backward casts the scores' gradient to the parameters' dtype and hands
+    the gate node a float64 gradient.
 
     Returns ``(scores, clean)``, both shaped like the bag axes: the scores
     (with ``training``, a graph node over the head's parameters and the gate
@@ -403,14 +432,15 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     the backward runs at most once, and before the next forward into the
     same workspace.
     """
-    x = np.asarray(x, dtype=np.float64)
+    head = [params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias")]
+    w0, b0, w1, b1, w2, b2 = (p.data for p in head)
+    dtype = w0.dtype
+    x = np.asarray(x, dtype=dtype)
     if x.ndim < 2 or x.shape[-1] != cfg.dims[0]:
         raise DimensionError(
             f"head expects (T, {cfg.dims[0]}) or (..., T, {cfg.dims[0]}) features, got shape {x.shape}"
         )
     bag_axes = x.shape[:-1]
-    head = [params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias")]
-    w0, b0, w1, b1, w2, b2 = (p.data for p in head)
     if training:
         # one flat product over every clip of the stack
         x = x.reshape(-1, cfg.dims[0])
@@ -419,25 +449,25 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     gate_node = gate if isinstance(gate, Tensor) else None
     if gate_node is not None:
         gate = gate_node.data
-    gate_col = None if gate is None else np.asarray(gate).reshape(rows + (1,))
-    xw = linear(x, w0, out=take("xw", rows + (cfg.dims[1],)))
+    gate_col = None if gate is None else np.asarray(gate, dtype=dtype).reshape(rows + (1,))
+    xw = linear(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
     # x W0 outlives the first layer only for the gate node's gradient
     if gate_node is None:
         z1 = xw
         if gate_col is not None:
             z1 *= gate_col
     else:
-        z1 = np.multiply(xw, gate_col, out=take("z1", xw.shape))
+        z1 = np.multiply(xw, gate_col, out=take("z1", xw.shape, dtype))
     z1 += b0
-    h1 = leaky_relu(z1, cfg.slope, out=take("h1", xw.shape))
-    clean, z2, h2 = _head_tail(h1, cfg.slope, w1, b1, w2, b2,
-                               take("z2", rows + (cfg.dims[2],)), take("h2", rows + (cfg.dims[2],)))
+    h1 = leaky_relu(z1, cfg.slope, out=take("h1", xw.shape, dtype))
+    wide = rows + (cfg.dims[2],)
+    clean, z2, h2 = _head_tail(h1, cfg.slope, w1, b1, w2, b2, take("z2", wide, dtype), take("h2", wide, dtype))
     if not training:
         return clean.reshape(bag_axes), clean.reshape(bag_axes)
     out, masks = clean, None
     if cfg.dropout:
         masks = dropout_masks(rng, math.prod(bag_axes[:-1]), bag_axes[-1], cfg.dims[1:-1], cfg.dropout,
-                              workspace)
+                              workspace, dtype)
         h1 *= masks[0]
         out = _head_tail(h1, cfg.slope, w1, b1, w2, b2, z2, h2, masks[1])[0]
     spent = False
@@ -447,23 +477,24 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         if spent:
             raise RuntimeError("the head's backward has overwritten its saved activations; run the forward again")
         spent = True
-        g = g.reshape(-1, 1) * out * (1.0 - out)
+        g = (g.reshape(-1, 1) * out * (1.0 - out)).astype(dtype, copy=False)
         gw2, gb2 = h2.T @ g, g.sum(axis=0)
         g = np.matmul(g, w2.T, out=h2)
         if masks is not None:
             g *= masks[1]
         g *= _to_leaky_relu_slope(z2, cfg.slope)
-        gw1, gb1 = np.matmul(h1.T, g, out=take("gw1", w1.shape)), g.sum(axis=0)
+        gw1, gb1 = np.matmul(h1.T, g, out=take("gw1", w1.shape, dtype)), g.sum(axis=0)
         g = np.matmul(g, w1.T, out=h1)
         if masks is not None:
             g *= masks[0]
         g *= _to_leaky_relu_slope(z1, cfg.slope)
         grads = [None, g.sum(axis=0), gw1, gb1, gw2, gb2]
         if gate_node is not None:
-            grads.append(np.multiply(xw, g, out=xw).sum(axis=1).reshape(gate_node.data.shape))
+            gate_grad = np.multiply(xw, g, out=xw).sum(axis=1)
+            grads.append(gate_grad.astype(np.float64, copy=False).reshape(gate_node.data.shape))
         if gate_col is not None:
             g *= gate_col
-        grads[0] = np.matmul(x.T, g, out=take("gw0", w0.shape))
+        grads[0] = np.matmul(x.T, g, out=take("gw0", w0.shape, dtype))
         return grads
 
     parents = head if gate_node is None else head + [gate_node]
@@ -493,10 +524,10 @@ class AnomalyScorer:
     """Configs plus parameters, bundled behind a per-bag scoring call."""
 
     def __init__(self, hfc_cfg: HfcConfig, mta_cfg: MtaConfig | None = None,
-                 seed: int = 0, params: ModelParameters | None = None):
+                 seed: int = 0, params: ModelParameters | None = None, dtype=np.float32):
         self.hfc_cfg = hfc_cfg
         self.mta_cfg = mta_cfg
-        self.params = params if params is not None else init_parameters(mta_cfg, hfc_cfg, seed)
+        self.params = params if params is not None else init_parameters(mta_cfg, hfc_cfg, seed, dtype)
         expected = count_parameters(mta_cfg, hfc_cfg)
         actual = self.params.count_entries()
         if expected != actual:
@@ -512,6 +543,11 @@ class AnomalyScorer:
     def feature_dim(self) -> int:
         return self.hfc_cfg.dims[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which the head computes in."""
+        return self.params["head.0.weight"].data.dtype
+
     def score_bag(self, features, training: bool = False, rng=None, means=None,
                   workspace: Workspace | None = None) -> BagScores:
         """Score one bag (T, D) or a stack of bags (..., T, D); with
@@ -520,15 +556,16 @@ class AnomalyScorer:
 
         ``means`` are the clips' feature means, shaped like the bag axes; a
         caller that has them cached passes them, otherwise they are computed
-        here when the attention block needs them. float32 features are
-        promoted to float64 here, exactly.
+        here when the attention block needs them, from the features
+        promoted to float64 (exactly), as ``ClipFeatureBag.clip_means``
+        computes them.
         """
-        x = np.asarray(features, dtype=np.float64)
+        x = np.asarray(features)
         if not self.use_mta:
             scores, clean = hfc_forward(x, self.hfc_cfg, self.params, None, training, rng, workspace)
             return BagScores(scores, np.ones(x.shape[:-1]), clean)
         if means is None:
-            means = x.mean(axis=-1)
+            means = np.asarray(x, dtype=np.float64).mean(axis=-1)
         gate = mta_forward(means, self.mta_cfg, self.params, training)
         scores, clean = hfc_forward(x, self.hfc_cfg, self.params, gate, training, rng, workspace)
         return BagScores(scores, gate.data if training else gate, clean)
@@ -545,7 +582,10 @@ class AnomalyScorer:
 #
 # layout (little endian): magic | u16 version | u32 json length | config JSON
 # | u32 tensor count | per tensor: u16 name length, name utf-8, u8 ndim,
-# ndim x u32 dims, payload f64.
+# ndim x u32 dims, payload f64. float32 parameters are stored exactly in the
+# f64 payload, and a model loaded from any checkpoint computes in float32:
+# a checkpoint written by a float64 model is rounded to float32 once, at
+# load.
 
 CHECKPOINT_MAGIC = b"LWCK"
 STATE_MAGIC = b"LWTS"

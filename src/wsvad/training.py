@@ -3,8 +3,9 @@
 Each batch pairs ``batch_pairs`` anomalous bags with the same number of
 normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
 
-- the batch's 2B bags are stacked into one (B, 2, T, D) array, pair by pair
-  (anomalous bag, then its normal partner);
+- the batch's 2B bags are stacked into one (B, 2, T, D) array of the
+  parameters' dtype, pair by pair (anomalous bag, then its normal partner);
+  float32 bags into the default float32 parameters are copied, not widened;
 - one forward over the stack computes the per-clip attention gate from the
   bags' cached clip means, and the head's first layer as gate * (X W0) + b0,
   with one product with W0 for the whole batch; its activation feeds both
@@ -47,6 +48,7 @@ from .model import (
     Workspace,
     load_checkpoint,
     read_container,
+    replacing,
     save_checkpoint,
     write_container,
 )
@@ -83,11 +85,11 @@ class TrainConfig:
 
 
 class TrainState:
-    """Adam accumulators plus run bookkeeping, and the workspace whose
-    buffers every batch of the run reuses: the batch stack, the head's
-    activations, dropout masks and gradients (``batch_step``) and Adam's
-    temporaries (``adam_step``). Only the accumulators and the bookkeeping
-    are saved."""
+    """Adam accumulators, in each parameter's dtype, plus run bookkeeping,
+    and the workspace whose buffers every batch of the run reuses: the
+    batch stack, the head's activations, dropout masks and gradients
+    (``batch_step``) and Adam's temporaries (``adam_step``). Only the
+    accumulators and the bookkeeping are saved."""
 
     def __init__(self, params: ModelParameters):
         self.step = 0
@@ -113,7 +115,7 @@ def adam_step(params: ModelParameters, state: TrainState, cfg: TrainConfig) -> N
         g = p.grad
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r} at step {state.step}")
-        s1, s2 = (state.workspace.take(f"adam.{name}.{i}", p.data.shape) for i in (0, 1))
+        s1, s2 = (state.workspace.take(f"adam.{name}.{i}", p.data.shape, p.data.dtype) for i in (0, 1))
         if cfg.weight_decay:
             g = np.multiply(p.data, cfg.weight_decay, out=s1)
             g += p.grad
@@ -171,10 +173,10 @@ def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfi
     bags = [bag for pair in zip(pos_bags, neg_bags) for bag in pair]
     b, t = len(pos_bags), bags[0].num_clips
     shape = (b, 2, t, model.feature_dim)
-    x = np.empty(shape) if workspace is None else workspace.take("stack", shape)
+    x = np.empty(shape, model.dtype) if workspace is None else workspace.take("stack", shape, model.dtype)
     rows = x.reshape(2 * b, t, model.feature_dim)
     for i, bag in enumerate(bags):
-        rows[i] = bag.features  # promotes float32 bags to float64, exactly
+        rows[i] = bag.features  # float32 bags into float32 parameters: a plain copy
     out = model.score_bag(x, training=True, rng=dropout_rng,
                           means=np.array([bag.clip_means for bag in bags]).reshape(b, 2, t),
                           workspace=workspace)
@@ -250,7 +252,8 @@ def load_train_state(path, params: ModelParameters) -> TrainState:
             key = f"{prefix}.{name}"
             if key not in arrays or arrays[key].shape != store[name].shape:
                 raise TrainingError(f"optimizer state for {name!r} missing or mis-shaped in {path}")
-            store[name] = arrays[key]
+            # into the parameter dtype: exact for moments a float32 run saved
+            store[name][...] = arrays[key]
     return state
 
 
@@ -277,6 +280,9 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
 
     ``resume_from`` points at a previous run's output directory; its final
     checkpoint and optimizer state are loaded so the step counter continues.
+    Its best AUC carries over too: if no resumed epoch beats it, the
+    earlier run's ``best.lwck``, which holds the weights that scored it, is
+    copied over as this run's.
     """
     check_train_bags(train_bags, model)
     out = Path(out_dir)
@@ -290,11 +296,14 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     neg_bags = [b for b in train_bags if b.label == 0]
 
     state = TrainState(model.params)
+    earlier_best = None
     if resume_from is not None:
         prev = Path(resume_from)
         restored = load_checkpoint(prev / "final.lwck", expected_config=model.config_dict())
         model.params.load_arrays(restored.params.state_arrays())
         state = load_train_state(prev / "final_state.lwts", model.params)
+        # read now, as this run may write best.lwck in the same directory
+        earlier_best = (prev / "best.lwck").read_bytes()
 
     seq = np.random.SeedSequence(cfg.seed)
     shuffle_seed, dropout_seed = seq.spawn(2)
@@ -328,9 +337,13 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     save_checkpoint(final_path, model)
     state.best_auc = best_auc
     save_train_state(state_path, state)
-    if not saved_best:
-        # nothing was ever evaluated (epochs=0 or no eval epochs improved):
-        # the final weights double as the best ones
+    if not saved_best and earlier_best is not None:
+        # no resumed epoch beat the earlier run's best
+        with replacing(best_path) as fh:
+            fh.write(earlier_best)
+    elif not saved_best:
+        # nothing was ever evaluated (epochs=0): the final weights double
+        # as the best ones
         save_checkpoint(best_path, model)
     return FitResult(
         log_path=log_path,

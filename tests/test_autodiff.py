@@ -258,7 +258,7 @@ class TestBackward:
         r = rng(2)
         mta_cfg = MtaConfig(k_max=3)
         hfc_cfg = HfcConfig.for_feature_dim(4, narrow=3, wide=5, dropout=0.3)
-        params = init_parameters(mta_cfg, hfc_cfg, seed=2)
+        params = init_parameters(mta_cfg, hfc_cfg, seed=2, dtype=np.float64)
         params["mta.conv3.weight"].data[:] = r.uniform(-1, 1, 3)
         x = r.standard_normal((2, 2, 5, 4))
         k = np.array([1, 3])
@@ -302,7 +302,8 @@ class TestGradCheck:
 # Each case returns (parameters, build). Central differences are only valid
 # where the op is smooth, so a draw whose leaky ReLU inputs or top-2 score
 # gaps come within KINK_MARGIN of a kink is skipped; an eps = 1e-5
-# perturbation moves them by far less.
+# perturbation moves them by far less. Differences at that eps need float64,
+# so every case builds float64 parameters.
 
 KINK_MARGIN = 1e-3
 
@@ -320,7 +321,7 @@ def _gate_case(r, mode="residual", k_max=5, n_bags=2, t=7):
     """The gate over random kernels and clip means, read out by a fixed
     weighted sum."""
     cfg = MtaConfig(k_max=k_max, mode=mode)
-    params = init_parameters(cfg, HfcConfig.for_feature_dim(1), seed=0)
+    params = init_parameters(cfg, HfcConfig.for_feature_dim(1), seed=0, dtype=np.float64)
     kernels = [p for name, p in params.items() if name.startswith("mta.")]
     for p in kernels:
         p.data[...] = r.uniform(-1, 1, p.data.shape)
@@ -334,7 +335,7 @@ def _head_case(r, gated=True, dropout=0.5, n_bags=2, t=4):
     too, without it the head runs as with attention off. Dropout masks are
     redrawn from one seed on every build."""
     cfg = HfcConfig.for_feature_dim(5, narrow=3, wide=4, dropout=dropout)
-    params = init_parameters(None, cfg, seed=int(r.integers(2**31)))
+    params = init_parameters(None, cfg, seed=int(r.integers(2**31)), dtype=np.float64)
     x = r.standard_normal((n_bags, t, 5))
     gate = Parameter(r.uniform(0.5, 1.5, (n_bags, t)), name="gate") if gated else None
     weights = r.standard_normal((n_bags, t))
@@ -406,7 +407,7 @@ def test_leaky_relu_fd_away_from_kink():
     # an identity kernel feeds the clip means straight into the gate's leaky
     # ReLU; FD straddles the kink at 0, so keep entries away from it
     cfg = MtaConfig(k_max=3, mode="pure")
-    params = init_parameters(cfg, HfcConfig.for_feature_dim(1))
+    params = init_parameters(cfg, HfcConfig.for_feature_dim(1), dtype=np.float64)
     params["mta.conv3.weight"].data[...] = [0.0, 1.0, 0.0]
     params["mta.conv3.bias"].data[...] = 0.0
     means = np.array([-1.8, -0.6, 0.4, 1.2, 1.9])

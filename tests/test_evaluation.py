@@ -208,7 +208,9 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("mta_cfg", [MtaConfig(), None], ids=["attention", "no-attention"])
     @pytest.mark.parametrize("dim", [24, 2048])
     def test_records_equal_per_video_scores_in_input_order(self, dim, mta_cfg):
+        # the default float32 head: request scores equal eval scores in it
         model = AnomalyScorer(HfcConfig.for_feature_dim(dim), mta_cfg, seed=2)
+        assert model.dtype == np.float32
         rng = np.random.default_rng(dim)
         if mta_cfg is not None:
             for k in mta_cfg.kernel_sizes:

@@ -309,16 +309,18 @@ class TestHfc:
     @pytest.mark.parametrize("dropout", [0.5, 0.0])
     def test_training_pass_matches_the_allocating_reference(self, gated, dropout):
         # the in-place pass and backward against the same maths on fresh
-        # arrays, bit for bit, with masks drawn from the same generator
+        # arrays, bit for bit, with masks drawn from the same generator; the
+        # reference computes in float64
         cfg = HfcConfig.for_feature_dim(64, dropout=dropout)
-        params = init_parameters(None, cfg, seed=4)
+        params = init_parameters(None, cfg, seed=4, dtype=np.float64)
         r = np.random.default_rng(9)
         x = r.standard_normal((3, 8, 64))
         gate = Parameter(r.uniform(0.5, 1.5, (3, 8)), name="gate") if gated else None
         upstream = r.standard_normal((3, 8))
         scores, clean = hfc_forward(x, cfg, params, gate, training=True, rng=np.random.default_rng(2))
         backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream,)))
-        masks = dropout_masks(np.random.default_rng(2), 3, 8, cfg.dims[1:-1], dropout) if dropout else None
+        masks = (dropout_masks(np.random.default_rng(2), 3, 8, cfg.dims[1:-1], dropout, dtype=np.float64)
+                 if dropout else None)
         ref_scores, ref_clean, ref_grads = _reference_training_head(
             x, cfg, params, None if gate is None else gate.data, masks, upstream)
         assert scores.data.tobytes() == ref_scores.tobytes()
@@ -342,9 +344,10 @@ class TestHfc:
 @settings(max_examples=200, deadline=None)
 @given(slope=st.floats(0.0, 1.0, exclude_max=True))
 def test_in_place_leaky_relu_derivative_is_exactly_one_or_the_slope(slope):
-    z = np.array([-2.0, -5e-324, -0.0, 0.0, 5e-324, 3.0, np.inf, -np.inf, np.nan])
-    expected = _leaky_relu_slope(z, slope)
-    assert _to_leaky_relu_slope(z.copy(), slope).tobytes() == expected.tobytes()
+    for dtype in (np.float64, np.float32):
+        z = np.array([-2.0, -5e-324, -0.0, 0.0, 5e-324, 3.0, np.inf, -np.inf, np.nan], dtype=dtype)
+        expected = _leaky_relu_slope(z, slope).astype(dtype)
+        assert _to_leaky_relu_slope(z.copy(), slope).tobytes() == expected.tobytes(), dtype
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +365,10 @@ class TestAnomalyScorer:
         assert stacked.shape == (2, 10) and stacked_gate.shape == (2, 10)
 
     def test_only_a_training_pass_builds_graph_nodes(self):
-        model = AnomalyScorer(HfcConfig.for_feature_dim(12, dropout=0.0), MtaConfig(), seed=7)
+        # float64: a training pass multiplies the stack in one flat product,
+        # inference each bag in its own, and in float32 those differ (by
+        # 3.7e-9 here); in float64 they agree on this input
+        model = AnomalyScorer(HfcConfig.for_feature_dim(12, dropout=0.0), MtaConfig(), seed=7, dtype=np.float64)
         feats = np.random.default_rng(8).standard_normal((2, 10, 12))
         inference = model.score_bag(feats)
         assert type(inference.scores) is np.ndarray and type(inference.gate) is np.ndarray
@@ -384,8 +390,9 @@ class TestAnomalyScorer:
     @pytest.mark.parametrize("mode", ["residual", "pure"])
     def test_factored_head_matches_rescaled_features(self, mode):
         # the head applies the gate after its first product; an unfactored
-        # reference that rescales the features first must agree
-        model = AnomalyScorer(HfcConfig.for_feature_dim(9, narrow=4, wide=6), MtaConfig(mode=mode), seed=5)
+        # float64 reference that rescales the features first must agree
+        model = AnomalyScorer(HfcConfig.for_feature_dim(9, narrow=4, wide=6), MtaConfig(mode=mode), seed=5,
+                              dtype=np.float64)
         rng = np.random.default_rng(9)
         for k in model.mta_cfg.kernel_sizes:
             model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
@@ -400,8 +407,10 @@ class TestAnomalyScorer:
     @pytest.mark.parametrize("t", [7, 29, 32])
     def test_stack_scores_each_bag_as_alone_bit_for_bit(self, mta_cfg, t):
         # at T=7, D=2048 one flat product over the stack rounds differently
-        # from a bag's own product; inference multiplies each bag alone
+        # from a bag's own product; inference multiplies each bag alone, in
+        # the default float32 as in float64
         model = AnomalyScorer(HfcConfig.for_feature_dim(2048), mta_cfg, seed=5)
+        assert model.dtype == np.float32
         rng = np.random.default_rng(t)
         if mta_cfg is not None:
             for k in mta_cfg.kernel_sizes:
@@ -411,6 +420,14 @@ class TestAnomalyScorer:
         for n in range(5):
             alone, alone_gate = model.score_bag(stack[n])
             assert np.array_equal(scores[n], alone) and np.array_equal(gate[n], alone_gate)
+
+    def test_parameters_default_to_float32_from_the_float64_draws(self):
+        cfg = HfcConfig.for_feature_dim(12)
+        narrow, wide = init_parameters(MtaConfig(), cfg, seed=4), init_parameters(MtaConfig(), cfg, 4, np.float64)
+        assert AnomalyScorer(cfg, MtaConfig()).dtype == np.float32
+        for name, p in narrow.items():
+            assert p.data.dtype == p.grad.dtype == np.float32, name
+            assert p.data.tobytes() == wide[name].data.astype(np.float32).tobytes(), name
 
     def test_registry_size_mismatch_rejected(self):
         hfc = HfcConfig.for_feature_dim(6)
@@ -447,6 +464,31 @@ class TestCheckpoints:
         a, _ = model.score_bag(feats)
         b, _ = loaded.score_bag(feats)
         np.testing.assert_array_equal(a, b)
+
+    def test_float64_checkpoint_is_rounded_to_float32_once(self, tmp_path):
+        # a checkpoint a float64 model wrote loads into float32 parameters,
+        # each value rounded to nearest, and scores as the float64 model
+        # does up to float32 rounding
+        wide = AnomalyScorer(HfcConfig.for_feature_dim(10, narrow=4, wide=6), MtaConfig(), seed=9,
+                             dtype=np.float64)
+        rng = np.random.default_rng(3)
+        for k in wide.mta_cfg.kernel_sizes:
+            wide.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+        loaded = load_checkpoint(save_checkpoint(tmp_path / "f64.lwck", wide))
+        assert loaded.dtype == np.float32
+        for name, p in wide.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.astype(np.float32).tobytes(), name
+        feats = rng.standard_normal((3, 12, 10)).astype(np.float32)
+        np.testing.assert_allclose(loaded.score_bag(feats).scores, wide.score_bag(feats).scores,
+                                   rtol=64 * np.finfo(np.float32).eps)
+
+    def test_value_beyond_float32_range_rejected(self, tmp_path):
+        model = self._model()
+        arrays = {name: a.astype(np.float64) for name, a in model.params.state_arrays().items()}
+        arrays["head.0.bias"][1] = 1e300
+        path = write_container(tmp_path / "big.lwck", b"LWCK", model.config_dict(), arrays)
+        with pytest.raises(CheckpointError, match="'head.0.bias' holds values outside the float32 range"):
+            load_checkpoint(path)
 
     def test_round_trip_preserves_config(self, tmp_path):
         model = self._model()

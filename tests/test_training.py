@@ -9,7 +9,8 @@ import pytest
 
 from wsvad.autodiff import ConfigurationError, backward
 from wsvad.data import ClipFeatureBag
-from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig, load_checkpoint
+from wsvad.evaluation import evaluate_bags
+from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig, load_checkpoint, save_checkpoint
 from wsvad.losses import LossConfig
 from wsvad.selection import SelectionConfig
 from wsvad.training import (
@@ -27,10 +28,12 @@ from wsvad.training import (
 
 
 def _toy_params(values):
+    """One float64 parameter: the formula tests compare against float64
+    arithmetic on fresh arrays."""
     from wsvad.model import ModelParameters
 
     params = ModelParameters()
-    params.register("theta", np.asarray(values, dtype=np.float64))
+    params.register("theta", values, np.float64)
     return params
 
 
@@ -255,6 +258,56 @@ class TestWorkspace:
             runs.append(steps)
         assert runs[0] == runs[1]
 
+    def test_default_step_keeps_every_buffer_and_moment_in_float32(self):
+        b, t, d = 4, 8, 64
+        r = np.random.default_rng(12)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(d), MtaConfig(), seed=3)
+        state = TrainState(model.params)
+        breakdown, _ = batch_step(_random_bags(r, b, 1, t, d), _random_bags(r, b, 0, t, d), model,
+                                  SelectionConfig(), LossConfig(), np.random.default_rng(1), state.workspace)
+        backward(breakdown.node)
+        adam_step(model.params, state, TrainConfig())
+        for name, p in model.params.items():
+            assert p.data.dtype == p.grad.dtype == state.m[name].dtype == state.v[name].dtype == np.float32
+        buffers = state.workspace._buffers
+        assert {name: buf.dtype for name, buf in buffers.items()} == dict.fromkeys(buffers, np.float32)
+        # the batch stack is a float32 copy of the bags, at half the float64 size
+        assert buffers["stack"].shape == (b, 2, t, d) and buffers["stack"].nbytes == b * 2 * t * d * 4
+
+    def test_float32_step_matches_the_step_of_a_float64_copy(self, monkeypatch):
+        # the same bags, weights (float32 values, exact in float64) and
+        # dropout masks: float32 rounding in the head's products moves the
+        # loss, the scores and each gradient by a few float32 epsilons of
+        # its norm, far inside RTOL; the selection is the same
+        rtol = 256 * np.finfo(np.float32).eps
+        r = np.random.default_rng(1)
+        pos, neg = _random_bags(r, 4, 1, 16, 2048), _random_bags(r, 4, 0, 16, 2048)
+        narrow = AnomalyScorer(HfcConfig.for_feature_dim(2048), MtaConfig(), seed=3)
+        for k in narrow.mta_cfg.kernel_sizes:
+            narrow.params[f"mta.conv{k}.weight"].data[:] = r.uniform(-0.5, 0.5, k)
+        wide = AnomalyScorer(HfcConfig.for_feature_dim(2048), MtaConfig(), seed=3, dtype=np.float64)
+        wide.params.load_arrays(narrow.params.state_arrays())
+        steps = []
+        for model in (narrow, wide):
+            forwards, score_bag = [], model.score_bag
+
+            def recording(*args, **kwargs):
+                forwards.append(score_bag(*args, **kwargs))
+                return forwards[-1]
+
+            monkeypatch.setattr(model, "score_bag", recording)
+            breakdown, sel = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), np.random.default_rng(5))
+            backward(breakdown.node)
+            steps.append((breakdown, sel, forwards[-1], model.params))
+        (b32, sel32, out32, p32), (b64, sel64, out64, p64) = steps
+        assert np.array_equal(sel32.mask, sel64.mask) and np.array_equal(sel32.k, sel64.k)
+        assert out32.scores.data.dtype == np.float64
+        assert abs(b32.total - b64.total) <= rtol * abs(b64.total)
+        pairs = {"scores": (out32.scores.data, out64.scores.data), "clean": (out32.clean, out64.clean)}
+        pairs.update({name: (p.grad, p64[name].grad) for name, p in p32.items()})
+        for name, (got, want) in pairs.items():
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), name
+
     def test_steady_state_step_allocates_under_a_megabyte(self):
         # the benchmark's batch at D=64: 32 pairs of 32-clip bags. Once two
         # batches have sized the state's workspace, a step's activations,
@@ -354,6 +407,27 @@ class TestFit:
         # 2 epochs * 3 batches each, twice
         assert state.step == 12
 
+    def test_resumed_best_checkpoint_holds_the_weights_of_the_best_auc(self, tiny_bags, tmp_path):
+        # the first run's final weights are swapped for untrained ones, and
+        # the resumed run keeps them (lr=0), so its epoch scores below the
+        # first run's best; best.lwck must still score that best
+        first = tmp_path / "first"
+        fit(tiny_bags["train"], tiny_bags["test"], AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7),
+            TrainConfig(epochs=3, batch_pairs=4, seed=7), first)
+        save_checkpoint(first / "final.lwck", AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=0))
+        resumed = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7)
+        result = fit(tiny_bags["train"], tiny_bags["test"], resumed, TrainConfig(lr=0.0, epochs=1, batch_pairs=4),
+                     tmp_path / "second", resume_from=first)
+        assert result.rows[-1]["auc"] < result.best_auc
+        assert result.best_checkpoint.read_bytes() == (first / "best.lwck").read_bytes()
+        assert evaluate_bags(tiny_bags["test"], load_checkpoint(result.best_checkpoint)).overall_auc == result.best_auc
+
+    def test_float32_best_checkpoint_saves_back_to_the_same_bytes(self, trained_tiny, tmp_path):
+        best = trained_tiny["result"].best_checkpoint
+        loaded = load_checkpoint(best)
+        assert all(p.data.dtype == np.float32 for p in loaded.params.values())
+        assert save_checkpoint(tmp_path / "copy.lwck", loaded).read_bytes() == best.read_bytes()
+
     def test_resume_rejects_mismatched_model(self, tiny_bags, tmp_path):
         cfg = TrainConfig(epochs=1, batch_pairs=4, seed=7)
         model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7)
@@ -379,6 +453,21 @@ class TestTrainStateIo:
         assert loaded.step == 41 and loaded.best_auc == 0.75
         np.testing.assert_array_equal(loaded.m["theta"], state.m["theta"])
         np.testing.assert_array_equal(loaded.v["theta"], state.v["theta"])
+
+    def test_moments_come_back_in_the_parameter_dtype(self, tmp_path):
+        # LWTS stores f8; the float32 moments of a default model return as
+        # float32, bit for bit
+        model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7)
+        state = TrainState(model.params)
+        r = np.random.default_rng(3)
+        for store in (state.m, state.v):
+            for arr in store.values():
+                arr[...] = r.standard_normal(arr.shape)
+        loaded = load_train_state(save_train_state(tmp_path / "state.lwts", state), model.params)
+        for store, saved in ((loaded.m, state.m), (loaded.v, state.v)):
+            for name, p in model.params.items():
+                assert store[name].dtype == p.data.dtype == np.float32
+                assert store[name].tobytes() == saved[name].tobytes()
 
     def test_missing_moment_rejected(self, tmp_path):
         params = _toy_params([1.0, 2.0])
