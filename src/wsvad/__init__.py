@@ -2,10 +2,11 @@
 
 A MIL model (multi-width temporal attention plus an hourglass scoring head)
 trained with adaptive instance selection and an antagonistic top-1 loss.
-The training step is three ops with hand-written gradients (attention gate,
-scoring head, MIL objective) run by a small graph runner that a
-finite-difference check verifies. Ships with binary/CSV feature formats, a
-synthetic corpus generator, frame-level ROC/AUC evaluation, and a CLI.
+The training step is a chain of three ops with hand-written gradients
+(attention gate, scoring head, MIL objective), whose backward walks the
+chain once from the loss; a finite-difference check verifies it. Ships
+with binary/CSV feature formats, a synthetic corpus generator, frame-level
+ROC/AUC evaluation, and a CLI.
 """
 
 from .autodiff import (

@@ -1,11 +1,12 @@
-"""A graph runner for hand-differentiated ops, and its gradient check.
+"""The backward of a chain of hand-differentiated ops, and its gradient check.
 
 The training step is a fixed chain of three ops (the attention gate, the
 scoring head and the MIL objective), each written with its own backward.
 Each op returns a ``Tensor``: its forward value plus a ``grad_fn`` that maps
-the gradient of that value to one gradient per parent, and ``backward``
-replays those functions from the scalar loss down to the ``Parameter``
-leaves. ``grad_check`` compares the result against central differences.
+the gradient of that value to one gradient per parent. Every parent is a
+``Parameter`` or the one op below it in the chain, and ``backward`` walks
+that chain from the scalar loss down, setting each parameter's gradient on
+the way. ``grad_check`` compares the result against central differences.
 """
 
 from __future__ import annotations
@@ -67,17 +68,16 @@ def note_kink_margin(margin) -> None:
 
 class Tensor:
     """An op's output, in the dtype the op computed it in, plus its place in
-    the graph.
+    the chain.
 
     ``grad_fn(g)`` returns the gradient of each parent, in ``parents``
     order, given the gradient ``g`` of this tensor.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "_parents", "_grad_fn")
 
     def __init__(self, data, parents=(), grad_fn=None):
         self.data = np.asarray(data)
-        self.grad = None
         self._parents = tuple(parents)
         self._grad_fn = grad_fn
 
@@ -86,63 +86,50 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor; its gradient persists until ``zero_grad``."""
+    """Trainable leaf tensor. ``grad`` is the gradient set by the last
+    backward that reached it, in the parameter's dtype, and starts as
+    zeros; it is valid until the next backward, which may reuse its buffer."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "grad")
 
     def __init__(self, data, name: str = ""):
         super().__init__(data)
         self.name = name
         self.grad = np.zeros_like(self.data)
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 
 
 def backward(loss: Tensor) -> None:
-    """Push d(loss)/d(node) through the graph; ``loss`` must be scalar.
+    """Run the chain's backward from ``loss``, which must be scalar.
 
-    Parameter gradients accumulate across calls until ``zero_grad``; an
-    intermediate node's gradient is released once it has been passed on to
-    the node's parents.
+    Starting from a gradient of ones, each op's ``grad_fn`` runs once. Each
+    ``Parameter`` parent's gradient is set to what the op returns for it,
+    cast to the parameter's dtype (not added: no gradient carries over from
+    an earlier call), and the walk moves on to the op's one op input, whose
+    gradient takes that input's dtype. An op with two op inputs raises
+    ``ValueError``. A parameter the chain never reaches keeps its gradient.
     """
     if not isinstance(loss, Tensor):
         raise TypeError(f"backward needs a Tensor, got {type(loss).__name__}")
     if loss.data.size != 1:
         raise DimensionError(f"backward expects a scalar loss, got shape {loss.data.shape}")
 
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-
-    for node in topo:
-        if not isinstance(node, Parameter):
-            node.grad = None
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._grad_fn is None or node.grad is None:
-            continue
-        for parent, g in zip(node._parents, node._grad_fn(node.grad)):
-            if parent.grad is None:
-                parent.grad = np.array(g, dtype=parent.data.dtype)
+    node, g = loss, np.ones_like(loss.data)
+    while node._grad_fn is not None:
+        below = [p for p in node._parents if not isinstance(p, Parameter)]
+        if len(below) > 1:
+            raise ValueError("backward runs a chain, but an op has two op inputs")
+        for parent, parent_g in zip(node._parents, node._grad_fn(g)):
+            parent_g = np.asarray(parent_g, dtype=parent.data.dtype)
+            if isinstance(parent, Parameter):
+                parent.grad = parent_g
             else:
-                parent.grad += g
-        node.grad = None
+                g = parent_g
+        if not below:
+            return
+        node = below[0]
 
 
 @dataclass
@@ -173,11 +160,12 @@ def grad_check(build, params, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
     values on every call (fix any randomness before calling; dropout must be
     off). Every entry of every parameter is perturbed by +/- eps. Entries
     where both sides are ~0 compare by absolute difference, so unused
-    parameters pass exactly.
+    parameters pass exactly: each parameter's gradient is reset to zeros
+    before the backward.
     """
     params = list(params)
     for p in params:
-        p.zero_grad()
+        p.grad = np.zeros_like(p.data)
     loss = build()
     if not isinstance(loss, Tensor):
         raise TypeError("grad_check: build() must return a graph Tensor")
@@ -218,8 +206,6 @@ def grad_check(build, params, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
         if err_here >= worst_err:
             worst_err = err_here
             worst_name = p.name
-    for p in params:
-        p.zero_grad()
     return GradCheckReport(
         max_rel_error=worst_err,
         worst_parameter=worst_name,

@@ -130,10 +130,6 @@ class ModelParameters(dict[str, Parameter]):
         self[name] = p
         return p
 
-    def zero_grads(self) -> None:
-        for p in self.values():
-            p.zero_grad()
-
     def count_entries(self) -> int:
         return sum(p.data.size for p in self.values())
 
@@ -158,13 +154,9 @@ class ModelParameters(dict[str, Parameter]):
                 raise CheckpointError(f"parameter {name!r} holds values outside the {p.data.dtype} range") from None
 
 
-def init_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, seed: int = 0,
-                    dtype=np.float32) -> ModelParameters:
-    """Fresh registry of ``dtype`` arrays: zero attention kernels (identity
-    start in residual mode), uniform +/- 1/sqrt(fan_in) for the head's
-    weights and biases, drawn in float64 and cast once, so every dtype
-    starts from the same draws."""
-    rng = np.random.default_rng(seed)
+def _zero_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, dtype=np.float32) -> ModelParameters:
+    """Registry of zero ``dtype`` arrays under the model's names and shapes,
+    in registration order."""
     params = ModelParameters()
     if mta_cfg is not None:
         for k in mta_cfg.kernel_sizes:
@@ -172,9 +164,24 @@ def init_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, seed: int = 0
             params.register(f"mta.conv{k}.bias", np.zeros(1), dtype)
     dims = hfc_cfg.dims
     for i, (din, dout) in enumerate(zip(dims, dims[1:])):
+        params.register(f"head.{i}.weight", np.zeros((din, dout)), dtype)
+        params.register(f"head.{i}.bias", np.zeros(dout), dtype)
+    return params
+
+
+def init_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, seed: int = 0,
+                    dtype=np.float32) -> ModelParameters:
+    """Fresh registry of ``dtype`` arrays: zero attention kernels (identity
+    start in residual mode), uniform +/- 1/sqrt(fan_in) for the head's
+    weights and biases, drawn in float64 and cast once, so every dtype
+    starts from the same draws."""
+    rng = np.random.default_rng(seed)
+    params = _zero_parameters(mta_cfg, hfc_cfg, dtype)
+    for i, din in enumerate(hfc_cfg.dims[:-1]):
         bound = 1.0 / np.sqrt(din)
-        params.register(f"head.{i}.weight", rng.uniform(-bound, bound, size=(din, dout)), dtype)
-        params.register(f"head.{i}.bias", rng.uniform(-bound, bound, size=dout), dtype)
+        for kind in ("weight", "bias"):
+            p = params[f"head.{i}.{kind}"]
+            p.data[...] = rng.uniform(-bound, bound, size=p.data.shape)
     return params
 
 
@@ -265,12 +272,8 @@ def leaky_relu(x, slope=0.5, out=None):
     return np.maximum(x, out, out=out)
 
 
-def _leaky_relu_slope(x, slope):
-    return np.where(x >= 0.0, 1.0, slope)
-
-
 def _to_leaky_relu_slope(z, slope):
-    """``_leaky_relu_slope`` written over ``z`` itself, as
+    """The leaky ReLU's derivative at ``z``, written over ``z`` itself as
     (z >= 0) * (1 - slope) + slope: exactly 1 or ``slope`` in z's dtype
     (NaN takes ``slope``), since fl(fl(1 - s) + fl(s)) = 1 for s in
     [0, 1), in float64 and in float32."""
@@ -297,7 +300,8 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
     of bags (..., T); the gate has the signal's shape.
 
     With ``training`` the gate is a graph node over the attention kernels,
-    otherwise a plain array.
+    otherwise a plain array. Its backward overwrites the saved convolution
+    responses with the leaky ReLU's derivative there, so it runs once.
     """
     means = np.asarray(means, dtype=np.float64)
     if means.shape[-1] < cfg.k_max:
@@ -318,7 +322,7 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
         g = g * cfg.lambda1
         grads = []
         for c, (w, _) in zip(responses, kernels):
-            gc = g * _leaky_relu_slope(c, cfg.slope)
+            gc = g * _to_leaky_relu_slope(c, cfg.slope)
             grads += [_conv1d_weight_grad(means, gc, w.data.size), np.asarray(gc.sum()).reshape(1)]
         return grads
 
@@ -710,7 +714,7 @@ def load_checkpoint(path, expected_config: dict | None = None) -> AnomalyScorer:
         hfc_raw = dict(config["hfc"])
         hfc_raw["dims"] = tuple(hfc_raw["dims"])
         hfc_cfg = HfcConfig(**hfc_raw)
-        params = init_parameters(mta_cfg, hfc_cfg, seed=0)
+        params = _zero_parameters(mta_cfg, hfc_cfg)
         params.load_arrays(arrays)
         return AnomalyScorer(hfc_cfg, mta_cfg, params=params)
     except (KeyError, TypeError, ValueError) as err:

@@ -16,9 +16,11 @@ normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
   three loss terms read the (B, 2, T) scores of the stack without splitting
   it, for all pairs at once, with K free to differ between pairs;
 - one backward, then one Adam step with coupled L2 weight decay on the mean
-  pair loss. The graph is three hand-differentiated ops over the
+  pair loss. The step is a chain of three hand-differentiated ops over the
   parameters: the gate (``model.mta_forward``), the head
-  (``model.hfc_forward``) and the objective (``losses.total_loss``).
+  (``model.hfc_forward``) and the objective (``losses.total_loss``). The
+  backward sets every parameter's gradient, so none is zeroed between
+  batches.
 
 The stack, the head's activations, dropout masks and weight gradients, and
 Adam's temporaries live in one ``model.Workspace`` that ``TrainState`` holds
@@ -205,7 +207,6 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
     sums = np.zeros(len(_MEAN_COLUMNS))
     for b in range(n_batches):
         batch = slice(b * cfg.batch_pairs, (b + 1) * cfg.batch_pairs)
-        model.params.zero_grads()
         breakdown, sel = batch_step(
             [pos_bags[i] for i in pos_order[batch]],
             [neg_bags[i] for i in neg_order[batch]],

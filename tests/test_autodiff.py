@@ -1,4 +1,4 @@
-"""Layer forwards, the graph runner, and the three hand-differentiated ops
+"""Layer forwards, the chain's backward, and the three hand-differentiated ops
 (attention gate, scoring head, objective) against hand-derived and
 finite-difference gradients."""
 
@@ -143,7 +143,7 @@ class TestSigmoid:
 
 
 # ---------------------------------------------------------------------------
-# test-local ops for the graph runner
+# test-local ops for the chain's backward
 
 
 def _dot(node, weights):
@@ -202,28 +202,27 @@ class TestBackward:
         np.testing.assert_allclose(scores.grad, expected, rtol=1e-12, atol=1e-15)
 
     def test_dead_parameter_gets_zero_gradient(self):
+        # a parameter starts with zeros, and a backward that never reaches
+        # it leaves whatever gradient it holds as it was
         used = Parameter(np.array([2.0]), name="used")
         dead = Parameter(np.array([5.0]), name="dead")
         backward(_dot(used, np.array([3.0])))
         np.testing.assert_array_equal(used.grad, [3.0])
         np.testing.assert_array_equal(dead.grad, [0.0])
+        dead.grad = np.array([7.0])
+        backward(_dot(used, np.array([3.0])))
+        np.testing.assert_array_equal(dead.grad, [7.0])
 
-    def test_gradients_accumulate_until_zero_grad(self):
+    def test_second_backward_replaces_the_gradient(self):
         p = Parameter(np.array([1.0]), name="p")
         backward(_dot(p, np.array([2.0])))
-        backward(_dot(p, np.array([2.0])))
-        np.testing.assert_array_equal(p.grad, [4.0])
-        p.zero_grad()
-        np.testing.assert_array_equal(p.grad, [0.0])
+        backward(_dot(p, np.array([-5.0])))
+        np.testing.assert_array_equal(p.grad, [-5.0])
 
-    def test_shared_node_sums_its_consumers_gradients(self):
-        # q = p + p feeds both a square and a weighted sum, so
-        # dL/dq = 2q + w and dL/dp = 2 (2q + w) = 8p + 2w
+    def test_op_with_two_op_inputs_raises(self):
         p = Parameter(np.array([1.5, -2.0]), name="p")
-        q = _add(p, p)
-        backward(_add(_square_sum(q), _dot(q, np.array([1.0, 3.0]))))
-        np.testing.assert_array_equal(p.grad, [14.0, -10.0])
-        assert q.grad is None
+        with pytest.raises(ValueError, match="two op inputs"):
+            backward(_add(_dot(p, np.ones(2)), _square_sum(p)))
 
     def test_scalar_loss_required(self):
         p = Parameter(np.array([1.0, 2.0]), name="p")
@@ -420,8 +419,6 @@ def test_leaky_relu_fd_away_from_kink():
 def test_forward_backward_deterministic():
     def run():
         params, build = _head_case(rng(33))
-        for p in params:
-            p.zero_grad()
         loss = build()
         backward(loss)
         return [loss.data.tobytes()] + [p.grad.tobytes() for p in params]

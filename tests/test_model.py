@@ -20,7 +20,6 @@ from wsvad.model import (
     init_parameters,
     load_checkpoint,
     mta_forward,
-    _leaky_relu_slope,
     _to_leaky_relu_slope,
     save_checkpoint,
     sigmoid,
@@ -326,8 +325,7 @@ class TestHfc:
         assert scores.data.tobytes() == ref_scores.tobytes()
         assert clean.tobytes() == ref_clean.tobytes()
         got = [p.grad for p in params.values()] + ([gate.grad] if gated else [])
-        # a parameter's gradient accumulates onto zeros, which turns -0.0 into 0.0
-        assert [g.tobytes() for g in got] == [(np.zeros_like(g) + g).tobytes() for g in ref_grads]
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in ref_grads]
 
     def test_training_backward_runs_once(self):
         # the backward overwrites the activations it reads, so a second
@@ -346,7 +344,7 @@ class TestHfc:
 def test_in_place_leaky_relu_derivative_is_exactly_one_or_the_slope(slope):
     for dtype in (np.float64, np.float32):
         z = np.array([-2.0, -5e-324, -0.0, 0.0, 5e-324, 3.0, np.inf, -np.inf, np.nan], dtype=dtype)
-        expected = _leaky_relu_slope(z, slope).astype(dtype)
+        expected = np.where(z >= 0.0, 1.0, slope).astype(dtype)
         assert _to_leaky_relu_slope(z.copy(), slope).tobytes() == expected.tobytes(), dtype
 
 
@@ -464,6 +462,18 @@ class TestCheckpoints:
         a, _ = model.score_bag(feats)
         b, _ = loaded.score_bag(feats)
         np.testing.assert_array_equal(a, b)
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        # the loaded values replace every entry, so a load builds its
+        # registry without a random generator
+        path = save_checkpoint(tmp_path / "m.lwck", self._model())
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(path)
+        assert save_checkpoint(tmp_path / "again.lwck", loaded).read_bytes() == path.read_bytes()
 
     def test_float64_checkpoint_is_rounded_to_float32_once(self, tmp_path):
         # a checkpoint a float64 model wrote loads into float32 parameters,

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "wsvad").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(__file__).parent.parent / "src" / "wsvad"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +34,43 @@ def test_scanner_flags_an_unread_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names that a module of ``sources`` (file name -> text) binds
+    at top level and that no module reads, as ``file:line: name``. A name
+    counts as read when it is loaded, taken as an attribute or imported."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{file}:{node.lineno}: {name}" for name in bound
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_scanner_flags_an_unread_private_name():
+    sources = {"a.py": "_kept = 1\n_lost = 2\ndef _helper():\n    return _kept\n",
+               "b.py": "from .a import _helper\n"}
+    assert unread_private_names(sources) == ["a.py:2: _lost"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -246,7 +246,6 @@ class TestWorkspace:
             monkeypatch.setattr(model, "score_bag", recording)
             steps = []
             for pos, neg in batches:
-                model.params.zero_grads()
                 breakdown, _ = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), rng,
                                           state.workspace if reuse else None)
                 out = forwards[-1]
@@ -273,6 +272,22 @@ class TestWorkspace:
         assert {name: buf.dtype for name, buf in buffers.items()} == dict.fromkeys(buffers, np.float32)
         # the batch stack is a float32 copy of the bags, at half the float64 size
         assert buffers["stack"].shape == (b, 2, t, d) and buffers["stack"].nbytes == b * 2 * t * d * 4
+
+    @pytest.mark.parametrize("use_mta", [True, False])
+    def test_backward_sets_every_gradient_of_the_step(self, use_mta):
+        # no batch zeroes the gradients first: the chain reaches every
+        # parameter and sets its gradient, so nothing an earlier batch left
+        # there can reach Adam
+        r = np.random.default_rng(6)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(16), MtaConfig() if use_mta else None, seed=3)
+        for p in model.params.values():
+            p.grad = np.full_like(p.data, np.nan)
+        breakdown, _ = batch_step(_random_bags(r, 2, 1, 8, 16), _random_bags(r, 2, 0, 8, 16), model,
+                                  SelectionConfig(), LossConfig(), np.random.default_rng(1),
+                                  TrainState(model.params).workspace)
+        backward(breakdown.node)
+        for name, p in model.params.items():
+            assert p.grad.dtype == p.data.dtype and np.isfinite(p.grad).all(), name
 
     def test_float32_step_matches_the_step_of_a_float64_copy(self, monkeypatch):
         # the same bags, weights (float32 values, exact in float64) and
@@ -318,7 +333,6 @@ class TestWorkspace:
         state, cfg, rng = TrainState(model.params), TrainConfig(), np.random.default_rng(2)
 
         def step():
-            model.params.zero_grads()
             breakdown, _ = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), rng, state.workspace)
             backward(breakdown.node)
             adam_step(model.params, state, cfg)
