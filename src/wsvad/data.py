@@ -182,19 +182,29 @@ class ClipFeatureBag:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    # computed on first use, not at load: only training reads them; both
-    # reduce the exact float64 promotion, so a float32 bag and a float64 bag
-    # of the same values give the same bits
+    # computed on first use, not at load; the means and norms reduce the
+    # exact float64 promotion, so a float32 bag and a float64 bag of the same
+    # values give the same bits
 
     @cached_property
     def clip_means(self) -> np.ndarray:
-        """Mean of each clip's features, (T,): the attention block's input."""
-        return np.asarray(self.features, dtype=np.float64).mean(axis=1)
+        """Mean of each clip's features, (T,): the attention block's input.
+        Summed in float64 as the reduction reads the features, with no
+        float64 copy of them: a score request's largest temporary."""
+        return self.features.mean(axis=1, dtype=np.float64)
 
     @cached_property
     def clip_norms(self) -> np.ndarray:
         """L2 norm of each clip's features, (T,): what instance selection ranks."""
         return np.linalg.norm(np.asarray(self.features, dtype=np.float64), axis=1)
+
+    @cached_property
+    def clip_frame_counts(self) -> np.ndarray:
+        """Frames each clip covers, (T,): the widths of ``clip_frame_bounds``,
+        which evaluation repeats each clip's score over."""
+        bounds = clip_frame_bounds(self.num_clips, self.num_frames)
+        # not np.diff, whose Python overhead is several times this subtraction
+        return bounds[1:] - bounds[:-1]
 
 
 def load_bag(path, label=0, num_frames=None, video_id=None, class_name=None, frame_labels=None):

@@ -1,12 +1,14 @@
 """Frame-level ROC/AUC evaluation and score export.
 
-A split is scored in stacked chunks of equal-length bags, each bag's scores
-bit-equal to scoring it alone. Clip scores expand onto frames through the
-same partition the labels use, all test videos' frames are pooled, and the
-ROC area comes from a descending threshold sweep with ties grouped per
-distinct score. That grouping makes the trapezoid sum agree exactly with
-the Mann-Whitney pair-counting statistic (ties weighted 1/2): both reduce to
-the same integer numerator over 2 * pos * neg.
+A split is scored in chunks of equal-length bags, one forward per chunk,
+each bag's scores bit-equal to scoring it alone. The head reads every bag's
+features where they lie, so an evaluation copies no feature bytes. Clip
+scores expand onto frames through the same partition the labels use, all
+test videos' frames are pooled, and the ROC area comes from a descending
+threshold sweep with ties grouped per distinct score. That grouping makes
+the trapezoid sum agree exactly with the Mann-Whitney pair-counting
+statistic (ties weighted 1/2): both reduce to the same integer numerator
+over 2 * pos * neg, whatever order the sort leaves tied scores in.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClipFeatureBag, clip_frame_bounds
+from .data import ClipFeatureBag
 from .model import AnomalyScorer
 
 
@@ -72,8 +74,8 @@ def auc(scores, labels) -> float:
         raise UndefinedMetricError(f"AUC needs both classes, got {pos} positive / {neg} negative frames")
 
     # descending scores; each group of tied scores is counted as a whole, so
-    # the order inside it does not matter
-    order = np.argsort(s, kind="stable")[::-1]
+    # the order inside it does not matter and the sort need not be stable
+    order = np.argsort(s)[::-1]
     ys = y[order]
     ss = s[order]
     del order  # freed before reduceat widens the labels to int64
@@ -87,7 +89,7 @@ def auc(scores, labels) -> float:
 
 def _on_frames(bag: ClipFeatureBag, clip_scores) -> np.ndarray:
     """Each clip's score repeated over that clip's frame range."""
-    return np.repeat(clip_scores, np.diff(clip_frame_bounds(bag.num_clips, bag.num_frames)))
+    return np.repeat(clip_scores, bag.clip_frame_counts)
 
 
 def _frame_labels(bag: ClipFeatureBag) -> np.ndarray:
@@ -100,26 +102,29 @@ def _frame_labels(bag: ClipFeatureBag) -> np.ndarray:
 
 
 def score_video(bag: ClipFeatureBag, model: AnomalyScorer) -> np.ndarray:
-    """Inference-mode clip scores broadcast over each clip's frame range."""
-    clip_scores, _ = model.score_bag(bag.features)
-    return _on_frames(bag, clip_scores)
+    """Inference-mode clip scores broadcast over each clip's frame range.
+    The head scores one bag as a chunk of one, the way ``evaluate_bags``
+    scores its chunks (see ``hfc_forward``)."""
+    means = bag.clip_means if model.use_mta else None
+    return _on_frames(bag, model.score_bag(bag.features, means=means).scores)
 
 
-# clip rows per stacked forward in evaluation: 8 bags at T=32. Per-bag
-# products keep the GEMM time per clip fixed, so a chunk only has to spread
-# the per-forward overhead. Timed on 400 bags of 32 clips at D=2048 (one
-# BLAS thread), 128 to 1024 rows ran within 3% of each other, while one bag
-# per chunk and 2048 rows were 15% slower; at D=64, 256 rows was the
-# fastest. The traced peak of a whole evaluation at D=2048 doubles with
-# each doubling past 256 rows (9.7 MB there, 35 MB at 1024).
+# clip rows per forward in evaluation: 8 bags at T=32. Per-bag products keep
+# the GEMM time per clip fixed, so a chunk only has to spread the
+# per-forward overhead. Timed on 400 bags of 32 clips at D=2048 (one BLAS
+# thread, 2 vCPUs), 256 to 1024 rows ran within 4% of each other, while 128
+# rows were 10% and one bag per chunk 32% slower; at D=64, 256 to 1024 rows
+# were within 3%. No feature stack is built, so the traced peak of a whole
+# evaluation is the same 5.6 MB from 32 to 2048 rows, set by the pooled
+# frames and ``auc``.
 EVAL_CHUNK_ROWS = 256
 
 
 def _records(bags: list[ClipFeatureBag], model: AnomalyScorer) -> list[EvalRecord]:
     """Every bag's record, in input order. Bags of one feature shape are
-    scored in stacked chunks of at most ``EVAL_CHUNK_ROWS`` clips, one
-    forward per chunk; the head multiplies each bag alone (see
-    ``hfc_forward``), so the scores equal ``score_video``'s bit for bit."""
+    scored in chunks of at most ``EVAL_CHUNK_ROWS`` clips, one forward per
+    chunk that multiplies each bag alone (see ``hfc_forward``), so the
+    scores equal ``score_video``'s bit for bit."""
     labels = [_frame_labels(b) for b in bags]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, bag in enumerate(bags):
@@ -129,9 +134,8 @@ def _records(bags: list[ClipFeatureBag], model: AnomalyScorer) -> list[EvalRecor
         step = max(1, EVAL_CHUNK_ROWS // t)
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            stack = np.stack([bags[i].features for i in chunk], dtype=model.dtype)
-            means = np.stack([bags[i].clip_means for i in chunk]) if model.use_mta else None
-            clip_scores, _ = model.score_bag(stack, means=means)
+            means = np.array([bags[i].clip_means for i in chunk]) if model.use_mta else None
+            clip_scores = model.score_bag([bags[i].features for i in chunk], means=means).scores
             for i, row in zip(chunk, clip_scores):
                 frame_scores[i] = _on_frames(bags[i], row)
     return [EvalRecord(video_id=b.video_id, frame_scores=f, frame_labels=y, class_name=b.class_name)
@@ -165,6 +169,8 @@ def per_class_auc(records: list[EvalRecord]) -> dict[str, float]:
 def evaluate_bags(bags: list[ClipFeatureBag], model: AnomalyScorer) -> EvalResult:
     """Score every bag (see ``_records``) and pool all frames into one
     global AUC."""
+    if not bags:
+        raise UndefinedMetricError("the evaluation split holds no videos")
     records = _records(bags, model)
     scores = np.concatenate([r.frame_scores for r in records])
     labels = np.concatenate([r.frame_labels for r in records])

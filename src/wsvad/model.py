@@ -13,7 +13,8 @@ head small next to a conventional wide-then-narrow head.
 
 Because the gate is one scalar per clip, the head applies it after its first
 matrix product: (a * X) W0 = a * (X W0). The rescaled (T, D) features are
-never built, and one forward serves one bag or a stack of bags alike.
+never built, and one forward serves one bag, a stack of bags or a list of
+bags alike.
 
 Each stage is one op with a hand-written backward. In a training pass
 ``mta_forward`` returns the gate as a graph node over the attention kernels,
@@ -160,12 +161,12 @@ def _zero_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, dtype=np.flo
     params = ModelParameters()
     if mta_cfg is not None:
         for k in mta_cfg.kernel_sizes:
-            params.register(f"mta.conv{k}.weight", np.zeros(k), dtype)
-            params.register(f"mta.conv{k}.bias", np.zeros(1), dtype)
+            params.register(f"mta.conv{k}.weight", np.zeros(k, dtype), dtype)
+            params.register(f"mta.conv{k}.bias", np.zeros(1, dtype), dtype)
     dims = hfc_cfg.dims
     for i, (din, dout) in enumerate(zip(dims, dims[1:])):
-        params.register(f"head.{i}.weight", np.zeros((din, dout)), dtype)
-        params.register(f"head.{i}.bias", np.zeros(dout), dtype)
+        params.register(f"head.{i}.weight", np.zeros((din, dout), dtype), dtype)
+        params.register(f"head.{i}.bias", np.zeros(dout, dtype), dtype)
     return params
 
 
@@ -384,6 +385,22 @@ def dropout_masks(rng, n_bags: int, t: int, widths, rate: float,
     return masks
 
 
+def _feature_bags(x, width: int):
+    """The bag axes and the (T, ``width``) matrices of one bag (T, width),
+    a stack of bags (..., T, width) or a list of bags of one shape (T,
+    width), as they lie: nothing is copied or cast."""
+    if isinstance(x, (list, tuple)):
+        bags = [np.asarray(b) for b in x]
+        shapes = sorted({b.shape for b in bags})
+        if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][1] != width:
+            raise DimensionError(f"head expects a list of bags of one shape (T, {width}), got shapes {shapes}")
+        return (len(bags), shapes[0][0]), bags
+    x = np.asarray(x)
+    if x.ndim < 2 or x.shape[-1] != width:
+        raise DimensionError(f"head expects (T, {width}) or (..., T, {width}) features, got shape {x.shape}")
+    return x.shape[:-1], x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:])
+
+
 def _head_tail(h1, slope: float, w1, b1, w2, b2, z2, h2, mask=None):
     """Head layers after the first, from its activation ``h1`` (masked or
     not) to the sigmoid. Returns the (rows, 1) scores, the second layer's
@@ -400,7 +417,8 @@ def _head_tail(h1, slope: float, w1, b1, w2, b2, z2, h2, mask=None):
 
 def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
                 training: bool = False, rng=None, workspace: Workspace | None = None):
-    """Score every clip of one bag (T, D) or of a stack of bags (..., T, D).
+    """Score every clip of one bag (T, D), of a stack of bags (..., T, D) or
+    of a list of bags of one shape (T, D), which scores like their stack.
 
     Layer pattern: linear -> leaky ReLU -> dropout for both hidden layers,
     then linear -> sigmoid; dropout only fires when ``training``. A ``gate``
@@ -420,12 +438,16 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     pass computes both from one first layer, so the dropout-free pass costs
     no second product with W0.
 
-    An inference pass keeps the bag axes, so each bag goes through every
-    layer in its own matrix product, of the shape it has when scored alone:
-    a bag's scores in a stack are bit for bit its scores alone. (One flat
-    product over a stack can take another BLAS path for bags of a few clips
-    and round differently.) A training pass multiplies every clip of the
-    stack in one flat product, which is the faster call at D=2048.
+    An inference pass multiplies each bag by the first weight in its own
+    product, read from where the bag lies (a list of bags is never stacked,
+    and a float64 bag is cast to the parameters' dtype alone), into that
+    bag's rows of one (..., T, width) activation; the later layers keep the
+    bag axes. So each bag goes through every layer in a matrix product of
+    the shape it has when scored alone, and a bag's scores in a stack or a
+    list are bit for bit its scores alone. (One flat product over a stack
+    can take another BLAS path for bags of a few clips and round
+    differently.) A training pass multiplies every clip of the stack in one
+    flat product, which is the faster call at D=2048.
 
     Every (rows x width) array goes into a buffer of ``workspace`` when one
     is given, and into a fresh array otherwise. A training pass runs the
@@ -439,22 +461,24 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     head = [params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias")]
     w0, b0, w1, b1, w2, b2 = (p.data for p in head)
     dtype = w0.dtype
-    x = np.asarray(x, dtype=dtype)
-    if x.ndim < 2 or x.shape[-1] != cfg.dims[0]:
-        raise DimensionError(
-            f"head expects (T, {cfg.dims[0]}) or (..., T, {cfg.dims[0]}) features, got shape {x.shape}"
-        )
-    bag_axes = x.shape[:-1]
+    bag_axes, bags = _feature_bags(x, cfg.dims[0])
+    take = _no_buffer if workspace is None else workspace.take
     if training:
         # one flat product over every clip of the stack
-        x = x.reshape(-1, cfg.dims[0])
-    rows = x.shape[:-1]
-    take = _no_buffer if workspace is None else workspace.take
+        x = np.asarray(bags, dtype=dtype).reshape(-1, cfg.dims[0])
+        rows = x.shape[:-1]
+        xw = linear(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
+    else:
+        # each bag's own product, read where the bag lies, into its rows
+        rows = bag_axes
+        shape = rows + (cfg.dims[1],)
+        xw = np.empty(shape, dtype) if workspace is None else workspace.take("xw", shape, dtype)
+        for bag, out in zip(bags, xw.reshape((len(bags),) + shape[-2:])):
+            np.matmul(np.asarray(bag, dtype=dtype), w0, out=out)
     gate_node = gate if isinstance(gate, Tensor) else None
     if gate_node is not None:
         gate = gate_node.data
     gate_col = None if gate is None else np.asarray(gate, dtype=dtype).reshape(rows + (1,))
-    xw = linear(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
     # x W0 outlives the first layer only for the gate node's gradient
     if gate_node is None:
         z1 = xw
@@ -554,25 +578,28 @@ class AnomalyScorer:
 
     def score_bag(self, features, training: bool = False, rng=None, means=None,
                   workspace: Workspace | None = None) -> BagScores:
-        """Score one bag (T, D) or a stack of bags (..., T, D); with
-        ``training``, the scores are a graph node (see ``hfc_forward``, which
-        also says how it uses a ``workspace``).
+        """Score one bag (T, D), a stack of bags (..., T, D) or a list of
+        bags of one shape (T, D); with ``training``, the scores are a graph
+        node. ``hfc_forward`` says how the features are read, never copied
+        into a stack in inference, and how a ``workspace`` is used.
 
-        ``means`` are the clips' feature means, shaped like the bag axes; a
-        caller that has them cached passes them, otherwise they are computed
-        here when the attention block needs them, from the features
-        promoted to float64 (exactly), as ``ClipFeatureBag.clip_means``
+        ``means`` are the clips' feature means, shaped like the bag axes
+        ((len(list), T) for a list); a caller that has them cached passes
+        them, otherwise they are computed here when the attention block
+        needs them, summed in float64, as ``ClipFeatureBag.clip_means``
         computes them.
         """
-        x = np.asarray(features)
-        if not self.use_mta:
-            scores, clean = hfc_forward(x, self.hfc_cfg, self.params, None, training, rng, workspace)
-            return BagScores(scores, np.ones(x.shape[:-1]), clean)
-        if means is None:
-            means = np.asarray(x, dtype=np.float64).mean(axis=-1)
-        gate = mta_forward(means, self.mta_cfg, self.params, training)
-        scores, clean = hfc_forward(x, self.hfc_cfg, self.params, gate, training, rng, workspace)
-        return BagScores(scores, gate.data if training else gate, clean)
+        gate = None
+        if self.use_mta:
+            if means is None:
+                means = np.asarray(features).mean(axis=-1, dtype=np.float64)
+            gate = mta_forward(means, self.mta_cfg, self.params, training)
+        scores, clean = hfc_forward(features, self.hfc_cfg, self.params, gate, training, rng, workspace)
+        if gate is None:
+            gate = np.ones(clean.shape)
+        elif training:
+            gate = gate.data
+        return BagScores(scores, gate, clean)
 
     def config_dict(self) -> dict:
         return {
@@ -642,18 +669,23 @@ def write_container(path, magic: bytes, config: dict, arrays: dict[str, np.ndarr
 
 def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container; any malformed content raises ``CheckpointError``
-    naming the file."""
+    naming the file. The tensors are read-only float64 views of the file's
+    bytes, copied nowhere: every caller copies them into its own arrays."""
     path = Path(path)
     blob = path.read_bytes()
     pos = 0
 
-    def take(n: int, what: str) -> bytes:
+    def skip(n: int, what: str) -> int:
+        """Offset of the next ``n`` bytes, which are then passed over."""
         nonlocal pos
         if pos + n > len(blob):
             raise CheckpointError(f"{path}: truncated while reading {what}")
-        chunk = blob[pos : pos + n]
         pos += n
-        return chunk
+        return pos - n
+
+    def take(n: int, what: str) -> bytes:
+        start = skip(n, what)
+        return blob[start : start + n]
 
     def text(n: int, what: str) -> str:
         chunk = take(n, what)
@@ -680,11 +712,12 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         name = text(name_len, "tensor name")
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
         shape = tuple(struct.unpack("<I", take(4, "dim"))[0] for _ in range(ndim))
-        payload = take(8 * math.prod(shape), f"tensor {name!r}")
+        size = math.prod(shape)
+        offset = skip(8 * size, f"tensor {name!r}")
         if name in arrays:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         try:
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(blob, "<f8", size, offset).reshape(shape)
         except ValueError:
             raise CheckpointError(f"{path}: tensor {name!r} has an unrepresentable shape {shape}") from None
     if pos != len(blob):

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ConfigurationError, backward
-from .evaluation import evaluate_bags
+from .evaluation import UndefinedMetricError, evaluate_bags
 from .losses import LossConfig, total_loss
 from .model import (
     STATE_MAGIC,
@@ -286,6 +286,9 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     copied over as this run's.
     """
     check_train_bags(train_bags, model)
+    if cfg.epochs >= 1 and not test_bags:
+        # the last epoch always evaluates
+        raise UndefinedMetricError("the test split holds no videos; every run of at least one epoch evaluates it")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.csv"

@@ -69,11 +69,14 @@ def test_graph_node_count_walks_a_training_step(workloads):
 
 
 def test_traced_evaluation_records_the_layers_it_divides_by(workloads):
-    # the benchmark's per-layer report divides by the calls of these spans
+    # the benchmark's per-layer report divides by the calls of these spans:
+    # one auc per evaluation and one score_bag per chunk; 20 bags of 32 clips
+    # are ceil(20 / 8) = 3 chunks of at most EVAL_CHUNK_ROWS = 256 clips
+    assert evaluation.EVAL_CHUNK_ROWS == 256
     scorer = workloads.RunConfig(feature_dim=8, seed=1).build_model()
     rng = np.random.default_rng(0)
-    bags = [data.ClipFeatureBag(rng.standard_normal((6, 8)), i % 2, f"v{i}", 6,
-                                frame_labels=np.full(6, i % 2)) for i in range(4)]
+    bags = [data.ClipFeatureBag(rng.standard_normal((32, 8)), i % 2, f"v{i}", 64,
+                                frame_labels=np.full(64, i % 2)) for i in range(20)]
     tracer = workloads.Tracer()
     try:
         workloads.install_layer_spans(tracer)
@@ -83,4 +86,4 @@ def test_traced_evaluation_records_the_layers_it_divides_by(workloads):
     stats = tracer.layer_stats()
     assert stats["evaluation.evaluate_bags"].calls == 1
     assert stats["evaluation.auc"].calls == 1
-    assert stats["model.score_bag.infer"].calls >= 1
+    assert stats["model.score_bag.infer"].calls == 3

@@ -318,6 +318,14 @@ class TestTrainEvalScoreCommands:
         assert code == 2
         assert "both classes" in capsys.readouterr().err
 
+    def test_eval_header_only_manifest_is_usage_error(self, trained_tiny, tmp_path, capsys):
+        mp = tmp_path / "manifest.csv"
+        mp.write_text("feature_path,label,num_frames,frame_labels,class\n")
+        code = main(["eval", "--checkpoint", str(trained_tiny["result"].best_checkpoint),
+                     "--manifest", str(mp)])
+        assert code == 2
+        assert "holds no videos" in capsys.readouterr().err
+
     def test_eval_manifest_naming_a_directory_is_usage_error(self, trained_tiny, tmp_path, capsys):
         mp = tmp_path / "manifest.csv"
         mp.write_text("feature_path,label,num_frames,frame_labels,class\n.,1,16,,\n")

@@ -100,6 +100,23 @@ class TestAuc:
             tracemalloc.stop()
         assert peak < 3.5e6
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), n=st.integers(2, 5_000), levels=st.integers(1, 6),
+           shuffles=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    def test_exactly_invariant_under_permutation(self, seed, n, levels, shuffles):
+        # each run of tied scores is summed whole, so the order an unstable
+        # sort leaves inside a run never reaches the integer numerator
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, levels + 1, size=n) / levels
+        scores[rng.uniform(size=n) < 0.3] *= -1.0  # -0.0 ties with 0.0
+        labels = rng.integers(0, 2, size=n).astype(np.uint8)
+        if labels.sum() in (0, n):
+            labels[0] = 1 - labels[0]
+        base = auc(scores, labels)
+        for shuffle in shuffles:
+            perm = np.random.default_rng(shuffle).permutation(n)
+            assert auc(scores[perm], labels[perm]) == base
+
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 100_000), n=st.integers(2, 60),
            levels=st.integers(1, 6))
@@ -223,6 +240,25 @@ class TestStackedEvaluation:
             assert rec.frame_labels is bag.frame_labels
         pooled = np.concatenate([score_video(b, model) for b in bags])
         assert result.overall_auc == auc(pooled, np.concatenate([b.frame_labels for b in bags]))
+
+    def test_copies_no_features(self):
+        # a stack of one chunk, 8 bags of 32 x 2048 float32, alone takes
+        # 8 * 32 * 2048 * 4 B = 2 MiB; the head reads each bag where it lies
+        rng = np.random.default_rng(0)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(2048), MtaConfig(), seed=2)
+        bags = [ClipFeatureBag(rng.standard_normal((32, 2048), dtype=np.float32), i % 2, f"v{i}", 64,
+                               frame_labels=np.full(64, i % 2)) for i in range(16)]
+        tracemalloc.start()
+        try:
+            evaluate_bags(bags, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 32 * 2048 * 4
+
+    def test_empty_split_is_an_undefined_metric(self):
+        with pytest.raises(UndefinedMetricError, match="holds no videos"):
+            evaluate_bags([], _tiny_model())
 
     def test_fit_logs_the_auc_of_best_checkpoint(self, tiny_bags, tmp_path):
         from wsvad.model import load_checkpoint

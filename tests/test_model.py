@@ -419,6 +419,13 @@ class TestAnomalyScorer:
             alone, alone_gate = model.score_bag(stack[n])
             assert np.array_equal(scores[n], alone) and np.array_equal(gate[n], alone_gate)
 
+    def test_list_of_bags_of_two_shapes_rejected(self):
+        model = AnomalyScorer(HfcConfig.for_feature_dim(12), mta_cfg=None, seed=7)
+        with pytest.raises(DimensionError, match="one shape"):
+            model.score_bag([np.ones((6, 12)), np.ones((7, 12))])
+        with pytest.raises(DimensionError, match="one shape"):
+            model.score_bag([np.ones((6, 13))])
+
     def test_parameters_default_to_float32_from_the_float64_draws(self):
         cfg = HfcConfig.for_feature_dim(12)
         narrow, wide = init_parameters(MtaConfig(), cfg, seed=4), init_parameters(MtaConfig(), cfg, 4, np.float64)

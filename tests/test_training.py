@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wsvad import training
 from wsvad.autodiff import ConfigurationError, backward
 from wsvad.data import ClipFeatureBag
-from wsvad.evaluation import evaluate_bags
+from wsvad.evaluation import UndefinedMetricError, evaluate_bags
 from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig, load_checkpoint, save_checkpoint
 from wsvad.losses import LossConfig
 from wsvad.selection import SelectionConfig
@@ -212,6 +213,21 @@ class TestFeatureDtype:
             grads.append({name: p.grad.tobytes() for name, p in model.params.items()})
         assert grads[0] == grads[1]
 
+    @pytest.mark.parametrize("d", [2048, 9000])
+    def test_clip_means_sum_in_float64_without_a_float64_copy(self, d):
+        # widths past NumPy's pairwise summation block (128 values) and past
+        # its cast buffer (8192 values)
+        feats = np.random.default_rng(d).standard_normal((32, d)).astype(np.float32) * 100 + 3
+        bag32 = ClipFeatureBag(feats, 0, "v", 32)
+        tracemalloc.start()
+        try:
+            means = bag32.clip_means
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < feats.nbytes  # a float64 copy takes twice that
+        assert means.tobytes() == ClipFeatureBag(feats.astype(np.float64), 0, "v", 32).clip_means.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # buffers reused across batches
@@ -374,6 +390,16 @@ class TestFit:
     def test_best_auc_matches_log_maximum(self, trained_tiny):
         rows = trained_tiny["result"].rows
         assert trained_tiny["result"].best_auc == max(r["auc"] for r in rows if r["auc"] is not None)
+
+    def test_empty_test_split_rejected_before_the_first_epoch(self, tiny_bags, tmp_path, monkeypatch):
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran before the empty test split was rejected")
+
+        monkeypatch.setattr(training, "train_epoch", no_epoch)
+        with pytest.raises(UndefinedMetricError, match="holds no videos"):
+            fit(tiny_bags["train"], [], AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7),
+                TrainConfig(epochs=2, batch_pairs=8), tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_zero_epochs_returns_initial_weights(self, tiny_bags, tmp_path):
         model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7)
