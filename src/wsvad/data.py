@@ -81,7 +81,8 @@ def load_features(path) -> np.ndarray:
     NaN and infinite values are rejected, naming the CSV line or the byte
     offset of the first one, and so is a CSV without data rows.
     """
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     if path.suffix == ".csv":
         try:
             with warnings.catch_warnings():
@@ -100,7 +101,9 @@ def load_features(path) -> np.ndarray:
             raise FormatError(f"{path}:{lines[row]}: non-finite feature value")
         return arr
 
-    with open(path, "rb") as fh:
+    # unbuffered: the header and the payload are one read each, with no
+    # buffer fill behind the 14-byte header read
+    with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
             raise FormatError(
@@ -126,8 +129,13 @@ def load_features(path) -> np.ndarray:
         # read straight into an aligned array: a view of a payload that
         # starts at byte 14 would be unaligned, and slower to check and copy
         arr = np.empty((t, d), dtype="<f4")
-        if fh.readinto(arr) != expected:
-            raise FormatError(f"{path}: file shrank while being read", offset=_HEADER.size)
+        got = fh.readinto(arr)
+        while got < expected:
+            # a raw read may stop short of the request (at 2 GiB on Linux)
+            more = fh.readinto(memoryview(arr).cast("B")[got:])
+            if not more:
+                raise FormatError(f"{path}: file shrank while being read", offset=_HEADER.size + got)
+            got += more
     if not np.isfinite(arr).all():
         i = int(np.argmin(np.isfinite(arr.reshape(-1))))
         raise FormatError(
@@ -190,13 +198,19 @@ class ClipFeatureBag:
     def clip_means(self) -> np.ndarray:
         """Mean of each clip's features, (T,): the attention block's input.
         Summed in float64 as the reduction reads the features, with no
-        float64 copy of them: a score request's largest temporary."""
-        return self.features.mean(axis=1, dtype=np.float64)
+        float64 copy of them: a score request's largest temporary. This is
+        what ``np.mean`` computes, without its Python wrapper."""
+        means = np.add.reduce(self.features, axis=1, dtype=np.float64)
+        means /= self.features.shape[1]
+        return means
 
     @cached_property
     def clip_norms(self) -> np.ndarray:
-        """L2 norm of each clip's features, (T,): what instance selection ranks."""
-        return np.linalg.norm(np.asarray(self.features, dtype=np.float64), axis=1)
+        """L2 norm of each clip's features, (T,): what instance selection
+        ranks. The squares are taken in float64 as they are read, with no
+        float64 copy of the features; ``np.linalg.norm`` computes the same
+        sqrt(add.reduce(x * x))."""
+        return np.sqrt(np.add.reduce(np.square(self.features, dtype=np.float64), axis=1))
 
     @cached_property
     def clip_frame_counts(self) -> np.ndarray:
@@ -209,7 +223,8 @@ class ClipFeatureBag:
 
 def load_bag(path, label=0, num_frames=None, video_id=None, class_name=None, frame_labels=None):
     """Load one feature file into a bag; metadata defaults to trivial values."""
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     feats = load_features(path)
     return ClipFeatureBag(
         features=feats,
@@ -366,7 +381,7 @@ def load_bags(manifest_path) -> list[ClipFeatureBag]:
             ClipFeatureBag(
                 features=feats,
                 label=e.label,
-                video_id=Path(e.feature_path).stem,
+                video_id=e.feature_path.stem,
                 num_frames=e.num_frames,
                 class_name=e.class_name,
                 frame_labels=frame_labels,

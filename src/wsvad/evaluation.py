@@ -1,8 +1,11 @@
 """Frame-level ROC/AUC evaluation and score export.
 
 A split is scored in chunks of equal-length bags, one forward per chunk,
-each bag's scores bit-equal to scoring it alone. The head reads every bag's
-features where they lie, so an evaluation copies no feature bytes. Clip
+each bag's scores bit-equal to scoring it alone. A score request is a chunk
+of one bag through the same lean inference pass (see ``model``), so its
+frame scores equal the bag's evaluation record bit for bit. The head reads
+every bag's features where they lie, so an evaluation copies no feature
+bytes. Clip
 scores expand onto frames through the same partition the labels use, all
 test videos' frames are pooled, and the ROC area comes from a descending
 threshold sweep with ties grouped per distinct score. That grouping makes
@@ -89,7 +92,7 @@ def auc(scores, labels) -> float:
 
 def _on_frames(bag: ClipFeatureBag, clip_scores) -> np.ndarray:
     """Each clip's score repeated over that clip's frame range."""
-    return np.repeat(clip_scores, bag.clip_frame_counts)
+    return clip_scores.repeat(bag.clip_frame_counts)
 
 
 def _frame_labels(bag: ClipFeatureBag) -> np.ndarray:
@@ -104,7 +107,8 @@ def _frame_labels(bag: ClipFeatureBag) -> np.ndarray:
 def score_video(bag: ClipFeatureBag, model: AnomalyScorer) -> np.ndarray:
     """Inference-mode clip scores broadcast over each clip's frame range.
     The head scores one bag as a chunk of one, the way ``evaluate_bags``
-    scores its chunks (see ``hfc_forward``)."""
+    scores its chunks (see ``hfc_forward``), from the bag's cached clip
+    means."""
     means = bag.clip_means if model.use_mta else None
     return _on_frames(bag, model.score_bag(bag.features, means=means).scores)
 
@@ -189,14 +193,19 @@ def per_video_auc(records: list[EvalRecord]) -> float:
     return float(np.mean(per_video))
 
 
-def export_scores_csv(path, scores, labels=None, video_id: str | None = None) -> Path:
-    """One row per frame: ``frame_index,score,label`` (label blank if unknown)."""
+def export_scores_csv(path, scores, labels=None) -> Path:
+    """One row per frame: ``frame_index,score,label`` (label blank if
+    unknown). Labels, when given, are one per score: any other count raises
+    ``ValueError`` before the file is opened."""
     path = Path(path)
     scores = np.asarray(scores, dtype=np.float64)
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != scores.shape:
+            raise ValueError(f"need one label per score, got {labels.shape} labels for {scores.shape} scores")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame_index", "score", "label"])
         for i, s in enumerate(scores):
-            label = "" if labels is None else int(np.asarray(labels)[i])
-            writer.writerow([i, repr(float(s)), label])
+            writer.writerow([i, repr(float(s)), "" if labels is None else int(labels[i])])
     return path

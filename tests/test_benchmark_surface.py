@@ -87,3 +87,24 @@ def test_traced_evaluation_records_the_layers_it_divides_by(workloads):
     assert stats["evaluation.evaluate_bags"].calls == 1
     assert stats["evaluation.auc"].calls == 1
     assert stats["model.score_bag.infer"].calls == 3
+
+
+def test_traced_request_goes_through_every_wrapped_layer(workloads, tmp_path):
+    # a score request, load_bag + score_video as the benchmark times it, must
+    # call the names the tracer wraps: a path that went round one of them
+    # would drop that layer from the trace
+    scorer = workloads.RunConfig(feature_dim=8, seed=1).build_model()
+    assert scorer.use_mta
+    path = data.save_features(tmp_path / "v.lwvf", np.random.default_rng(0).standard_normal((12, 8)))
+    tracer = workloads.Tracer()
+    try:
+        workloads.install_layer_spans(tracer)
+        evaluation.score_video(data.load_bag(path, num_frames=40), scorer)
+    finally:
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    for name in ("data.load_bag", "evaluation.score_video", "model.score_bag.infer",
+                 "model.mta_forward", "model.hfc_forward"):
+        assert stats[name].calls == 1, name
+    loaded = sum(v for (counter, _), v in tracer.counts.items() if counter == "data.bytes_loaded")
+    assert loaded == path.stat().st_size

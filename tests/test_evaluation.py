@@ -241,6 +241,35 @@ class TestStackedEvaluation:
         pooled = np.concatenate([score_video(b, model) for b in bags])
         assert result.overall_auc == auc(pooled, np.concatenate([b.frame_labels for b in bags]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(mode=st.sampled_from(["residual", "pure", None]),
+           model_dtype=st.sampled_from([np.float32, np.float64]),
+           bag_dtypes=st.lists(st.sampled_from([np.float32, np.float64]), min_size=1, max_size=4),
+           t=st.integers(MtaConfig.k_max, 40), dim=st.sampled_from([8, 64]), seed=st.integers(0, 2**32 - 1))
+    def test_request_equals_eval_record_and_stack_row_bit_for_bit(self, mode, model_dtype, bag_dtypes, t,
+                                                                   dim, seed):
+        # a request is a chunk of one: its frame scores are its record's in
+        # evaluate_bags and its row of a stacked score_bag (whose clip means
+        # score_bag computes itself), compared with ==
+        mta_cfg = None if mode is None else MtaConfig(mode=mode)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(dim), mta_cfg, seed=seed % 97, dtype=model_dtype)
+        rng = np.random.default_rng(seed)
+        if mta_cfg is not None:
+            for k in mta_cfg.kernel_sizes:
+                model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+                model.params[f"mta.conv{k}.bias"].data[:] = rng.uniform(-1, 1)
+        bags = []
+        for i, dtype in enumerate(bag_dtypes):
+            frames = int(rng.integers(t, 4 * t))
+            bags.append(ClipFeatureBag(rng.standard_normal((t, dim)).astype(dtype), 1, f"v{i}", frames,
+                                       frame_labels=np.arange(frames) % 2))
+        records = evaluate_bags(bags, model).records
+        stack_scores = model.score_bag(np.stack([b.features for b in bags])).scores
+        for bag, rec, row in zip(bags, records, stack_scores):
+            request = score_video(bag, model)
+            assert (request == rec.frame_scores).all()
+            assert (request == np.repeat(row, bag.clip_frame_counts)).all()
+
     def test_copies_no_features(self):
         # a stack of one chunk, 8 bags of 32 x 2048 float32, alone takes
         # 8 * 32 * 2048 * 4 B = 2 MiB; the head reads each bag where it lies
@@ -375,3 +404,13 @@ class TestExport:
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["label"] == ""
+
+    def test_fewer_labels_than_scores_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="one label per score"):
+            export_scores_csv(tmp_path / "scores.csv", [0.1, 0.2, 0.3], labels=[0, 1])
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_more_labels_than_scores_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="one label per score"):
+            export_scores_csv(tmp_path / "scores.csv", [0.1, 0.2], labels=[0, 1, 1])
+        assert not (tmp_path / "scores.csv").exists()

@@ -225,6 +225,25 @@ class TestMta:
         for n in range(4):
             np.testing.assert_allclose(stacked[n], mta_forward(means[n], cfg, params), rtol=1e-15)
 
+    @settings(max_examples=120, deadline=None)
+    @given(k_max=st.sampled_from([3, 5, 7]), mode=st.sampled_from(["residual", "pure"]),
+           n=st.sampled_from([1, 2, 8, 64]), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_inference_gate_is_the_training_gate_bit_for_bit(self, k_max, mode, n, data, seed):
+        # inference pads the signal once for every kernel; the training op
+        # pads it per kernel (``conv1d_same``); the gates must be equal
+        cfg = MtaConfig(k_max=k_max, mode=mode)
+        t = data.draw(st.integers(k_max, 40))
+        params = init_parameters(cfg, HfcConfig.for_feature_dim(3), seed=0)
+        rng = np.random.default_rng(seed)
+        for k in cfg.kernel_sizes:
+            params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+            params[f"mta.conv{k}.bias"].data[:] = rng.uniform(-1, 1)
+        means = rng.standard_normal((n, t))
+        for signal in (means, means[0]):
+            gate = mta_forward(signal, cfg, params)
+            assert gate.shape == signal.shape
+            assert gate.tobytes() == mta_forward(signal, cfg, params, training=True).data.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # scoring head
@@ -420,11 +439,13 @@ class TestAnomalyScorer:
             assert np.array_equal(scores[n], alone) and np.array_equal(gate[n], alone_gate)
 
     def test_list_of_bags_of_two_shapes_rejected(self):
-        model = AnomalyScorer(HfcConfig.for_feature_dim(12), mta_cfg=None, seed=7)
-        with pytest.raises(DimensionError, match="one shape"):
-            model.score_bag([np.ones((6, 12)), np.ones((7, 12))])
-        with pytest.raises(DimensionError, match="one shape"):
-            model.score_bag([np.ones((6, 13))])
+        # with attention, the clip means of such a list are never computed
+        for mta_cfg in (None, MtaConfig()):
+            model = AnomalyScorer(HfcConfig.for_feature_dim(12), mta_cfg, seed=7)
+            with pytest.raises(DimensionError, match="one shape"):
+                model.score_bag([np.ones((6, 12)), np.ones((7, 12))])
+            with pytest.raises(DimensionError, match="one shape"):
+                model.score_bag([np.ones((6, 13))])
 
     def test_parameters_default_to_float32_from_the_float64_draws(self):
         cfg = HfcConfig.for_feature_dim(12)

@@ -228,6 +228,24 @@ class TestFeatureDtype:
         assert peak < feats.nbytes  # a float64 copy takes twice that
         assert means.tobytes() == ClipFeatureBag(feats.astype(np.float64), 0, "v", 32).clip_means.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t, d", [(32, 1), (7, 127), (32, 2048), (32, 9000)])
+    def test_clip_norms_equal_the_norm_of_a_float64_copy(self, t, d, dtype):
+        # np.linalg.norm(axis=1) is sqrt(add.reduce(x * x)); the bag squares
+        # its features in float64 as it reads them, without copying them
+        feats = (np.random.default_rng(d).standard_normal((t, d)) * 100 + 3).astype(dtype)
+        bag = ClipFeatureBag(feats, 0, "v", t)
+        tracemalloc.start()
+        try:
+            norms = bag.clip_norms
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy and its square take 2 * 8 * t * d bytes; the slack
+        # covers NumPy's own small allocations, which rule tiny shapes
+        assert peak < 1.5 * 8 * t * d + 64 * 1024
+        assert norms.tobytes() == np.linalg.norm(feats.astype(np.float64), axis=1).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # buffers reused across batches
