@@ -207,8 +207,8 @@ class ClipFeatureBag:
     @cached_property
     def clip_norms(self) -> np.ndarray:
         """L2 norm of each clip's features, (T,): what instance selection
-        ranks. The squares are taken in float64 as they are read, with no
-        float64 copy of the features; ``np.linalg.norm`` computes the same
+        ranks. The float64 squares are the one (T, D) temporary, half the
+        peak of ``np.linalg.norm`` on a float64 copy, which computes the same
         sqrt(add.reduce(x * x))."""
         return np.sqrt(np.add.reduce(np.square(self.features, dtype=np.float64), axis=1))
 

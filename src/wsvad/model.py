@@ -20,13 +20,10 @@ Each stage is one op with a hand-written backward. In a training pass
 ``mta_forward`` returns the gate as a graph node over the attention kernels,
 and ``hfc_forward`` the scores as a node over the head's weights and the gate
 node; the head's backward gives the first layer's weight gradient as
-X^T (a * g) and hands the gate its gradient. An inference pass computes the
-same values on plain arrays and builds no node. It is the lean pass that
-evaluation chunks and score requests (a chunk of one bag) share: shapes
-checked once, each parameter array read once, one zero padding for all the
-attention kernels, and bare NumPy for every layer, without the layer
-functions' re-checks and kink-margin notes, which only the gradient check
-reads.
+X^T (a * g) and hands the gate its gradient. An inference pass runs the same
+forward on plain arrays and builds no node; evaluation chunks and score
+requests (a chunk of one bag) share it. In either pass the attention
+kernels correlate over one zero-padded copy of the clip-mean signal.
 
 The head's backward works in place: it overwrites each pre-activation with
 the leaky ReLU's derivative there, and each layer's gradient over an
@@ -243,6 +240,8 @@ def conv1d_same(x, weight, bias):
 
     out[..., i] = b + sum_j w[j] * x[..., i + j - k//2], out-of-range x
     entries read as zero, so the output length equals the input length.
+    ``mta_forward`` pads once for all its kernels instead; this per-kernel
+    form is the reference it is checked against.
     """
     if weight.ndim != 1:
         raise DimensionError(f"conv1d_same expects a 1-d kernel, got shape {weight.shape}")
@@ -311,44 +310,39 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
     otherwise a plain array. Its backward overwrites the saved convolution
     responses with the leaky ReLU's derivative there, so it runs once.
 
-    An inference pass pads the signal once, by ``k_max // 2``, and
-    correlates each kernel over its slice of that buffer, with bare ufuncs
-    for the leaky ReLU: the same operations on the same values, in the same
-    order, as the training forward's ``conv1d_same`` and ``leaky_relu``,
-    so the gate has the same bits.
+    The signal is zero-padded once, by ``k_max // 2``, and each kernel
+    correlates over its slice of that buffer: the same values in the same
+    windows as ``conv1d_same`` with each kernel's own padding. A training
+    pass takes the leaky ReLU through ``leaky_relu``, which notes its kink
+    margin for the gradient check; an inference pass takes it as bare
+    ufuncs, the same operations.
     """
     means = np.asarray(means, dtype=np.float64)
     t = means.shape[-1]
     if t < cfg.k_max:
         raise ConfigurationError(f"bag has {t} clips but the largest kernel needs {cfg.k_max}")
     kernels = [(params[f"mta.conv{k}.weight"], params[f"mta.conv{k}.bias"]) for k in cfg.kernel_sizes]
-    if not training:
-        # one zero padding for every kernel: each correlates over its slice
-        # of it, the same values in the same windows as ``conv1d_same``'s
-        # own padding, and the layers are bare ufuncs
-        half = cfg.k_max // 2
-        width = t + 2 * half
-        padded = _padded_rows(means, t, half, half)
-        n_cols = padded.size - 2 * half
-        logits = None
-        for w, b in kernels:
-            c = np.correlate(padded[half - w.data.size // 2 :], w.data, mode="valid")[:n_cols]
-            c = c.reshape(-1, width)[:, :t]
-            c += b.data
+    half = cfg.k_max // 2
+    width = t + 2 * half
+    padded = _padded_rows(means, t, half, half)
+    n_cols = padded.size - 2 * half
+    responses, logits = [], None
+    for w, b in kernels:
+        # the first t outputs of each padded row are that row's
+        c = np.correlate(padded[half - w.data.size // 2 :], w.data, mode="valid")[:n_cols]
+        c = c.reshape(-1, width)[:, :t].reshape(means.shape)
+        c += b.data
+        if training:
+            responses.append(c)
+            a = leaky_relu(c, cfg.slope)
+        else:
             a = np.maximum(c, c * cfg.slope)
-            logits = a if logits is None else logits + a
-        gate = logits * cfg.lambda1
-        if cfg.mode == "residual":
-            gate += 1.0
-        return gate.reshape(means.shape)
-    responses = [conv1d_same(means, w.data, b.data) for w, b in kernels]
-    logits = None
-    for c in responses:
-        a = leaky_relu(c, cfg.slope)
         logits = a if logits is None else logits + a
     gate = logits * cfg.lambda1
     if cfg.mode == "residual":
-        gate = gate + 1.0
+        gate += 1.0
+    if not training:
+        return gate
 
     def grad_fn(g):
         g = g * cfg.lambda1
@@ -477,44 +471,35 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     the shape it has when scored alone, and a bag's scores in a stack or a
     list are bit for bit its scores alone. (One flat product over a stack
     can take another BLAS path for bags of a few clips and round
-    differently.) The shapes are checked once, on entry, and each layer
-    runs as bare NumPy on fresh arrays (matmul, += bias, then
-    maximum(z, z * slope)); a score request, a chunk of one bag, pays for no
-    more. A training pass multiplies every clip of the stack in one flat
-    product, which is the faster call at D=2048.
+    differently.) A training pass multiplies every clip of the stack in one
+    flat product, which is the faster call at D=2048.
 
-    A training pass puts every (rows x width) array into a buffer of
-    ``workspace`` when one is given, and into a fresh array otherwise. It
-    runs the dropout-free tail first, then masks the first activation in
-    place and runs the tail again through the same buffers. Its backward
-    overwrites each pre-activation with the leaky ReLU's derivative there,
-    and each layer's gradient over an activation it has read for the last
-    time. So the backward runs at most once, and before the next forward
-    into the same workspace.
+    Every (rows x width) array goes into a buffer of ``workspace`` when one
+    is given, and into a fresh array otherwise. A training pass runs the
+    dropout-free tail first, then masks the first activation in place and
+    runs the tail again through the same buffers. Its backward overwrites
+    each pre-activation with the leaky ReLU's derivative there, and each
+    layer's gradient over an activation it has read for the last time. So
+    the backward runs at most once, and before the next forward into the
+    same workspace.
     """
     head = [params[name] for name in _HEAD_NAMES]
     w0, b0, w1, b1, w2, b2 = [p.data for p in head]
     dtype = w0.dtype
     bag_axes, bags = _feature_bags(x, cfg.dims[0])
-    if not training:
-        # each bag's own product, read where the bag lies, into its rows;
-        # then each layer as bare NumPy: the shapes were checked above
-        z = np.empty(bag_axes + (cfg.dims[1],), dtype)
-        for bag, out in zip(bags, z.reshape((len(bags),) + z.shape[-2:])):
-            np.matmul(np.asarray(bag, dtype=dtype), w0, out=out)
-        if gate is not None:
-            z *= np.asarray(gate, dtype=dtype).reshape(bag_axes + (1,))
-        z += b0
-        for w, b in ((w1, b1), (w2, b2)):
-            z = np.maximum(z, z * cfg.slope, out=z) @ w
-            z += b
-        scores = sigmoid(z.astype(np.float64, copy=False)).reshape(bag_axes)
-        return scores, scores
     take = _no_buffer if workspace is None else workspace.take
-    # one flat product over every clip of the stack
-    x = np.asarray(bags, dtype=dtype).reshape(-1, cfg.dims[0])
-    rows = x.shape[:-1]
-    xw = linear(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
+    if training:
+        # one flat product over every clip of the stack
+        x = np.asarray(bags, dtype=dtype).reshape(-1, cfg.dims[0])
+        rows = x.shape[:-1]
+        xw = linear(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
+    else:
+        # each bag's own product, read where the bag lies, into its rows
+        rows = bag_axes
+        shape = rows + (cfg.dims[1],)
+        xw = np.empty(shape, dtype) if workspace is None else workspace.take("xw", shape, dtype)
+        for bag, out in zip(bags, xw.reshape((len(bags),) + shape[-2:])):
+            np.matmul(np.asarray(bag, dtype=dtype), w0, out=out)
     gate_node = gate if isinstance(gate, Tensor) else None
     if gate_node is not None:
         gate = gate_node.data
@@ -530,6 +515,8 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     h1 = leaky_relu(z1, cfg.slope, out=take("h1", xw.shape, dtype))
     wide = rows + (cfg.dims[2],)
     clean, z2, h2 = _head_tail(h1, cfg.slope, w1, b1, w2, b2, take("z2", wide, dtype), take("h2", wide, dtype))
+    if not training:
+        return clean.reshape(bag_axes), clean.reshape(bag_axes)
     out, masks = clean, None
     if cfg.dropout:
         masks = dropout_masks(rng, math.prod(bag_axes[:-1]), bag_axes[-1], cfg.dims[1:-1], cfg.dropout,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wsvad import data as data_module
 from wsvad.data import (
     ClipFeatureBag,
     FormatError,
@@ -97,6 +100,35 @@ class TestFeatureFiles:
         p.write_bytes(p.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
             load_features(p)
+
+    @staticmethod
+    def _short_reads(monkeypatch, cap, shrink_to=None):
+        """Open feature files so that each payload read returns at most
+        ``cap`` bytes, as a raw read may; with ``shrink_to`` the file is cut
+        to that many bytes after the first payload read."""
+
+        class ShortReads(io.FileIO):
+            def readinto(self, b):
+                got = super().readinto(memoryview(b).cast("B")[:cap])
+                if shrink_to is not None:
+                    os.truncate(self.name, shrink_to)
+                return got
+
+        monkeypatch.setattr(data_module, "open", lambda path, mode, buffering: ShortReads(path, mode),
+                            raising=False)
+
+    def test_short_raw_reads_are_resumed(self, tmp_path, monkeypatch):
+        feats = np.random.default_rng(0).standard_normal((5, 7)).astype(np.float32)
+        p = save_features(tmp_path / "v.lwvf", feats)
+        self._short_reads(monkeypatch, cap=40)  # 140 payload bytes in 4 reads
+        assert load_features(p).tobytes() == feats.tobytes()
+
+    def test_file_shrinking_mid_read_names_where_the_read_stopped(self, tmp_path, monkeypatch):
+        p = save_features(tmp_path / "v.lwvf", np.ones((5, 7), dtype=np.float32))
+        self._short_reads(monkeypatch, cap=40, shrink_to=14 + 40)
+        with pytest.raises(FormatError, match="shrank") as err:
+            load_features(p)
+        assert err.value.offset == 14 + 40
 
     def test_nonpositive_dims_rejected(self, tmp_path):
         p = tmp_path / "zero.lwvf"

@@ -14,10 +14,12 @@ from wsvad.model import (
     HfcConfig,
     ModelParameters,
     MtaConfig,
+    conv1d_same,
     count_parameters,
     dropout_masks,
     hfc_forward,
     init_parameters,
+    leaky_relu,
     load_checkpoint,
     mta_forward,
     _to_leaky_relu_slope,
@@ -228,9 +230,10 @@ class TestMta:
     @settings(max_examples=120, deadline=None)
     @given(k_max=st.sampled_from([3, 5, 7]), mode=st.sampled_from(["residual", "pure"]),
            n=st.sampled_from([1, 2, 8, 64]), data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_inference_gate_is_the_training_gate_bit_for_bit(self, k_max, mode, n, data, seed):
-        # inference pads the signal once for every kernel; the training op
-        # pads it per kernel (``conv1d_same``); the gates must be equal
+    def test_gate_is_per_kernel_conv1d_same_bit_for_bit(self, k_max, mode, n, data, seed):
+        # the op pads the signal once for every kernel; the reference pads
+        # it per kernel (``conv1d_same``); inference and training gates
+        # must both equal it
         cfg = MtaConfig(k_max=k_max, mode=mode)
         t = data.draw(st.integers(k_max, 40))
         params = init_parameters(cfg, HfcConfig.for_feature_dim(3), seed=0)
@@ -240,9 +243,18 @@ class TestMta:
             params[f"mta.conv{k}.bias"].data[:] = rng.uniform(-1, 1)
         means = rng.standard_normal((n, t))
         for signal in (means, means[0]):
+            logits = None
+            for k in cfg.kernel_sizes:
+                c = conv1d_same(signal, params[f"mta.conv{k}.weight"].data, params[f"mta.conv{k}.bias"].data)
+                a = leaky_relu(c, cfg.slope)
+                logits = a if logits is None else logits + a
+            reference = logits * cfg.lambda1
+            if mode == "residual":
+                reference = reference + 1.0
             gate = mta_forward(signal, cfg, params)
             assert gate.shape == signal.shape
-            assert gate.tobytes() == mta_forward(signal, cfg, params, training=True).data.tobytes()
+            assert gate.tobytes() == reference.tobytes()
+            assert mta_forward(signal, cfg, params, training=True).data.tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------

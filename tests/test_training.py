@@ -231,8 +231,8 @@ class TestFeatureDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("t, d", [(32, 1), (7, 127), (32, 2048), (32, 9000)])
     def test_clip_norms_equal_the_norm_of_a_float64_copy(self, t, d, dtype):
-        # np.linalg.norm(axis=1) is sqrt(add.reduce(x * x)); the bag squares
-        # its features in float64 as it reads them, without copying them
+        # np.linalg.norm(axis=1) is sqrt(add.reduce(x * x)); the bag's one
+        # (T, D) temporary is the float64 squares, not a copy and its square
         feats = (np.random.default_rng(d).standard_normal((t, d)) * 100 + 3).astype(dtype)
         bag = ClipFeatureBag(feats, 0, "v", t)
         tracemalloc.start()
