@@ -175,7 +175,13 @@ class ClipFeatureBag:
                 f"num_frames ({self.num_frames}) must be >= clip count ({self.features.shape[0]})"
             )
         if self.frame_labels is not None:
-            self.frame_labels = np.asarray(self.frame_labels, dtype=np.uint8)
+            labels = np.asarray(self.frame_labels)
+            # checked before the uint8 cast, which would wrap 256 to 0 and
+            # truncate 0.5 to 0; NaN, like any value but 0 and 1, equals neither
+            if labels.size != np.count_nonzero(labels == 0) + np.count_nonzero(labels == 1):
+                bad = labels[(labels != 0) & (labels != 1)].flat[0]
+                raise ValueError(f"video {self.video_id!r}: frame labels must be 0 or 1, got {bad!r}")
+            self.frame_labels = labels.astype(np.uint8, copy=False)
             if self.frame_labels.shape != (self.num_frames,):
                 raise ValueError(
                     f"frame labels must have one entry per frame "
@@ -219,6 +225,17 @@ class ClipFeatureBag:
         bounds = clip_frame_bounds(self.num_clips, self.num_frames)
         # not np.diff, whose Python overhead is several times this subtraction
         return bounds[1:] - bounds[:-1]
+
+    @cached_property
+    def clip_anomalous_frame_counts(self) -> np.ndarray:
+        """Anomalous frames each clip covers, (T,) int64: the frame labels
+        summed over each clip's range of ``clip_frame_bounds``. Evaluation
+        weights each clip score by these and ``clip_frame_counts``. A bag
+        without frame labels counts none."""
+        if self.frame_labels is None:
+            return np.zeros(self.num_clips, dtype=np.int64)
+        bounds = clip_frame_bounds(self.num_clips, self.num_frames)
+        return np.add.reduceat(self.frame_labels, bounds[:-1], dtype=np.int64)
 
 
 def load_bag(path, label=0, num_frames=None, video_id=None, class_name=None, frame_labels=None):

@@ -89,6 +89,29 @@ def test_traced_evaluation_records_the_layers_it_divides_by(workloads):
     assert stats["model.score_bag.infer"].calls == 3
 
 
+def test_traced_evaluation_sorts_one_score_per_clip(workloads):
+    # evaluate_bags computes its area in auc's clip form: one score per clip,
+    # weighted by the clip's frames, so the one sort is over clips, not frames
+    scorer = workloads.RunConfig(feature_dim=8, seed=1).build_model()
+    rng = np.random.default_rng(0)
+    bags = [data.ClipFeatureBag(rng.standard_normal((32, 8)), i % 2, f"v{i}", 64 + i,
+                                frame_labels=np.arange(64 + i) % 2 * (i % 2)) for i in range(20)]
+    calls = []
+    tracer = workloads.Tracer()
+    try:
+        workloads.install_layer_spans(tracer)
+        tracer.wrap(evaluation, "auc", None, before=lambda args, kwargs: calls.append((args, kwargs)))
+        result = evaluation.evaluate_bags(bags, scorer)
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_stats()["evaluation.auc"].calls == len(calls) == 1
+    (scores, anomalous, frames), kwargs = calls[0]
+    assert not kwargs
+    assert len(scores) == len(anomalous) == len(frames) == 20 * 32
+    assert frames.sum() == sum(b.num_frames for b in bags) == sum(len(r.frame_scores) for r in result.records)
+    assert anomalous.sum() == sum(int(b.frame_labels.sum()) for b in bags)
+
+
 def test_traced_request_goes_through_every_wrapped_layer(workloads, tmp_path):
     # a score request, load_bag + score_video as the benchmark times it, must
     # call the names the tracer wraps: a path that went round one of them

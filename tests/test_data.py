@@ -235,6 +235,41 @@ class TestBagsAndManifests:
         with pytest.raises(ValueError, match="num_frames"):
             ClipFeatureBag(features=np.ones((4, 2)), label=0, video_id="v", num_frames=2)
 
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 1], np.array([0, 1, 1], dtype=np.uint8), [False, True, True], [0.0, 1.0, 1.0],
+    ])
+    def test_accepted_frame_label_values(self, labels):
+        bag = ClipFeatureBag(np.ones((3, 2)), 1, "v", 3, frame_labels=labels)
+        assert bag.frame_labels.dtype == np.uint8
+        assert bag.frame_labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("bad", [256, 2, -1, 0.5, np.nan])
+    def test_frame_label_values_other_than_0_or_1_rejected_before_the_cast(self, bad):
+        # uint8 would turn 256 into 0 and 0.5 into 0: an anomalous frame
+        # that silently reads as normal
+        with pytest.raises(ValueError, match=r"'clip_7'.*0 or 1"):
+            ClipFeatureBag(np.ones((3, 2)), 1, "clip_7", 3, frame_labels=np.array([0, 1, bad]))
+
+    def test_clip_anomalous_frame_counts(self):
+        labels = np.array([1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1], dtype=np.uint8)
+        bag = ClipFeatureBag(np.ones((4, 2)), 1, "v", 11, frame_labels=labels)
+        # clips cover frames [0, 2), [2, 5), [5, 8) and [8, 11)
+        counts = bag.clip_anomalous_frame_counts
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 2, 2, 1]
+        assert bag.clip_anomalous_frame_counts is counts
+        assert bag.clip_frame_counts.tolist() == [2, 3, 3, 3]
+        unlabelled = ClipFeatureBag(np.ones((4, 2)), 0, "n", 11)
+        assert unlabelled.clip_anomalous_frame_counts.tolist() == [0, 0, 0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(1, 40), extra=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    def test_clip_anomalous_frame_counts_sum_each_clips_frames(self, t, extra, seed):
+        labels = np.random.default_rng(seed).integers(0, 2, t + extra).astype(np.uint8)
+        bag = ClipFeatureBag(np.ones((t, 2)), 1, "v", t + extra, frame_labels=labels)
+        bounds = clip_frame_bounds(t, t + extra)
+        expected = [int(labels[bounds[i]:bounds[i + 1]].sum()) for i in range(t)]
+        assert bag.clip_anomalous_frame_counts.tolist() == expected
+
     def test_manifest_round_trip(self, tmp_path):
         feats = np.ones((4, 3), dtype=np.float32)
         fp = save_features(tmp_path / "a.lwvf", feats)

@@ -151,6 +151,68 @@ class TestAuc:
         assert auc(scores, labels) + auc(scores, 1 - labels) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestClipAuc:
+    """``auc(scores, labels, counts)``: score i stands for counts[i] frames,
+    labels[i] of them anomalous."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), clips=st.integers(1, 40), extra=st.integers(0, 120),
+           levels=st.integers(1, 6), runs=st.integers(1, 4))
+    def test_equals_the_frame_level_area_of_the_repeated_scores(self, seed, clips, extra, levels, runs):
+        rng = np.random.default_rng(seed)
+        frames = max(clips + extra, 2)
+        # every clip covers at least one frame; the rest fall anywhere
+        counts = 1 + np.bincount(rng.integers(0, clips, frames - clips), minlength=clips)
+        # a coarse grid forces ties, and -0.0 ties with 0.0
+        scores = rng.integers(0, levels + 1, size=clips) / levels
+        scores[rng.uniform(size=clips) < 0.3] *= -1.0
+        # anomalous runs laid on the frames, so they cross clip bounds
+        frame_labels = np.zeros(frames, dtype=np.uint8)
+        for _ in range(runs):
+            start = int(rng.integers(0, frames))
+            frame_labels[start : start + int(rng.integers(1, frames + 1))] = 1
+        normal = int(rng.integers(0, frames))
+        frame_labels[normal] = 0
+        if not frame_labels.any():
+            frame_labels[(normal + 1) % frames] = 1
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        positives = np.add.reduceat(frame_labels, starts, dtype=np.int64)
+        assert auc(scores, positives, counts) == auc(np.repeat(scores, counts), frame_labels)
+
+    def test_hand_example(self):
+        # clip scores 0.9 (3 frames, 2 anomalous) and 0.2 (2 frames, none):
+        # each anomalous frame beats the 2 normal frames at 0.2 and ties the
+        # normal frame at 0.9
+        assert auc([0.9, 0.2], [2, 0], [3, 2]) == (2 * 2 + 2 * 1 * 0.5) / (2 * 3)
+        assert auc([0.9, 0.2], [2, 0], [3, 2]) == auc([0.9] * 3 + [0.2] * 2, [1, 1, 0, 0, 0])
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            auc([0.1, 0.2], [1, 0], [2])
+        with pytest.raises(ValueError, match="equal-length"):
+            auc([0.1, 0.2], [1, 0], [[2, 2]])
+        with pytest.raises(ValueError, match="between 0 and their counts"):
+            auc([0.1, 0.2], [3, 0], [2, 2])  # more anomalous frames than frames
+        with pytest.raises(ValueError, match="between 0 and their counts"):
+            auc([0.1, 0.2], [-1, 0], [2, 2])
+        with pytest.raises(ValueError, match="between 0 and their counts"):
+            auc([0.1, 0.2], [0, 1], [-2, 2])
+        with pytest.raises(ValueError, match="integers"):
+            auc([0.1, 0.2], [0.5, 1], [1, 2])
+        with pytest.raises(ValueError, match="integers"):
+            auc([0.1, 0.2], [0, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            auc([np.inf, 0.2], [1, 0], [2, 2])
+        with pytest.raises(ValueError, match="empty"):
+            auc([], np.array([], dtype=int), np.array([], dtype=int))
+
+    def test_single_class_split_is_an_undefined_metric(self):
+        with pytest.raises(UndefinedMetricError, match="both classes"):
+            auc([0.1, 0.2], [0, 0], [3, 4])  # all normal
+        with pytest.raises(UndefinedMetricError, match="both classes"):
+            auc([0.1, 0.2], [3, 4], [3, 4])  # all anomalous
+
+
 # ---------------------------------------------------------------------------
 # per-video scoring
 
@@ -284,6 +346,43 @@ class TestStackedEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 32 * 2048 * 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(ts=st.lists(st.integers(MtaConfig.k_max, 40), min_size=2, max_size=12),
+           attention=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_overall_auc_is_the_area_of_the_pooled_frames(self, ts, attention, seed):
+        # evaluate_bags sorts clips weighted by their frames; the area must
+        # equal the frame-level one to the last bit. Features of 0s and 1s
+        # repeat rows across bags, so clips of different bags tie.
+        rng = np.random.default_rng(seed)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(8), MtaConfig() if attention else None, seed=seed % 97)
+        bags = []
+        for i, t in enumerate(ts):
+            feats = rng.integers(0, 2, (t, 8)).astype(np.float32 if i % 3 else np.float64)
+            frames = int(rng.integers(t, 5 * t + 1))
+            if i % 2:  # a normal video, with or without all-zero frame labels
+                labels = np.zeros(frames, dtype=np.uint8) if i % 4 == 1 else None
+                bags.append(ClipFeatureBag(feats, 0, f"n{i}", frames, frame_labels=labels))
+            else:
+                labels = np.zeros(frames, dtype=np.uint8)
+                start = int(rng.integers(0, frames))
+                labels[start : start + int(rng.integers(1, frames + 1))] = 1
+                bags.append(ClipFeatureBag(feats, 1, f"a{i}", frames, frame_labels=labels, class_name="c"))
+        result = evaluate_bags(bags, model)
+        pooled = auc(np.concatenate([r.frame_scores for r in result.records]),
+                     np.concatenate([r.frame_labels for r in result.records]))
+        assert result.overall_auc == pooled
+
+    def test_overall_auc_of_a_synthetic_corpus_is_the_area_of_its_frames(self, tiny_bags):
+        test = tiny_bags["test"] + [
+            ClipFeatureBag(b.features[:t], b.label, f"{b.video_id}-{t}", b.num_frames,
+                           frame_labels=b.frame_labels, class_name=b.class_name)
+            for b in tiny_bags["test"] for t in (7, 13)
+        ]
+        result = evaluate_bags(test, AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=4))
+        pooled = auc(np.concatenate([r.frame_scores for r in result.records]),
+                     np.concatenate([r.frame_labels for r in result.records]))
+        assert result.overall_auc == pooled
 
     def test_empty_split_is_an_undefined_metric(self):
         with pytest.raises(UndefinedMetricError, match="holds no videos"):
