@@ -4,9 +4,11 @@ The training step is a fixed chain of three ops (the attention gate, the
 scoring head and the MIL objective), each written with its own backward.
 Each op returns a ``Tensor``: its forward value plus a ``grad_fn`` that maps
 the gradient of that value to one gradient per parent. Every parent is a
-``Parameter`` or the one op below it in the chain, and ``backward`` walks
-that chain from the scalar loss down, setting each parameter's gradient on
-the way. ``grad_check`` compares the result against central differences.
+``Parameter`` or the one op below it in the chain. A ``Parameter`` is a
+named leaf that an op wraps around a parameter array for one training pass;
+the arrays themselves live in the model's registry. ``backward`` walks the
+chain from the scalar loss down and returns each leaf's gradient by name.
+``grad_check`` compares the result against central differences.
 """
 
 from __future__ import annotations
@@ -86,36 +88,37 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor. ``grad`` is the gradient set by the last
-    backward that reached it, in the parameter's dtype, and starts as
-    zeros; it is valid until the next backward, which may reuse its buffer."""
+    """A parameter array as a leaf of one training pass's chain. ``name``
+    keys its gradient in what ``backward`` returns; ``data`` is the array
+    itself, not a copy, and the leaf holds no gradient."""
 
-    __slots__ = ("name", "grad")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str = ""):
-        super().__init__(data)
-        self.name = name
-        self.grad = np.zeros_like(self.data)
+    def __init__(self, data, name: str):
+        # no conversion: the ops build ten leaves in every training forward
+        self.data, self.name, self._parents, self._grad_fn = data, name, (), None
 
     def __repr__(self):
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 
 
-def backward(loss: Tensor) -> None:
-    """Run the chain's backward from ``loss``, which must be scalar.
+def backward(loss: Tensor) -> dict[str, np.ndarray]:
+    """Run the chain's backward from ``loss``, which must be scalar, and
+    return the gradient of every ``Parameter`` it reaches, by name.
 
-    Starting from a gradient of ones, each op's ``grad_fn`` runs once. Each
-    ``Parameter`` parent's gradient is set to what the op returns for it,
-    cast to the parameter's dtype (not added: no gradient carries over from
-    an earlier call), and the walk moves on to the op's one op input, whose
-    gradient takes that input's dtype. An op with two op inputs raises
-    ``ValueError``. A parameter the chain never reaches keeps its gradient.
+    Starting from a gradient of ones, each op's ``grad_fn`` runs once. What
+    it returns for a ``Parameter`` parent goes into the result, cast to
+    that parameter's dtype, and the walk moves on to the op's one op input,
+    whose gradient takes that input's dtype. An op with two op inputs
+    raises ``ValueError``. A gradient may sit in a buffer that the next
+    forward through the same workspace overwrites.
     """
     if not isinstance(loss, Tensor):
         raise TypeError(f"backward needs a Tensor, got {type(loss).__name__}")
     if loss.data.size != 1:
         raise DimensionError(f"backward expects a scalar loss, got shape {loss.data.shape}")
 
+    grads: dict[str, np.ndarray] = {}
     node, g = loss, np.ones_like(loss.data)
     while node._grad_fn is not None:
         below = [p for p in node._parents if not isinstance(p, Parameter)]
@@ -124,12 +127,13 @@ def backward(loss: Tensor) -> None:
         for parent, parent_g in zip(node._parents, node._grad_fn(g)):
             parent_g = np.asarray(parent_g, dtype=parent.data.dtype)
             if isinstance(parent, Parameter):
-                parent.grad = parent_g
+                grads[parent.name] = parent_g
             else:
                 g = parent_g
         if not below:
-            return
+            break
         node = below[0]
+    return grads
 
 
 @dataclass
@@ -153,38 +157,31 @@ class GradCheckReport:
         )
 
 
-def grad_check(build, params, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def grad_check(build, params: dict[str, np.ndarray], eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    ``build`` must rebuild the same scalar loss from the current parameter
-    values on every call (fix any randomness before calling; dropout must be
-    off). Every entry of every parameter is perturbed by +/- eps. Entries
-    where both sides are ~0 compare by absolute difference, so unused
-    parameters pass exactly: each parameter's gradient is reset to zeros
-    before the backward.
+    ``build`` must rebuild the same scalar loss from the current values of
+    the ``params`` arrays (name -> array) on every call (fix any randomness
+    before calling; dropout must be off). Every entry of every array is
+    perturbed by +/- eps in place. A name that ``backward`` does not return
+    has an exact zero gradient. Entries where both sides are ~0 compare by
+    absolute difference, so unused parameters pass exactly.
     """
-    params = list(params)
-    for p in params:
-        p.grad = np.zeros_like(p.data)
     loss = build()
     if not isinstance(loss, Tensor):
         raise TypeError("grad_check: build() must return a graph Tensor")
     if not np.isfinite(loss.data).all():
         raise ValueError("grad_check: loss is not finite")
-    backward(loss)
-
-    analytic = {}
-    for p in params:
-        if not np.isfinite(p.grad).all():
-            raise ValueError(f"grad_check: non-finite gradient for parameter {p.name!r}")
-        analytic[p.name] = p.grad.copy()
+    grads = backward(loss)
 
     per_parameter: dict[str, float] = {}
     worst_name = ""
     worst_err = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        ana = analytic[p.name].reshape(-1)
+    for name, p in params.items():
+        ana = grads.get(name, np.zeros_like(p)).reshape(-1)
+        if not np.isfinite(ana).all():
+            raise ValueError(f"grad_check: non-finite gradient for parameter {name!r}")
+        flat = p.reshape(-1)
         err_here = 0.0
         for i in range(flat.size):
             orig = flat[i]
@@ -196,16 +193,16 @@ def grad_check(build, params, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
             numeric = (f_plus - f_minus) / (2.0 * eps)
             if not math.isfinite(numeric):
                 raise ValueError(
-                    f"grad_check: non-finite difference quotient for parameter {p.name!r}"
+                    f"grad_check: non-finite difference quotient for parameter {name!r}"
                 )
             denom = max(abs(ana[i]), abs(numeric))
             err = abs(ana[i] - numeric) if denom < 1e-12 else abs(ana[i] - numeric) / denom
             if err > err_here:
                 err_here = err
-        per_parameter[p.name] = err_here
+        per_parameter[name] = err_here
         if err_here >= worst_err:
             worst_err = err_here
-            worst_name = p.name
+            worst_name = name
     return GradCheckReport(
         max_rel_error=worst_err,
         worst_parameter=worst_name,

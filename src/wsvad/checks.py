@@ -50,11 +50,11 @@ def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed:
         # the init scale the smallest of them would sit closer than
         # margin_min to the kink in most draws, so spread them out
         for i in (0, 1):
-            model.params[f"head.{i}.weight"].data *= 3.0
+            model.params[f"head.{i}.weight"] *= 3.0
         if use_mta:
             for k in mta_cfg.kernel_sizes:
-                model.params[f"mta.conv{k}.weight"].data[...] = rng.uniform(-kernel_range, kernel_range, size=k)
-                model.params[f"mta.conv{k}.bias"].data[...] = rng.uniform(-kernel_range, kernel_range, size=1)
+                model.params[f"mta.conv{k}.weight"][...] = rng.uniform(-kernel_range, kernel_range, size=k)
+                model.params[f"mta.conv{k}.bias"][...] = rng.uniform(-kernel_range, kernel_range, size=1)
 
         def bag(label, i, shift):
             return ClipFeatureBag(rng.standard_normal((t, d)) + shift, label, f"{label}_{i}", t)
@@ -78,7 +78,7 @@ def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed:
             build()
         if margins and min(margins) < margin_min:
             continue
-        return grad_check(build, model.params.values(), eps=eps, tol=tol)
+        return grad_check(build, model.params, eps=eps, tol=tol)
 
     raise RuntimeError(
         f"no kink-safe input found in {max_attempts} draws (margin_min={margin_min})"

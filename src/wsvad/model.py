@@ -16,14 +16,16 @@ matrix product: (a * X) W0 = a * (X W0). The rescaled (T, D) features are
 never built, and one forward serves one bag, a stack of bags or a list of
 bags alike.
 
-Each stage is one op with a hand-written backward. In a training pass
-``mta_forward`` returns the gate as a graph node over the attention kernels,
-and ``hfc_forward`` the scores as a node over the head's weights and the gate
-node; the head's backward gives the first layer's weight gradient as
-X^T (a * g) and hands the gate its gradient. An inference pass runs the same
-forward on plain arrays and builds no node; evaluation chunks and score
-requests (a chunk of one bag) share it. In either pass the attention
-kernels correlate over one zero-padded copy of the clip-mean signal.
+The parameters are plain arrays, by name. Each stage is one op with a
+hand-written backward. In a training pass ``mta_forward`` returns the gate
+as a graph node over leaves that wrap the attention kernels for that pass,
+and ``hfc_forward`` the scores as a node over leaves that wrap the head's
+weights, and the gate node; the head's backward gives the first layer's
+weight gradient as X^T (a * g) and hands the gate its gradient. An
+inference pass runs the same forward on plain arrays and builds no node;
+evaluation chunks and score requests (a chunk of one bag) share it. In
+either pass the attention kernels correlate over one zero-padded copy of
+the clip-mean signal.
 
 The head's backward works in place: it overwrites each pre-activation with
 the leaky ReLU's derivative there, and each layer's gradient over an
@@ -125,21 +127,18 @@ class HfcConfig:
         return cls(dims=dims, dropout=dropout, head_shape=head_shape, slope=slope)
 
 
-class ModelParameters(dict[str, Parameter]):
-    """Named trainable tensors, in registration order."""
+class ModelParameters(dict[str, np.ndarray]):
+    """Named trainable arrays, in registration order. Training updates
+    them in place."""
 
-    def register(self, name: str, values, dtype=np.float32) -> Parameter:
+    def register(self, name: str, values, dtype=np.float32) -> np.ndarray:
         if name in self:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
-        p = Parameter(np.asarray(values, dtype=dtype), name=name)
-        self[name] = p
-        return p
+        self[name] = np.asarray(values, dtype=dtype)
+        return self[name]
 
     def count_entries(self) -> int:
-        return sum(p.data.size for p in self.values())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.items()}
+        return sum(p.size for p in self.values())
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         missing = set(self) - set(arrays)
@@ -148,15 +147,13 @@ class ModelParameters(dict[str, Parameter]):
             raise CheckpointError(f"parameter names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, p in self.items():
             arr = np.asarray(arrays[name])
-            if arr.shape != p.data.shape:
-                raise CheckpointError(
-                    f"parameter {name!r} shape {arr.shape} does not match expected {p.data.shape}"
-                )
+            if arr.shape != p.shape:
+                raise CheckpointError(f"parameter {name!r} shape {arr.shape} does not match expected {p.shape}")
             try:
                 with np.errstate(over="raise"):
-                    p.data[...] = arr  # rounds float64 values once into float32 parameters
+                    p[...] = arr  # rounds float64 values once into float32 parameters
             except FloatingPointError:
-                raise CheckpointError(f"parameter {name!r} holds values outside the {p.data.dtype} range") from None
+                raise CheckpointError(f"parameter {name!r} holds values outside the {p.dtype} range") from None
 
 
 def _zero_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, dtype=np.float32) -> ModelParameters:
@@ -186,7 +183,7 @@ def init_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, seed: int = 0
         bound = 1.0 / np.sqrt(din)
         for kind in ("weight", "bias"):
             p = params[f"head.{i}.{kind}"]
-            p.data[...] = rng.uniform(-bound, bound, size=p.data.shape)
+            p[...] = rng.uniform(-bound, bound, size=p.shape)
     return params
 
 
@@ -306,9 +303,10 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
     """Attention gate from the clip-mean signal of one bag (T,) or of a stack
     of bags (..., T); the gate has the signal's shape.
 
-    With ``training`` the gate is a graph node over the attention kernels,
-    otherwise a plain array. Its backward overwrites the saved convolution
-    responses with the leaky ReLU's derivative there, so it runs once.
+    With ``training`` the gate is a graph node over one leaf per attention
+    kernel array, otherwise a plain array. Its backward overwrites the saved
+    convolution responses with the leaky ReLU's derivative there, so it runs
+    once.
 
     The signal is zero-padded once, by ``k_max // 2``, and each kernel
     correlates over its slice of that buffer: the same values in the same
@@ -321,7 +319,9 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
     t = means.shape[-1]
     if t < cfg.k_max:
         raise ConfigurationError(f"bag has {t} clips but the largest kernel needs {cfg.k_max}")
-    kernels = [(params[f"mta.conv{k}.weight"], params[f"mta.conv{k}.bias"]) for k in cfg.kernel_sizes]
+    names = [f"mta.conv{k}.{kind}" for k in cfg.kernel_sizes for kind in ("weight", "bias")]
+    arrays = [params[name] for name in names]
+    kernels = list(zip(arrays[::2], arrays[1::2]))
     half = cfg.k_max // 2
     width = t + 2 * half
     padded = _padded_rows(means, t, half, half)
@@ -329,9 +329,9 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
     responses, logits = [], None
     for w, b in kernels:
         # the first t outputs of each padded row are that row's
-        c = np.correlate(padded[half - w.data.size // 2 :], w.data, mode="valid")[:n_cols]
+        c = np.correlate(padded[half - w.size // 2 :], w, mode="valid")[:n_cols]
         c = c.reshape(-1, width)[:, :t].reshape(means.shape)
-        c += b.data
+        c += b
         if training:
             responses.append(c)
             a = leaky_relu(c, cfg.slope)
@@ -349,10 +349,10 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
         grads = []
         for c, (w, _) in zip(responses, kernels):
             gc = g * _to_leaky_relu_slope(c, cfg.slope)
-            grads += [_conv1d_weight_grad(means, gc, w.data.size), np.asarray(gc.sum()).reshape(1)]
+            grads += [_conv1d_weight_grad(means, gc, w.size), np.asarray(gc.sum()).reshape(1)]
         return grads
 
-    return Tensor(gate, [p for kernel in kernels for p in kernel], grad_fn)
+    return Tensor(gate, [Parameter(a, name) for name, a in zip(names, arrays)], grad_fn)
 
 
 class Workspace:
@@ -483,8 +483,7 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     the backward runs at most once, and before the next forward into the
     same workspace.
     """
-    head = [params[name] for name in _HEAD_NAMES]
-    w0, b0, w1, b1, w2, b2 = [p.data for p in head]
+    w0, b0, w1, b1, w2, b2 = head = [params[name] for name in _HEAD_NAMES]
     dtype = w0.dtype
     bag_axes, bags = _feature_bags(x, cfg.dims[0])
     take = _no_buffer if workspace is None else workspace.take
@@ -550,7 +549,8 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         grads[0] = np.matmul(x.T, g, out=take("gw0", w0.shape, dtype))
         return grads
 
-    parents = head if gate_node is None else head + [gate_node]
+    leaves = [Parameter(p, name) for name, p in zip(_HEAD_NAMES, head)]
+    parents = leaves if gate_node is None else leaves + [gate_node]
     return Tensor(out.reshape(bag_axes), parents, grad_fn), clean.reshape(bag_axes)
 
 
@@ -599,7 +599,7 @@ class AnomalyScorer:
     @property
     def dtype(self) -> np.dtype:
         """The parameters' dtype, which the head computes in."""
-        return self.params["head.0.weight"].data.dtype
+        return self.params["head.0.weight"].dtype
 
     def score_bag(self, features, training: bool = False, rng=None, means=None,
                   workspace: Workspace | None = None) -> BagScores:
@@ -759,7 +759,7 @@ def _normalize_config(config: dict) -> dict:
 
 
 def save_checkpoint(path, model: AnomalyScorer) -> Path:
-    return write_container(path, CHECKPOINT_MAGIC, model.config_dict(), model.params.state_arrays())
+    return write_container(path, CHECKPOINT_MAGIC, model.config_dict(), model.params)
 
 
 def load_checkpoint(path, expected_config: dict | None = None) -> AnomalyScorer:

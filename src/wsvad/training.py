@@ -19,8 +19,8 @@ normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
   pair loss. The step is a chain of three hand-differentiated ops over the
   parameters: the gate (``model.mta_forward``), the head
   (``model.hfc_forward``) and the objective (``losses.total_loss``). The
-  backward sets every parameter's gradient, so none is zeroed between
-  batches.
+  backward returns every parameter's gradient by name, and the Adam step
+  updates the parameter arrays in place from them.
 
 The stack, the head's activations, dropout masks and weight gradients, and
 Adam's temporaries live in one ``model.Workspace`` that ``TrainState`` holds
@@ -96,13 +96,15 @@ class TrainState:
     def __init__(self, params: ModelParameters):
         self.step = 0
         self.best_auc = -1.0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
         self.workspace = Workspace()
 
 
-def adam_step(params: ModelParameters, state: TrainState, cfg: TrainConfig) -> None:
-    """One Adam update from the gradients currently held by ``params``.
+def adam_step(params: ModelParameters, grads: dict[str, np.ndarray], state: TrainState,
+              cfg: TrainConfig) -> None:
+    """One Adam update of the ``params`` arrays, in place, from ``grads``
+    (name -> gradient, as ``backward`` returns them).
 
     Weight decay enters as a coupled L2 term (g + wd * theta) before the
     moment updates; moments are bias-corrected by the shared step counter.
@@ -114,13 +116,13 @@ def adam_step(params: ModelParameters, state: TrainState, cfg: TrainConfig) -> N
     bc1 = 1.0 - cfg.adam_beta1 ** state.step
     bc2 = 1.0 - cfg.adam_beta2 ** state.step
     for name, p in params.items():
-        g = p.grad
-        if not np.isfinite(g).all():
+        g = grad = grads[name]
+        if not np.isfinite(grad).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r} at step {state.step}")
-        s1, s2 = (state.workspace.take(f"adam.{name}.{i}", p.data.shape, p.data.dtype) for i in (0, 1))
+        s1, s2 = (state.workspace.take(f"adam.{name}.{i}", p.shape, p.dtype) for i in (0, 1))
         if cfg.weight_decay:
-            g = np.multiply(p.data, cfg.weight_decay, out=s1)
-            g += p.grad
+            g = np.multiply(p, cfg.weight_decay, out=s1)
+            g += grad
         m = state.m[name]
         v = state.v[name]
         m *= cfg.adam_beta1
@@ -134,7 +136,7 @@ def adam_step(params: ModelParameters, state: TrainState, cfg: TrainConfig) -> N
         denom = np.sqrt(np.divide(v, bc2, out=s2), out=s2)
         denom += cfg.adam_eps
         update /= denom
-        p.data -= update
+        p -= update
 
 
 def check_train_bags(bags, model: AnomalyScorer) -> None:
@@ -212,8 +214,8 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
             [neg_bags[i] for i in neg_order[batch]],
             model, sel_cfg, loss_cfg, dropout_rng, state.workspace,
         )
-        backward(breakdown.node)
-        adam_step(model.params, state, cfg)
+        grads = backward(breakdown.node)
+        adam_step(model.params, grads, state, cfg)
         sums += [np.mean(getattr(breakdown if hasattr(breakdown, c) else sel, c)) for c in _MEAN_COLUMNS]
     # every batch holds batch_pairs pairs, so the mean of the batch means
     # is the mean over pairs
@@ -304,7 +306,7 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     if resume_from is not None:
         prev = Path(resume_from)
         restored = load_checkpoint(prev / "final.lwck", expected_config=model.config_dict())
-        model.params.load_arrays(restored.params.state_arrays())
+        model.params.load_arrays(restored.params)
         state = load_train_state(prev / "final_state.lwts", model.params)
         # read now, as this run may write best.lwck in the same directory
         earlier_best = (prev / "best.lwck").read_bytes()

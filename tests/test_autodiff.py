@@ -178,16 +178,16 @@ class TestBackward:
             "head.1.weight": [[1.5, 0.0]], "head.1.bias": [0.0, 0.0],
             "head.2.weight": [[-1.0], [0.0]], "head.2.bias": [3.0],
         }.items():
-            params[name].data[...] = values
+            params[name][...] = values
         gate = Parameter(np.array([2.0]), name="gate")
         scores, _ = hfc_forward(np.array([[1.0, 2.0]]), cfg, params, gate, training=True)
-        backward(_dot(scores, np.array([1.0])))
-        np.testing.assert_array_equal(params["head.0.weight"].grad, [[-0.75], [-1.5]])
-        np.testing.assert_array_equal(params["head.0.bias"].grad, [-0.375])
-        np.testing.assert_array_equal(gate.grad, [-0.375])
-        np.testing.assert_array_equal(params["head.1.weight"].grad, [[-0.5, 0.0]])
-        np.testing.assert_array_equal(params["head.2.weight"].grad, [[0.75], [0.0]])
-        np.testing.assert_array_equal(params["head.2.bias"].grad, [0.25])
+        grads = backward(_dot(scores, np.array([1.0])))
+        np.testing.assert_array_equal(grads["head.0.weight"], [[-0.75], [-1.5]])
+        np.testing.assert_array_equal(grads["head.0.bias"], [-0.375])
+        np.testing.assert_array_equal(grads["gate"], [-0.375])
+        np.testing.assert_array_equal(grads["head.1.weight"], [[-0.5, 0.0]])
+        np.testing.assert_array_equal(grads["head.2.weight"], [[0.75], [0.0]])
+        np.testing.assert_array_equal(grads["head.2.bias"], [0.25])
 
     def test_objective_grad_matches_hand_derivation(self):
         # one pair, K=1 on the first clips, antagonistic term off:
@@ -197,27 +197,33 @@ class TestBackward:
         scores = Parameter(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), name="scores")
         first = np.array([[True, False, False], [True, False, False]])
         sel = SelectionResult(omega=1.0, k=1, mask=first)
-        backward(total_loss(scores, sel, LossConfig(use_antagonistic=False)).node)
+        grads = backward(total_loss(scores, sel, LossConfig(use_antagonistic=False)).node)
         expected = [[-1 / (0.8 + AIS_EPS) + 0.2, -0.3, 0.1], [1 / (1 - 0.2 + AIS_EPS), 0.0, 0.0]]
-        np.testing.assert_allclose(scores.grad, expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grads["scores"], expected, rtol=1e-12, atol=1e-15)
 
     def test_dead_parameter_gets_zero_gradient(self):
-        # a parameter starts with zeros, and a backward that never reaches
-        # it leaves whatever gradient it holds as it was
+        # the backward returns the gradients of the leaves it reaches and no
+        # other name; grad_check reads a missing name as an exact zero
         used = Parameter(np.array([2.0]), name="used")
-        dead = Parameter(np.array([5.0]), name="dead")
-        backward(_dot(used, np.array([3.0])))
-        np.testing.assert_array_equal(used.grad, [3.0])
-        np.testing.assert_array_equal(dead.grad, [0.0])
-        dead.grad = np.array([7.0])
-        backward(_dot(used, np.array([3.0])))
-        np.testing.assert_array_equal(dead.grad, [7.0])
+        grads = backward(_dot(used, np.array([3.0])))
+        assert list(grads) == ["used"]
+        np.testing.assert_array_equal(grads["used"], [3.0])
 
     def test_second_backward_replaces_the_gradient(self):
+        # each backward returns its own gradients: nothing carries over
         p = Parameter(np.array([1.0]), name="p")
-        backward(_dot(p, np.array([2.0])))
-        backward(_dot(p, np.array([-5.0])))
-        np.testing.assert_array_equal(p.grad, [-5.0])
+        first = backward(_dot(p, np.array([2.0])))
+        second = backward(_dot(p, np.array([-5.0])))
+        np.testing.assert_array_equal(first["p"], [2.0])
+        np.testing.assert_array_equal(second["p"], [-5.0])
+
+    def test_leaf_wraps_its_array_without_a_copy_or_a_gradient(self):
+        data = np.array([1.0, 2.0])
+        leaf = Parameter(data, name="w")
+        assert leaf.data is data and leaf._parents == ()
+        assert not hasattr(leaf, "grad")
+        with pytest.raises(TypeError):
+            Parameter(data)  # a leaf is found by its name, so it needs one
 
     def test_op_with_two_op_inputs_raises(self):
         p = Parameter(np.array([1.5, -2.0]), name="p")
@@ -249,7 +255,7 @@ class TestBackward:
         scores = Parameter(np.array([[0.3, 0.9, 0.1, 0.5], [0.2, 0.6, 0.35, 0.4]]), name="scores")
         odd = np.array([[False, True, False, True], [False, True, False, True]])
         sel = SelectionResult(omega=1.0, k=2, mask=odd)
-        report = grad_check(lambda: total_loss(scores, sel).node, [scores], eps=1e-5, tol=1e-6)
+        report = grad_check(lambda: total_loss(scores, sel).node, {"scores": scores.data}, eps=1e-5, tol=1e-6)
         assert report.passed, report.summary()
 
     def test_composite_graph_matches_finite_differences(self):
@@ -258,7 +264,7 @@ class TestBackward:
         mta_cfg = MtaConfig(k_max=3)
         hfc_cfg = HfcConfig.for_feature_dim(4, narrow=3, wide=5, dropout=0.3)
         params = init_parameters(mta_cfg, hfc_cfg, seed=2, dtype=np.float64)
-        params["mta.conv3.weight"].data[:] = r.uniform(-1, 1, 3)
+        params["mta.conv3.weight"][:] = r.uniform(-1, 1, 3)
         x = r.standard_normal((2, 2, 5, 4))
         k = np.array([1, 3])
         # the positive bags' magnitudes are drawn first, then the negative ones'
@@ -269,7 +275,7 @@ class TestBackward:
             scores, _ = hfc_forward(x, hfc_cfg, params, gate, training=True, rng=rng(5))
             return total_loss(scores, sel).node
 
-        report = _checked(list(params.values()), build)
+        report = _checked(params, build)
         assert report is not None and report.passed, report and report.summary()
 
 
@@ -278,13 +284,13 @@ class TestGradCheck:
         r = rng(4)
         w = Parameter(r.standard_normal((6, 2)), name="w")
         weights = r.standard_normal((6, 2))
-        report = grad_check(lambda: _dot(w, weights), [w], eps=1e-5, tol=1e-6)
+        report = grad_check(lambda: _dot(w, weights), {"w": w.data}, eps=1e-5, tol=1e-6)
         assert report.max_rel_error < 1e-6, report.summary()
 
     def test_dead_parameter_compares_exactly(self):
         used = Parameter(np.array([1.0]), name="used")
         dead = Parameter(np.array([3.0]), name="dead")
-        report = grad_check(lambda: _square_sum(used), [used, dead], eps=1e-5, tol=1e-6)
+        report = grad_check(lambda: _square_sum(used), {"used": used.data, "dead": dead.data}, eps=1e-5, tol=1e-6)
         assert report.passed
         assert report.per_parameter["dead"] == 0.0
 
@@ -298,7 +304,7 @@ class TestGradCheck:
 # ---------------------------------------------------------------------------
 # the three ops against central differences
 #
-# Each case returns (parameters, build). Central differences are only valid
+# Each case returns (parameters by name, build). Central differences are only valid
 # where the op is smooth, so a draw whose leaky ReLU inputs or top-2 score
 # gaps come within KINK_MARGIN of a kink is skipped; an eps = 1e-5
 # perturbation moves them by far less. Differences at that eps need float64,
@@ -321,9 +327,9 @@ def _gate_case(r, mode="residual", k_max=5, n_bags=2, t=7):
     weighted sum."""
     cfg = MtaConfig(k_max=k_max, mode=mode)
     params = init_parameters(cfg, HfcConfig.for_feature_dim(1), seed=0, dtype=np.float64)
-    kernels = [p for name, p in params.items() if name.startswith("mta.")]
-    for p in kernels:
-        p.data[...] = r.uniform(-1, 1, p.data.shape)
+    kernels = {name: p for name, p in params.items() if name.startswith("mta.")}
+    for p in kernels.values():
+        p[...] = r.uniform(-1, 1, p.shape)
     means = r.standard_normal((n_bags, t))
     weights = r.standard_normal((n_bags, t))
     return kernels, lambda: _dot(mta_forward(means, cfg, params, training=True), weights)
@@ -344,7 +350,7 @@ def _head_case(r, gated=True, dropout=0.5, n_bags=2, t=4):
         scores, _ = hfc_forward(x, cfg, params, gate, training=True, rng=rng(mask_seed))
         return _dot(scores, weights)
 
-    return list(params.values()) + ([gate] if gated else []), build
+    return {**params, **({"gate": gate.data} if gated else {})}, build
 
 
 def _objective_case(r, n_pairs=3, t=6, antagonistic=True):
@@ -356,7 +362,7 @@ def _objective_case(r, n_pairs=3, t=6, antagonistic=True):
     magnitudes = np.moveaxis(r.uniform(size=(2,) + bags + (t,)), 0, -2)
     sel = SelectionResult(np.ones(bags), k, topk_mask(magnitudes, k[..., None]))
     cfg = LossConfig(use_antagonistic=antagonistic)
-    return [scores], lambda: total_loss(scores, sel, cfg).node
+    return {"scores": scores.data}, lambda: total_loss(scores, sel, cfg).node
 
 
 @settings(max_examples=25, deadline=None)
@@ -407,10 +413,10 @@ def test_leaky_relu_fd_away_from_kink():
     # ReLU; FD straddles the kink at 0, so keep entries away from it
     cfg = MtaConfig(k_max=3, mode="pure")
     params = init_parameters(cfg, HfcConfig.for_feature_dim(1), dtype=np.float64)
-    params["mta.conv3.weight"].data[...] = [0.0, 1.0, 0.0]
-    params["mta.conv3.bias"].data[...] = 0.0
+    params["mta.conv3.weight"][...] = [0.0, 1.0, 0.0]
+    params["mta.conv3.bias"][...] = 0.0
     means = np.array([-1.8, -0.6, 0.4, 1.2, 1.9])
-    kernels = [params["mta.conv3.weight"], params["mta.conv3.bias"]]
+    kernels = {name: params[name] for name in ("mta.conv3.weight", "mta.conv3.bias")}
     report = grad_check(lambda: _dot(mta_forward(means, cfg, params, training=True), np.ones(5)),
                         kernels, eps=1e-5, tol=1e-6)
     assert report.passed, report.summary()
@@ -420,8 +426,8 @@ def test_forward_backward_deterministic():
     def run():
         params, build = _head_case(rng(33))
         loss = build()
-        backward(loss)
-        return [loss.data.tobytes()] + [p.grad.tobytes() for p in params]
+        grads = backward(loss)
+        return [loss.data.tobytes()] + [grads[name].tobytes() for name in params]
 
     assert run() == run()
 

@@ -293,7 +293,7 @@ class TestStackedEvaluation:
         rng = np.random.default_rng(dim)
         if mta_cfg is not None:
             for k in mta_cfg.kernel_sizes:
-                model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+                model.params[f"mta.conv{k}.weight"][:] = rng.uniform(-2, 2, k)
         bags = _mixed_split(dim)
         result = evaluate_bags(bags, model)
         assert [r.video_id for r in result.records] == [b.video_id for b in bags]
@@ -318,8 +318,8 @@ class TestStackedEvaluation:
         rng = np.random.default_rng(seed)
         if mta_cfg is not None:
             for k in mta_cfg.kernel_sizes:
-                model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
-                model.params[f"mta.conv{k}.bias"].data[:] = rng.uniform(-1, 1)
+                model.params[f"mta.conv{k}.weight"][:] = rng.uniform(-2, 2, k)
+                model.params[f"mta.conv{k}.bias"][:] = rng.uniform(-1, 1)
         bags = []
         for i, dtype in enumerate(bag_dtypes):
             frames = int(rng.integers(t, 4 * t))

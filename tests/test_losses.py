@@ -94,8 +94,7 @@ class TestAntagonisticLoss:
         grads = []
         for cfg in (LossConfig(), LossConfig(use_antagonistic=False)):
             p = Parameter(scores, name="scores")
-            backward(total_loss(p, sel, cfg).node)
-            grads.append(p.grad)
+            grads.append(backward(total_loss(p, sel, cfg).node)["scores"])
         pull = grads[0] - grads[1]
         assert pull[0, 0] < 0 and pull[0, 1] == 0
         assert pull[1, 1] > 0 and pull[1, 0] == 0
@@ -149,9 +148,9 @@ class TestTotalLoss:
         scores = Parameter(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), name="scores")
         sel = SelectionResult(omega=1.0, k=1, mask=_first_clips(3))
         out = total_loss(scores, sel)
-        backward(out.node)
-        assert np.any(scores.grad[0] != 0) and np.any(scores.grad[1] != 0)
-        assert np.isfinite(scores.grad).all()
+        grad = backward(out.node)["scores"]
+        assert np.any(grad[0] != 0) and np.any(grad[1] != 0)
+        assert np.isfinite(grad).all()
 
 
 @pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(use_antagonistic=False)])
@@ -165,14 +164,14 @@ def test_batch_of_pairs_is_the_mean_of_single_pairs(cfg):
 
     batch_scores = Parameter(np.stack([pos, neg], axis=1), name="scores")
     batch = total_loss(batch_scores, SelectionResult(np.ones(3), k, mask), cfg)
-    backward(batch.node)
+    batch_grad = backward(batch.node)["scores"]
     singles = []
     for i in range(3):
         scores = Parameter(np.stack([pos[i], neg[i]]), name="pair")
         out = total_loss(scores, SelectionResult(np.float64(1.0), k[i], mask[i]), cfg)
-        backward(out.node)
+        grad = backward(out.node)["pair"]
         singles.append(out)
-        np.testing.assert_allclose(batch_scores.grad[i], scores.grad / 3, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(batch_grad[i], grad / 3, rtol=1e-12, atol=1e-15)
     for term in ("ais", "smooth", "antagonistic", "sparsity", "total"):
         expected = np.mean([getattr(o, term) for o in singles])
         assert getattr(batch, term) == pytest.approx(expected, rel=1e-12)

@@ -41,8 +41,8 @@ def _reference_head(feats, cfg: HfcConfig, params: ModelParameters) -> np.ndarra
     for r in range(t):
         h = feats[r].astype(np.float64).copy()
         for i in range(n_layers):
-            w = params[f"head.{i}.weight"].data
-            b = params[f"head.{i}.bias"].data
+            w = params[f"head.{i}.weight"]
+            b = params[f"head.{i}.bias"]
             nxt = np.zeros(w.shape[1])
             for j in range(w.shape[1]):
                 acc = b[j]
@@ -58,7 +58,7 @@ def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, m
     """The head's training pass and backward on fresh arrays, with given
     dropout masks (or None): scores, clean scores, and the gradients of
     sum(upstream * scores) for W0, b0, W1, b1, W2, b2 and then the gate."""
-    w0, b0, w1, b1, w2, b2 = (params[f"head.{i}.{kind}"].data for i in range(3) for kind in ("weight", "bias"))
+    w0, b0, w1, b1, w2, b2 = (params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias"))
     bag_axes = x.shape[:-1]
     x = x.reshape(-1, cfg.dims[0])
     gate_col = None if gate is None else gate.reshape(-1, 1)
@@ -193,7 +193,7 @@ class TestMta:
     def test_identity_kernel_pure_mode_hand_example(self):
         cfg = MtaConfig(k_max=3, mode="pure")
         params = init_parameters(cfg, HfcConfig.for_feature_dim(1), seed=0)
-        params["mta.conv3.weight"].data[:] = [0.0, 1.0, 0.0]
+        params["mta.conv3.weight"][:] = [0.0, 1.0, 0.0]
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         gate = mta_forward(x.mean(axis=1), cfg, params)
         np.testing.assert_allclose(gate[:, None] * x, [[0.1], [0.4], [0.9], [1.6]], atol=1e-12)
@@ -211,7 +211,7 @@ class TestMta:
         res_cfg, pure_cfg = MtaConfig(mode="residual"), MtaConfig(mode="pure")
         params = init_parameters(res_cfg, hfc, seed=3)
         for k in res_cfg.kernel_sizes:
-            params[f"mta.conv{k}.weight"].data[:] = np.random.default_rng(k).uniform(-1, 1, k)
+            params[f"mta.conv{k}.weight"][:] = np.random.default_rng(k).uniform(-1, 1, k)
         means = np.random.default_rng(4).standard_normal((9, 5)).mean(axis=1)
         res = mta_forward(means, res_cfg, params)
         pure = mta_forward(means, pure_cfg, params)
@@ -221,7 +221,7 @@ class TestMta:
         cfg = MtaConfig(k_max=7)
         params = init_parameters(cfg, HfcConfig.for_feature_dim(3), seed=0)
         for k in cfg.kernel_sizes:
-            params[f"mta.conv{k}.weight"].data[:] = np.random.default_rng(k).uniform(-1, 1, k)
+            params[f"mta.conv{k}.weight"][:] = np.random.default_rng(k).uniform(-1, 1, k)
         means = np.random.default_rng(6).standard_normal((4, 9))
         stacked = mta_forward(means, cfg, params)
         for n in range(4):
@@ -239,13 +239,13 @@ class TestMta:
         params = init_parameters(cfg, HfcConfig.for_feature_dim(3), seed=0)
         rng = np.random.default_rng(seed)
         for k in cfg.kernel_sizes:
-            params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
-            params[f"mta.conv{k}.bias"].data[:] = rng.uniform(-1, 1)
+            params[f"mta.conv{k}.weight"][:] = rng.uniform(-2, 2, k)
+            params[f"mta.conv{k}.bias"][:] = rng.uniform(-1, 1)
         means = rng.standard_normal((n, t))
         for signal in (means, means[0]):
             logits = None
             for k in cfg.kernel_sizes:
-                c = conv1d_same(signal, params[f"mta.conv{k}.weight"].data, params[f"mta.conv{k}.bias"].data)
+                c = conv1d_same(signal, params[f"mta.conv{k}.weight"], params[f"mta.conv{k}.bias"])
                 a = leaky_relu(c, cfg.slope)
                 logits = a if logits is None else logits + a
             reference = logits * cfg.lambda1
@@ -265,8 +265,8 @@ class TestHfc:
     def test_zero_weights_give_half(self):
         cfg = HfcConfig.for_feature_dim(7)
         params = init_parameters(None, cfg, seed=0)
-        for name, p in params.items():
-            p.data[...] = 0.0
+        for p in params.values():
+            p[...] = 0.0
         scores, _ = hfc_forward(np.random.default_rng(0).standard_normal((5, 7)), cfg, params)
         np.testing.assert_array_equal(scores, np.full(5, 0.5))
 
@@ -348,14 +348,14 @@ class TestHfc:
         gate = Parameter(r.uniform(0.5, 1.5, (3, 8)), name="gate") if gated else None
         upstream = r.standard_normal((3, 8))
         scores, clean = hfc_forward(x, cfg, params, gate, training=True, rng=np.random.default_rng(2))
-        backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream,)))
+        grads = backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream,)))
         masks = (dropout_masks(np.random.default_rng(2), 3, 8, cfg.dims[1:-1], dropout, dtype=np.float64)
                  if dropout else None)
         ref_scores, ref_clean, ref_grads = _reference_training_head(
             x, cfg, params, None if gate is None else gate.data, masks, upstream)
         assert scores.data.tobytes() == ref_scores.tobytes()
         assert clean.tobytes() == ref_clean.tobytes()
-        got = [p.grad for p in params.values()] + ([gate.grad] if gated else [])
+        got = [grads[name] for name in params] + ([grads["gate"]] if gated else [])
         assert [g.tobytes() for g in got] == [g.tobytes() for g in ref_grads]
 
     def test_training_backward_runs_once(self):
@@ -403,9 +403,13 @@ class TestAnomalyScorer:
         assert type(inference.scores) is np.ndarray and type(inference.gate) is np.ndarray
         training = model.score_bag(feats, training=True)
         assert isinstance(training.scores, Tensor) and type(training.gate) is np.ndarray
-        # head node -> gate node -> attention kernels
-        gate_node = training.scores._parents[-1]
-        assert list(gate_node._parents) == [p for name, p in model.params.items() if name.startswith("mta.")]
+        # head node -> head leaves and the gate node -> attention kernel
+        # leaves, each wrapping its registry array itself
+        *head, gate_node = training.scores._parents
+        leaves = head + list(gate_node._parents)
+        assert all(isinstance(leaf, Parameter) and leaf._parents == () for leaf in leaves)
+        assert sorted(leaf.name for leaf in leaves) == sorted(model.params)
+        assert all(leaf.data is model.params[leaf.name] for leaf in leaves)
         np.testing.assert_array_equal(gate_node.data, inference.gate)
         np.testing.assert_array_equal(training.scores.data, inference.scores)
 
@@ -424,7 +428,7 @@ class TestAnomalyScorer:
                               dtype=np.float64)
         rng = np.random.default_rng(9)
         for k in model.mta_cfg.kernel_sizes:
-            model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+            model.params[f"mta.conv{k}.weight"][:] = rng.uniform(-2, 2, k)
         feats = rng.standard_normal((3, 7, 9))
         scores, gate = model.score_bag(feats)
         for n in range(3):
@@ -443,7 +447,7 @@ class TestAnomalyScorer:
         rng = np.random.default_rng(t)
         if mta_cfg is not None:
             for k in mta_cfg.kernel_sizes:
-                model.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+                model.params[f"mta.conv{k}.weight"][:] = rng.uniform(-2, 2, k)
         stack = rng.standard_normal((5, t, 2048)).astype(np.float32)
         scores, gate = model.score_bag(stack)
         for n in range(5):
@@ -464,8 +468,14 @@ class TestAnomalyScorer:
         narrow, wide = init_parameters(MtaConfig(), cfg, seed=4), init_parameters(MtaConfig(), cfg, 4, np.float64)
         assert AnomalyScorer(cfg, MtaConfig()).dtype == np.float32
         for name, p in narrow.items():
-            assert p.data.dtype == p.grad.dtype == np.float32, name
-            assert p.data.tobytes() == wide[name].data.astype(np.float32).tobytes(), name
+            assert p.dtype == np.float32, name
+            assert p.tobytes() == wide[name].astype(np.float32).tobytes(), name
+
+    def test_registry_values_are_plain_arrays(self, tmp_path):
+        model = AnomalyScorer(HfcConfig.for_feature_dim(12), MtaConfig(), seed=4)
+        loaded = load_checkpoint(save_checkpoint(tmp_path / "m.lwck", model))
+        for params in (model.params, loaded.params):
+            assert len(params) == 10 and all(type(p) is np.ndarray for p in params.values())
 
     def test_registry_size_mismatch_rejected(self):
         hfc = HfcConfig.for_feature_dim(6)
@@ -523,18 +533,18 @@ class TestCheckpoints:
                              dtype=np.float64)
         rng = np.random.default_rng(3)
         for k in wide.mta_cfg.kernel_sizes:
-            wide.params[f"mta.conv{k}.weight"].data[:] = rng.uniform(-2, 2, k)
+            wide.params[f"mta.conv{k}.weight"][:] = rng.uniform(-2, 2, k)
         loaded = load_checkpoint(save_checkpoint(tmp_path / "f64.lwck", wide))
         assert loaded.dtype == np.float32
         for name, p in wide.params.items():
-            assert loaded.params[name].data.tobytes() == p.data.astype(np.float32).tobytes(), name
+            assert loaded.params[name].tobytes() == p.astype(np.float32).tobytes(), name
         feats = rng.standard_normal((3, 12, 10)).astype(np.float32)
         np.testing.assert_allclose(loaded.score_bag(feats).scores, wide.score_bag(feats).scores,
                                    rtol=64 * np.finfo(np.float32).eps)
 
     def test_value_beyond_float32_range_rejected(self, tmp_path):
         model = self._model()
-        arrays = {name: a.astype(np.float64) for name, a in model.params.state_arrays().items()}
+        arrays = {name: a.astype(np.float64) for name, a in model.params.items()}
         arrays["head.0.bias"][1] = 1e300
         path = write_container(tmp_path / "big.lwck", b"LWCK", model.config_dict(), arrays)
         with pytest.raises(CheckpointError, match="'head.0.bias' holds values outside the float32 range"):

@@ -263,8 +263,7 @@ class TestAisLoss:
         from wsvad.losses import LossConfig, total_loss
 
         scores = Parameter(_pair(pos, neg), name="scores")
-        backward(total_loss(scores, sel, LossConfig(use_antagonistic=False)).node)
-        return scores.grad
+        return backward(total_loss(scores, sel, LossConfig(use_antagonistic=False)).node)["scores"]
 
     def test_gradient_pushes_scores_apart(self):
         sel = SelectionResult(omega=1.0, k=2, mask=_first(2, 2))

@@ -46,35 +46,32 @@ class TestAdamStep:
     def test_zero_gradient_without_decay_leaves_weights(self):
         params = _toy_params([1.0, -2.0, 3.0])
         state = TrainState(params)
-        adam_step(params, state, TrainConfig(weight_decay=0.0))
-        np.testing.assert_array_equal(params["theta"].data, [1.0, -2.0, 3.0])
+        adam_step(params, {"theta": np.zeros(3)}, state, TrainConfig(weight_decay=0.0))
+        np.testing.assert_array_equal(params["theta"], [1.0, -2.0, 3.0])
         assert state.step == 1
 
     def test_first_step_moves_by_learning_rate(self):
         # bias correction makes m-hat = g and v-hat = g^2, so the step is
         # lr * g / (|g| + eps) ~= lr * sign(g)
         params = _toy_params([0.0])
-        params["theta"].grad[:] = 1.0
         cfg = TrainConfig(lr=0.01, weight_decay=0.0)
-        adam_step(params, TrainState(params), cfg)
-        assert params["theta"].data[0] == pytest.approx(-0.01, rel=1e-6)
+        adam_step(params, {"theta": np.ones(1)}, TrainState(params), cfg)
+        assert params["theta"][0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_quadratic_bowl_converges(self):
         params = _toy_params([1.0])
         state = TrainState(params)
         cfg = TrainConfig(lr=0.01, weight_decay=0.0)
         for _ in range(500):
-            params["theta"].grad[:] = 2.0 * params["theta"].data  # d/dx x^2
-            adam_step(params, state, cfg)
-        assert abs(params["theta"].data[0]) < 1e-3
+            adam_step(params, {"theta": 2.0 * params["theta"]}, state, cfg)  # d/dx x^2
+        assert abs(params["theta"][0]) < 1e-3
 
     def test_weight_decay_shrinks_idle_weights(self):
         params = _toy_params([5.0])
         state = TrainState(params)
         for _ in range(10):
-            params["theta"].grad[:] = 0.0
-            adam_step(params, state, TrainConfig(lr=0.01, weight_decay=0.1))
-        assert 0 < params["theta"].data[0] < 5.0
+            adam_step(params, {"theta": np.zeros(1)}, state, TrainConfig(lr=0.01, weight_decay=0.1))
+        assert 0 < params["theta"][0] < 5.0
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
     def test_in_place_update_matches_the_allocating_formula(self, weight_decay):
@@ -84,25 +81,23 @@ class TestAdamStep:
         params = _toy_params(r.standard_normal((5, 3)))
         cfg = TrainConfig(lr=0.01, weight_decay=weight_decay)
         state = TrainState(params)
-        theta, m, v = params["theta"].data.copy(), np.zeros((5, 3)), np.zeros((5, 3))
+        theta, m, v = params["theta"].copy(), np.zeros((5, 3)), np.zeros((5, 3))
         for step in range(1, 5):
             g = r.standard_normal((5, 3))
-            params["theta"].grad[...] = g
-            adam_step(params, state, cfg)
+            adam_step(params, {"theta": g}, state, cfg)
             if weight_decay:
                 g = g + weight_decay * theta
             m = m * cfg.adam_beta1 + (1.0 - cfg.adam_beta1) * g
             v = v * cfg.adam_beta2 + (1.0 - cfg.adam_beta2) * (g * g)
             bc1, bc2 = 1.0 - cfg.adam_beta1 ** step, 1.0 - cfg.adam_beta2 ** step
             theta = theta - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-            assert params["theta"].data.tobytes() == theta.tobytes()
+            assert params["theta"].tobytes() == theta.tobytes()
             assert state.m["theta"].tobytes() == m.tobytes() and state.v["theta"].tobytes() == v.tobytes()
 
     def test_non_finite_gradient_names_the_parameter(self):
         params = _toy_params([1.0])
-        params["theta"].grad[:] = np.nan
         with pytest.raises(TrainingError, match="theta"):
-            adam_step(params, TrainState(params), TrainConfig())
+            adam_step(params, {"theta": np.array([np.nan])}, TrainState(params), TrainConfig())
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -141,20 +136,20 @@ class TestTrainEpoch:
             stats = train_epoch(pos, neg, model, TrainState(model.params), cfg,
                                 SelectionConfig(), LossConfig(),
                                 np.random.default_rng(0), np.random.default_rng(1))
-            outs.append((stats, model.params.state_arrays()))
+            outs.append((stats, {name: p.copy() for name, p in model.params.items()}))
         assert outs[0][0] == outs[1][0]
         for name in outs[0][1]:
             np.testing.assert_array_equal(outs[0][1][name], outs[1][1][name])
 
     def test_zero_lr_keeps_weights(self, tiny_bags):
         model, pos, neg = _fresh(tiny_bags)
-        before = model.params.state_arrays()
+        before = {name: p.copy() for name, p in model.params.items()}
         cfg = TrainConfig(batch_pairs=4, lr=0.0, weight_decay=0.0)
         train_epoch(pos, neg, model, TrainState(model.params), cfg,
                     SelectionConfig(), LossConfig(),
                     np.random.default_rng(0), np.random.default_rng(1))
         for name, arr in before.items():
-            np.testing.assert_array_equal(model.params[name].data, arr)
+            np.testing.assert_array_equal(model.params[name], arr)
 
     def test_mixed_clip_counts_rejected_naming_the_video(self, tiny_bags, tmp_path):
         model, pos, neg = _fresh(tiny_bags)
@@ -209,8 +204,7 @@ class TestFeatureDtype:
             pos = [b for b in bags if b.label == 1][:4]
             neg = [b for b in bags if b.label == 0][:4]
             breakdown, _ = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), np.random.default_rng(3))
-            backward(breakdown.node)
-            grads.append({name: p.grad.tobytes() for name, p in model.params.items()})
+            grads.append({name: g.tobytes() for name, g in backward(breakdown.node).items()})
         assert grads[0] == grads[1]
 
     @pytest.mark.parametrize("d", [2048, 9000])
@@ -284,9 +278,9 @@ class TestWorkspace:
                                           state.workspace if reuse else None)
                 out = forwards[-1]
                 record = [a.tobytes() for a in (out.scores.data, out.clean, out.gate, breakdown.node.data)]
-                backward(breakdown.node)
-                record += [p.grad.tobytes() for p in model.params.values()]
-                adam_step(model.params, state, TrainConfig())
+                grads = backward(breakdown.node)
+                record += [grads[name].tobytes() for name in model.params]
+                adam_step(model.params, grads, state, TrainConfig())
                 steps.append(record)
             runs.append(steps)
         assert runs[0] == runs[1]
@@ -298,10 +292,10 @@ class TestWorkspace:
         state = TrainState(model.params)
         breakdown, _ = batch_step(_random_bags(r, b, 1, t, d), _random_bags(r, b, 0, t, d), model,
                                   SelectionConfig(), LossConfig(), np.random.default_rng(1), state.workspace)
-        backward(breakdown.node)
-        adam_step(model.params, state, TrainConfig())
+        grads = backward(breakdown.node)
+        adam_step(model.params, grads, state, TrainConfig())
         for name, p in model.params.items():
-            assert p.data.dtype == p.grad.dtype == state.m[name].dtype == state.v[name].dtype == np.float32
+            assert p.dtype == grads[name].dtype == state.m[name].dtype == state.v[name].dtype == np.float32
         buffers = state.workspace._buffers
         assert {name: buf.dtype for name, buf in buffers.items()} == dict.fromkeys(buffers, np.float32)
         # the batch stack is a float32 copy of the bags, at half the float64 size
@@ -309,19 +303,22 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("use_mta", [True, False])
     def test_backward_sets_every_gradient_of_the_step(self, use_mta):
-        # no batch zeroes the gradients first: the chain reaches every
-        # parameter and sets its gradient, so nothing an earlier batch left
-        # there can reach Adam
-        r = np.random.default_rng(6)
-        model = AnomalyScorer(HfcConfig.for_feature_dim(16), MtaConfig() if use_mta else None, seed=3)
-        for p in model.params.values():
-            p.grad = np.full_like(p.data, np.nan)
-        breakdown, _ = batch_step(_random_bags(r, 2, 1, 8, 16), _random_bags(r, 2, 0, 8, 16), model,
-                                  SelectionConfig(), LossConfig(), np.random.default_rng(1),
-                                  TrainState(model.params).workspace)
-        backward(breakdown.node)
-        for name, p in model.params.items():
-            assert p.grad.dtype == p.data.dtype and np.isfinite(p.grad).all(), name
+        # the chain reaches every parameter: the backward returns one
+        # gradient per registry name, in the parameter's shape and dtype
+        # (float32 by default, float64 as the gradient check builds it)
+        for dtype in (np.float32, np.float64):
+            r = np.random.default_rng(6)
+            model = AnomalyScorer(HfcConfig.for_feature_dim(16), MtaConfig() if use_mta else None, seed=3,
+                                  dtype=dtype)
+            breakdown, _ = batch_step(_random_bags(r, 2, 1, 8, 16), _random_bags(r, 2, 0, 8, 16), model,
+                                      SelectionConfig(), LossConfig(), np.random.default_rng(1),
+                                      TrainState(model.params).workspace)
+            grads = backward(breakdown.node)
+            assert sorted(grads) == sorted(model.params) and len(grads) == (10 if use_mta else 6)
+            for name, p in model.params.items():
+                g = grads[name]
+                assert type(p) is np.ndarray and p.dtype == dtype, name
+                assert g.shape == p.shape and g.dtype == p.dtype and np.isfinite(g).all(), name
 
     def test_float32_step_matches_the_step_of_a_float64_copy(self, monkeypatch):
         # the same bags, weights (float32 values, exact in float64) and
@@ -333,9 +330,9 @@ class TestWorkspace:
         pos, neg = _random_bags(r, 4, 1, 16, 2048), _random_bags(r, 4, 0, 16, 2048)
         narrow = AnomalyScorer(HfcConfig.for_feature_dim(2048), MtaConfig(), seed=3)
         for k in narrow.mta_cfg.kernel_sizes:
-            narrow.params[f"mta.conv{k}.weight"].data[:] = r.uniform(-0.5, 0.5, k)
+            narrow.params[f"mta.conv{k}.weight"][:] = r.uniform(-0.5, 0.5, k)
         wide = AnomalyScorer(HfcConfig.for_feature_dim(2048), MtaConfig(), seed=3, dtype=np.float64)
-        wide.params.load_arrays(narrow.params.state_arrays())
+        wide.params.load_arrays(narrow.params)
         steps = []
         for model in (narrow, wide):
             forwards, score_bag = [], model.score_bag
@@ -346,14 +343,13 @@ class TestWorkspace:
 
             monkeypatch.setattr(model, "score_bag", recording)
             breakdown, sel = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), np.random.default_rng(5))
-            backward(breakdown.node)
-            steps.append((breakdown, sel, forwards[-1], model.params))
-        (b32, sel32, out32, p32), (b64, sel64, out64, p64) = steps
+            steps.append((breakdown, sel, forwards[-1], backward(breakdown.node)))
+        (b32, sel32, out32, g32), (b64, sel64, out64, g64) = steps
         assert np.array_equal(sel32.mask, sel64.mask) and np.array_equal(sel32.k, sel64.k)
         assert out32.scores.data.dtype == np.float64
         assert abs(b32.total - b64.total) <= rtol * abs(b64.total)
         pairs = {"scores": (out32.scores.data, out64.scores.data), "clean": (out32.clean, out64.clean)}
-        pairs.update({name: (p.grad, p64[name].grad) for name, p in p32.items()})
+        pairs.update({name: (g, g64[name]) for name, g in g32.items()})
         for name, (got, want) in pairs.items():
             assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), name
 
@@ -368,8 +364,7 @@ class TestWorkspace:
 
         def step():
             breakdown, _ = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), rng, state.workspace)
-            backward(breakdown.node)
-            adam_step(model.params, state, cfg)
+            adam_step(model.params, backward(breakdown.node), state, cfg)
 
         step()
         step()
@@ -421,13 +416,13 @@ class TestFit:
 
     def test_zero_epochs_returns_initial_weights(self, tiny_bags, tmp_path):
         model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7)
-        before = model.params.state_arrays()
+        before = {name: p.copy() for name, p in model.params.items()}
         result = fit(tiny_bags["train"], tiny_bags["test"], model,
                      TrainConfig(epochs=0, batch_pairs=4), tmp_path)
         assert result.rows == []
         loaded = load_checkpoint(result.final_checkpoint)
         for name, arr in before.items():
-            np.testing.assert_array_equal(loaded.params[name].data, arr)
+            np.testing.assert_array_equal(loaded.params[name], arr)
         # best falls back to final when nothing was evaluated
         assert result.best_checkpoint.read_bytes() == result.final_checkpoint.read_bytes()
 
@@ -483,7 +478,7 @@ class TestFit:
     def test_float32_best_checkpoint_saves_back_to_the_same_bytes(self, trained_tiny, tmp_path):
         best = trained_tiny["result"].best_checkpoint
         loaded = load_checkpoint(best)
-        assert all(p.data.dtype == np.float32 for p in loaded.params.values())
+        assert all(p.dtype == np.float32 for p in loaded.params.values())
         assert save_checkpoint(tmp_path / "copy.lwck", loaded).read_bytes() == best.read_bytes()
 
     def test_resume_rejects_mismatched_model(self, tiny_bags, tmp_path):
@@ -524,7 +519,7 @@ class TestTrainStateIo:
         loaded = load_train_state(save_train_state(tmp_path / "state.lwts", state), model.params)
         for store, saved in ((loaded.m, state.m), (loaded.v, state.v)):
             for name, p in model.params.items():
-                assert store[name].dtype == p.data.dtype == np.float32
+                assert store[name].dtype == p.dtype == np.float32
                 assert store[name].tobytes() == saved[name].tobytes()
 
     def test_missing_moment_rejected(self, tmp_path):
