@@ -29,7 +29,9 @@ arrays: one value per clip (scores, gate, selection), bias and kernel
 gradients. Every result is bit-identical to a step on fresh arrays.
 
 Every bag of the train split must therefore have the same clip count. Runs
-are bit-reproducible: the same seed yields identical logs and checkpoints.
+are bit-reproducible: the same seed yields identical logs and checkpoints,
+and a run resumed from a saved state continues it exactly, so n epochs
+and then m resumed ones give the bytes of n + m epochs in one run.
 """
 
 from __future__ import annotations
@@ -87,17 +89,21 @@ class TrainConfig:
 
 
 class TrainState:
-    """Adam accumulators, in each parameter's dtype, plus run bookkeeping,
-    and the workspace whose buffers every batch of the run reuses: the
-    batch stack, the head's activations, dropout masks and gradients
-    (``batch_step``) and Adam's temporaries (``adam_step``). Only the
-    accumulators and the bookkeeping are saved."""
+    """Adam accumulators, in each parameter's dtype, plus run bookkeeping
+    (steps, epochs, best AUC), the run's two generators (batch shuffling
+    and dropout, spawned from ``seed``) and the workspace whose buffers
+    every batch of the run reuses: the batch stack, the head's
+    activations, dropout masks and gradients (``batch_step``) and Adam's
+    temporaries (``adam_step``). All but the workspace is saved."""
 
-    def __init__(self, params: ModelParameters):
+    def __init__(self, params: ModelParameters, seed: int = 0):
         self.step = 0
+        self.epoch = 0
         self.best_auc = -1.0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self.shuffle_rng, self.dropout_rng = (np.random.default_rng(s)
+                                              for s in np.random.SeedSequence(seed).spawn(2))
         self.workspace = Workspace()
 
 
@@ -239,7 +245,10 @@ class FitResult:
 def save_train_state(path, state: TrainState) -> Path:
     arrays = {f"m.{k}": v for k, v in state.m.items()}
     arrays.update({f"v.{k}": v for k, v in state.v.items()})
-    return write_container(path, STATE_MAGIC, {"step": state.step, "best_auc": state.best_auc}, arrays)
+    header = {"step": state.step, "epoch": state.epoch, "best_auc": state.best_auc,
+              "shuffle_rng": state.shuffle_rng.bit_generator.state,
+              "dropout_rng": state.dropout_rng.bit_generator.state}
+    return write_container(path, STATE_MAGIC, header, arrays)
 
 
 def load_train_state(path, params: ModelParameters) -> TrainState:
@@ -247,7 +256,10 @@ def load_train_state(path, params: ModelParameters) -> TrainState:
     state = TrainState(params)
     try:
         state.step = int(config["step"])
+        state.epoch = int(config["epoch"])
         state.best_auc = float(config["best_auc"])
+        state.shuffle_rng.bit_generator.state = config["shuffle_rng"]
+        state.dropout_rng.bit_generator.state = config["dropout_rng"]
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: bad optimizer state header: {type(err).__name__}: {err}") from None
     for name in params:
@@ -258,6 +270,16 @@ def load_train_state(path, params: ModelParameters) -> TrainState:
             # into the parameter dtype: exact for moments a float32 run saved
             store[name][...] = arrays[key]
     return state
+
+
+def _earlier_log(path: Path, epochs: int) -> str:
+    """The header and rows of an earlier run's log, which must hold one row
+    per epoch that run's state counts."""
+    lines = path.read_text().splitlines(keepends=True)
+    if not lines or lines[0] != ",".join(LOG_COLUMNS) + "\n" or len(lines) - 1 != epochs:
+        raise CheckpointError(f"{path}: expected the header {','.join(LOG_COLUMNS)!r} and {epochs} rows, "
+                              f"one per saved epoch")
+    return "".join(lines)
 
 
 def _format_row(row: dict) -> str:
@@ -278,14 +300,18 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
         loss_cfg: LossConfig = LossConfig(),
         resume_from=None,
         progress=None) -> FitResult:
-    """Train, evaluating every ``eval_every`` epochs; keeps the best-AUC and
-    the final checkpoint plus a CSV log row per epoch.
+    """Train for ``cfg.epochs`` epochs, evaluating every ``eval_every``-th
+    epoch and the last; keeps the best-AUC and the final checkpoint plus a
+    CSV log row per epoch. The result's ``rows`` are this call's epochs.
 
-    ``resume_from`` points at a previous run's output directory; its final
-    checkpoint and optimizer state are loaded so the step counter continues.
-    Its best AUC carries over too: if no resumed epoch beats it, the
-    earlier run's ``best.lwck``, which holds the weights that scored it, is
-    copied over as this run's.
+    ``resume_from`` points at a previous run's output directory, possibly
+    ``out_dir`` itself. Its final checkpoint and saved state (Adam moments,
+    step and epoch counters, best AUC and both generators' states) are
+    loaded, so the run goes on where that one stopped, and ``cfg.seed`` is
+    not read. Epochs are numbered on from the saved count, the log starts
+    with the earlier run's rows, and that run's ``best.lwck`` is copied
+    here first, so this run replaces it only with weights that score
+    better.
     """
     check_train_bags(train_bags, model)
     if cfg.epochs >= 1 and not test_bags:
@@ -301,37 +327,33 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     pos_bags = [b for b in train_bags if b.label == 1]
     neg_bags = [b for b in train_bags if b.label == 0]
 
-    state = TrainState(model.params)
-    earlier_best = None
-    if resume_from is not None:
+    earlier_log = ",".join(LOG_COLUMNS) + "\n"
+    if resume_from is None:
+        state = TrainState(model.params, cfg.seed)
+    else:
         prev = Path(resume_from)
         restored = load_checkpoint(prev / "final.lwck", expected_config=model.config_dict())
         model.params.load_arrays(restored.params)
         state = load_train_state(prev / "final_state.lwts", model.params)
-        # read now, as this run may write best.lwck in the same directory
+        earlier_log = _earlier_log(prev / "train_log.csv", state.epoch)
         earlier_best = (prev / "best.lwck").read_bytes()
-
-    seq = np.random.SeedSequence(cfg.seed)
-    shuffle_seed, dropout_seed = seq.spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    dropout_rng = np.random.default_rng(dropout_seed)
+        with replacing(best_path) as fh:
+            fh.write(earlier_best)
 
     rows: list[dict] = []
-    best_auc = state.best_auc
-    saved_best = False
+    last = state.epoch + cfg.epochs
     with open(log_path, "w") as log:
-        log.write(",".join(LOG_COLUMNS) + "\n")
-        for epoch in range(1, cfg.epochs + 1):
-            means = train_epoch(
-                pos_bags, neg_bags, model, state, cfg, sel_cfg, loss_cfg, shuffle_rng, dropout_rng
-            )
+        log.write(earlier_log)
+        for epoch in range(state.epoch + 1, last + 1):
+            means = train_epoch(pos_bags, neg_bags, model, state, cfg, sel_cfg, loss_cfg,
+                                state.shuffle_rng, state.dropout_rng)
+            state.epoch = epoch
             auc_value = None
-            if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+            if epoch % cfg.eval_every == 0 or epoch == last:
                 auc_value = evaluate_bags(test_bags, model).overall_auc
-                if auc_value > best_auc:
-                    best_auc = auc_value
+                if auc_value > state.best_auc:
+                    state.best_auc = auc_value
                     save_checkpoint(best_path, model)
-                    saved_best = True
             values = {"epoch": epoch, "auc": auc_value, **means}
             row = {col: values[col] for col in LOG_COLUMNS}
             rows.append(row)
@@ -341,13 +363,8 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
                 progress(row)
 
     save_checkpoint(final_path, model)
-    state.best_auc = best_auc
     save_train_state(state_path, state)
-    if not saved_best and earlier_best is not None:
-        # no resumed epoch beat the earlier run's best
-        with replacing(best_path) as fh:
-            fh.write(earlier_best)
-    elif not saved_best:
+    if state.best_auc < 0:
         # nothing was ever evaluated (epochs=0): the final weights double
         # as the best ones
         save_checkpoint(best_path, model)
@@ -356,6 +373,6 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
         best_checkpoint=best_path,
         final_checkpoint=final_path,
         state_path=state_path,
-        best_auc=best_auc,
+        best_auc=state.best_auc,
         rows=rows,
     )

@@ -9,9 +9,19 @@ import pytest
 
 from wsvad import training
 from wsvad.autodiff import ConfigurationError, backward
-from wsvad.data import ClipFeatureBag
+from wsvad.data import ClipFeatureBag, SyntheticSpec, load_bags, make_synthetic
 from wsvad.evaluation import UndefinedMetricError, evaluate_bags
-from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig, load_checkpoint, save_checkpoint
+from wsvad.model import (
+    STATE_MAGIC,
+    AnomalyScorer,
+    CheckpointError,
+    HfcConfig,
+    MtaConfig,
+    load_checkpoint,
+    read_container,
+    save_checkpoint,
+    write_container,
+)
 from wsvad.losses import LossConfig
 from wsvad.selection import SelectionConfig
 from wsvad.training import (
@@ -110,6 +120,15 @@ class TestAdamStep:
 
 # ---------------------------------------------------------------------------
 # epoch loop
+
+
+@pytest.fixture(scope="module")
+def d64_bags(tmp_path_factory):
+    """A small corpus at D=64 whose AUC does not saturate in a few epochs."""
+    spec = SyntheticSpec(n_normal=16, n_abnormal=16, n_test_normal=8, n_test_abnormal=8, clip_count=16,
+                         feature_dim=64, separation=0.5, seed=1)
+    train, test = make_synthetic(spec, tmp_path_factory.mktemp("d64"))
+    return load_bags(train), load_bags(test)
 
 
 def _fresh(tiny_bags, seed=7):
@@ -474,6 +493,48 @@ class TestFit:
         assert result.rows[-1]["auc"] < result.best_auc
         assert result.best_checkpoint.read_bytes() == (first / "best.lwck").read_bytes()
         assert evaluate_bags(tiny_bags["test"], load_checkpoint(result.best_checkpoint)).overall_auc == result.best_auc
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new-directory", "in-place"])
+    def test_four_epochs_equal_two_plus_two_resumed(self, d64_bags, tmp_path, in_place):
+        # the resumed run's config carries another seed: the saved
+        # generator states, not the seed, drive the shuffle and dropout
+        train, test = d64_bags
+
+        def run(epochs, out, seed=1, resume_from=None):
+            model = AnomalyScorer(HfcConfig.for_feature_dim(64), MtaConfig(), seed=1)
+            cfg = TrainConfig(epochs=epochs, batch_pairs=4, eval_every=1, seed=seed)
+            return fit(train, test, model, cfg, out, resume_from=resume_from)
+
+        whole = run(4, tmp_path / "whole")
+        run(2, tmp_path / "first")
+        out = tmp_path / ("first" if in_place else "second")
+        resumed = run(2, out, seed=99, resume_from=tmp_path / "first")
+        assert [row["epoch"] for row in resumed.rows] == [3, 4] and resumed.best_auc == whole.best_auc
+        for name in ("train_log.csv", "final.lwck", "best.lwck", "final_state.lwts"):
+            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+    def test_resume_rejects_a_state_file_without_the_run_position(self, tiny_bags, tmp_path):
+        # a state file that an older version wrote: no epoch count, no
+        # generator states
+        fit(tiny_bags["train"], tiny_bags["test"], AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7),
+            TrainConfig(epochs=1, batch_pairs=4), tmp_path / "first")
+        path = tmp_path / "first" / "final_state.lwts"
+        header, arrays = read_container(path, STATE_MAGIC)
+        write_container(path, STATE_MAGIC, {"step": header["step"], "best_auc": header["best_auc"]}, dict(arrays))
+        with pytest.raises(CheckpointError, match="final_state.lwts.*epoch"):
+            fit(tiny_bags["train"], tiny_bags["test"], AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig()),
+                TrainConfig(epochs=1, batch_pairs=4), tmp_path / "second", resume_from=tmp_path / "first")
+
+    @pytest.mark.parametrize("damage", ["extra row", "other header"])
+    def test_resume_rejects_a_log_that_does_not_match_the_state(self, tiny_bags, tmp_path, damage):
+        fit(tiny_bags["train"], tiny_bags["test"], AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7),
+            TrainConfig(epochs=2, batch_pairs=4), tmp_path / "first")
+        log = tmp_path / "first" / "train_log.csv"
+        lines = log.read_text().splitlines(keepends=True)
+        log.write_text("".join(lines + lines[-1:] if damage == "extra row" else ["epoch,total\n"] + lines[1:]))
+        with pytest.raises(CheckpointError, match="train_log.csv.*2 rows"):
+            fit(tiny_bags["train"], tiny_bags["test"], AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig()),
+                TrainConfig(epochs=1, batch_pairs=4), tmp_path / "second", resume_from=tmp_path / "first")
 
     def test_float32_best_checkpoint_saves_back_to_the_same_bytes(self, trained_tiny, tmp_path):
         best = trained_tiny["result"].best_checkpoint
