@@ -12,18 +12,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .autodiff import ConfigurationError, DimensionError
+from .autodiff import ConfigurationError
 from .checks import full_graph_grad_check
 from .config import load_run_config, write_run_config
-from .data import FormatError, SyntheticSpec, load_bag, load_bags, make_synthetic
-from .evaluation import (
-    UndefinedMetricError,
-    evaluate_bags,
-    export_scores_csv,
-    per_video_auc,
-    score_video,
-)
-from .model import CheckpointError, count_parameters, load_checkpoint
+from .data import SyntheticSpec, load_bag, load_bags, make_synthetic
+from .evaluation import evaluate_bags, export_scores_csv, per_video_auc, score_video
+from .model import count_parameters, load_checkpoint
 from .training import TrainingError, fit
 
 EXIT_OK = 0
@@ -33,17 +27,9 @@ EXIT_USAGE = 2
 # config keys that `wsvad train` also takes as flags: --out-dir X is --set out_dir=X
 _TRAIN_FLAG_KEYS = ("train_manifest", "test_manifest", "out_dir", "epochs", "seed")
 
-_INPUT_ERRORS = (
-    FileNotFoundError,
-    NotADirectoryError,
-    IsADirectoryError,
-    FormatError,
-    ConfigurationError,
-    CheckpointError,
-    UndefinedMetricError,
-    DimensionError,
-    ValueError,
-)
+# FormatError, ConfigurationError, CheckpointError, UndefinedMetricError
+# and DimensionError are ValueErrors
+_INPUT_ERRORS = (FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:

@@ -183,11 +183,6 @@ def _score_split(bags: list[ClipFeatureBag],
     return records, clip_scores
 
 
-def record_for_bag(bag: ClipFeatureBag, model: AnomalyScorer) -> EvalRecord:
-    """One bag's record, as ``evaluate_bags`` makes it."""
-    return _score_split([bag], model)[0][0]
-
-
 def per_class_auc(records: list[EvalRecord]) -> dict[str, float]:
     """AUC per anomaly class: each class's videos pooled with every record
     that has no class annotation (the normal pool). Classes whose videos

@@ -18,9 +18,9 @@ from wsvad.evaluation import (
     export_scores_csv,
     per_class_auc,
     per_video_auc,
-    record_for_bag,
     score_video,
 )
+from wsvad.evaluation import _score_split
 from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig
 
 
@@ -252,20 +252,26 @@ class TestScoreVideo:
         assert (frames > 0).all() and (frames < 1).all()
 
 
-class TestRecordForBag:
+def _scored_record(bag, model) -> EvalRecord:
+    """One bag's record, as ``evaluate_bags`` makes it."""
+    records, _ = _score_split([bag], model)
+    return records[0]
+
+
+class TestEvalRecord:
     def test_normal_bag_synthesizes_zero_labels(self):
-        rec = record_for_bag(_bag(np.ones((8, 6)), label=0, num_frames=20), _tiny_model())
+        rec = _scored_record(_bag(np.ones((8, 6)), label=0, num_frames=20), _tiny_model())
         assert rec.frame_labels.shape == (20,)
         assert rec.frame_labels.sum() == 0
 
     def test_anomalous_bag_requires_frame_labels(self):
         with pytest.raises(UndefinedMetricError, match="frame labels"):
-            record_for_bag(_bag(np.ones((8, 6)), label=1), _tiny_model())
+            _scored_record(_bag(np.ones((8, 6)), label=1), _tiny_model())
 
     def test_anomalous_bag_keeps_given_labels(self):
         labels = np.zeros(16, dtype=np.uint8)
         labels[4:8] = 1
-        rec = record_for_bag(
+        rec = _scored_record(
             _bag(np.ones((8, 6)), label=1, num_frames=16, frame_labels=labels), _tiny_model()
         )
         np.testing.assert_array_equal(rec.frame_labels, labels)
