@@ -319,9 +319,7 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
     t = means.shape[-1]
     if t < cfg.k_max:
         raise ConfigurationError(f"bag has {t} clips but the largest kernel needs {cfg.k_max}")
-    names = [f"mta.conv{k}.{kind}" for k in cfg.kernel_sizes for kind in ("weight", "bias")]
-    arrays = [params[name] for name in names]
-    kernels = list(zip(arrays[::2], arrays[1::2]))
+    kernels = [(params[f"mta.conv{k}.weight"], params[f"mta.conv{k}.bias"]) for k in cfg.kernel_sizes]
     half = cfg.k_max // 2
     width = t + 2 * half
     padded = _padded_rows(means, t, half, half)
@@ -352,7 +350,8 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
             grads += [_conv1d_weight_grad(means, gc, w.size), np.asarray(gc.sum()).reshape(1)]
         return grads
 
-    return Tensor(gate, [Parameter(a, name) for name, a in zip(names, arrays)], grad_fn)
+    names = [f"mta.conv{k}.{kind}" for k in cfg.kernel_sizes for kind in ("weight", "bias")]
+    return Tensor(gate, [Parameter(params[name], name) for name in names], grad_fn)
 
 
 class Workspace:

@@ -59,6 +59,7 @@ from .model import (
 from .selection import SelectionConfig, select
 
 LOG_COLUMNS = ("epoch", "ais", "smooth", "antagonistic", "sparsity", "total", "auc", "omega", "k")
+_LOG_HEADER = ",".join(LOG_COLUMNS) + "\n"
 # the columns train_epoch averages over the pairs: LossBreakdown and SelectionResult fields
 _MEAN_COLUMNS = tuple(c for c in LOG_COLUMNS if c not in ("epoch", "auc"))
 
@@ -276,8 +277,8 @@ def _earlier_log(path: Path, epochs: int) -> str:
     """The header and rows of an earlier run's log, which must hold one row
     per epoch that run's state counts."""
     lines = path.read_text().splitlines(keepends=True)
-    if not lines or lines[0] != ",".join(LOG_COLUMNS) + "\n" or len(lines) - 1 != epochs:
-        raise CheckpointError(f"{path}: expected the header {','.join(LOG_COLUMNS)!r} and {epochs} rows, "
+    if not lines or lines[0] != _LOG_HEADER or len(lines) - 1 != epochs:
+        raise CheckpointError(f"{path}: expected the header {_LOG_HEADER.strip()!r} and {epochs} rows, "
                               f"one per saved epoch")
     return "".join(lines)
 
@@ -327,7 +328,7 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     pos_bags = [b for b in train_bags if b.label == 1]
     neg_bags = [b for b in train_bags if b.label == 0]
 
-    earlier_log = ",".join(LOG_COLUMNS) + "\n"
+    earlier_log = _LOG_HEADER
     if resume_from is None:
         state = TrainState(model.params, cfg.seed)
     else:
@@ -336,9 +337,8 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
         model.params.load_arrays(restored.params)
         state = load_train_state(prev / "final_state.lwts", model.params)
         earlier_log = _earlier_log(prev / "train_log.csv", state.epoch)
-        earlier_best = (prev / "best.lwck").read_bytes()
         with replacing(best_path) as fh:
-            fh.write(earlier_best)
+            fh.write((prev / "best.lwck").read_bytes())
 
     rows: list[dict] = []
     last = state.epoch + cfg.epochs
