@@ -13,7 +13,6 @@ from .autodiff import (
     ConfigurationError,
     DimensionError,
     GradCheckReport,
-    Parameter,
     Tensor,
     backward,
     grad_check,
@@ -49,7 +48,6 @@ from .selection import (
     adaptive_k,
     confidence,
     select,
-    topk_by_magnitude,
 )
 from .training import FitResult, TrainConfig, TrainState, TrainingError, adam_step, fit, train_epoch
 

@@ -2,13 +2,13 @@
 
 The training step is a fixed chain of three ops (the attention gate, the
 scoring head and the MIL objective), each written with its own backward.
-Each op returns a ``Tensor``: its forward value plus a ``grad_fn`` that maps
-the gradient of that value to one gradient per parent. Every parent is a
-``Parameter`` or the one op below it in the chain. A ``Parameter`` is a
-named leaf that an op wraps around a parameter array for one training pass;
-the arrays themselves live in the model's registry. ``backward`` walks the
-chain from the scalar loss down and returns each leaf's gradient by name.
-``grad_check`` compares the result against central differences.
+Each op returns a ``Tensor``: its forward value, the one op below it in the
+chain (if any), and a ``grad_fn`` that maps the gradient of that value to
+the gradient of the op below and the gradients of the op's own parameters,
+by name. The parameter arrays themselves live in the model's registry.
+``backward`` walks the chain from the scalar loss down and returns every
+parameter gradient it collects, by name. ``grad_check`` compares the result
+against central differences.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "Parameter",
     "DimensionError",
     "ConfigurationError",
     "record_kink_margins",
@@ -72,8 +71,10 @@ class Tensor:
     """An op's output, in the dtype the op computed it in, plus its place in
     the chain.
 
-    ``grad_fn(g)`` returns the gradient of each parent, in ``parents``
-    order, given the gradient ``g`` of this tensor.
+    ``parents`` holds the op's one op input, or nothing at the bottom of the
+    chain. ``grad_fn(g)`` returns, given the gradient ``g`` of this tensor,
+    the gradient of that input (None without one) and a dict of the op's
+    parameter gradients by name.
     """
 
     __slots__ = ("data", "_parents", "_grad_fn")
@@ -87,31 +88,15 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, data={self.data!r})"
 
 
-class Parameter(Tensor):
-    """A parameter array as a leaf of one training pass's chain. ``name``
-    keys its gradient in what ``backward`` returns; ``data`` is the array
-    itself, not a copy, and the leaf holds no gradient."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, data, name: str):
-        # no conversion: the ops build ten leaves in every training forward
-        self.data, self.name, self._parents, self._grad_fn = data, name, (), None
-
-    def __repr__(self):
-        return f"Parameter(name={self.name!r}, shape={self.data.shape})"
-
-
 def backward(loss: Tensor) -> dict[str, np.ndarray]:
     """Run the chain's backward from ``loss``, which must be scalar, and
-    return the gradient of every ``Parameter`` it reaches, by name.
+    return every parameter gradient the ops hand back, by name.
 
-    Starting from a gradient of ones, each op's ``grad_fn`` runs once. What
-    it returns for a ``Parameter`` parent goes into the result, cast to
-    that parameter's dtype, and the walk moves on to the op's one op input,
-    whose gradient takes that input's dtype. An op with two op inputs
-    raises ``ValueError``. A gradient may sit in a buffer that the next
-    forward through the same workspace overwrites.
+    Starting from a gradient of ones, each op's ``grad_fn`` runs once; its
+    named gradients go into the result, and the walk moves on to the op's
+    one op input, whose gradient takes that input's dtype. An op with two
+    op inputs raises ``ValueError``. A gradient may sit in a buffer that
+    the next forward through the same workspace overwrites.
     """
     if not isinstance(loss, Tensor):
         raise TypeError(f"backward needs a Tensor, got {type(loss).__name__}")
@@ -121,18 +106,14 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     node, g = loss, np.ones_like(loss.data)
     while node._grad_fn is not None:
-        below = [p for p in node._parents if not isinstance(p, Parameter)]
-        if len(below) > 1:
+        if len(node._parents) > 1:
             raise ValueError("backward runs a chain, but an op has two op inputs")
-        for parent, parent_g in zip(node._parents, node._grad_fn(g)):
-            parent_g = np.asarray(parent_g, dtype=parent.data.dtype)
-            if isinstance(parent, Parameter):
-                grads[parent.name] = parent_g
-            else:
-                g = parent_g
-        if not below:
+        g, named = node._grad_fn(g)
+        grads.update(named)
+        if not node._parents:
             break
-        node = below[0]
+        node = node._parents[0]
+        g = np.asarray(g, dtype=node.data.dtype)
     return grads
 
 

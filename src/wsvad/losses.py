@@ -94,7 +94,8 @@ def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfi
     reported even when it is not part of the sum.
 
     ``node`` is the mean of the enabled terms over the pairs as a graph node
-    over ``scores``; the selection ``sel`` is a constant of it.
+    over ``scores``, with no parameters of its own; the selection ``sel`` is
+    a constant of it.
     """
     s = scores.data
     pos, neg = s[..., 0, :], s[..., 1, :]
@@ -134,7 +135,7 @@ def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfi
             peak = np.expand_dims(np.argmax(s, axis=-1), -1)
             pull = np.stack([-(g + g), g + g], axis=-1)[..., None]
             np.put_along_axis(grad, peak, np.take_along_axis(grad, peak, axis=-1) + pull, axis=-1)
-        return (grad,)
+        return grad, {}
 
     return LossBreakdown(
         ais=mean(ais),

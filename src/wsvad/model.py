@@ -18,14 +18,13 @@ bags alike.
 
 The parameters are plain arrays, by name. Each stage is one op with a
 hand-written backward. In a training pass ``mta_forward`` returns the gate
-as a graph node over leaves that wrap the attention kernels for that pass,
-and ``hfc_forward`` the scores as a node over leaves that wrap the head's
-weights, and the gate node; the head's backward gives the first layer's
-weight gradient as X^T (a * g) and hands the gate its gradient. An
-inference pass runs the same forward on plain arrays and builds no node;
-evaluation chunks and score requests (a chunk of one bag) share it. In
-either pass the attention kernels correlate over one zero-padded copy of
-the clip-mean signal.
+as a graph node, and ``hfc_forward`` the scores as a node over the gate
+node; each node's backward returns its own parameters' gradients by name.
+The head's backward gives the first layer's weight gradient as X^T (a * g)
+and hands the gate node its gradient. An inference pass runs the same
+forward on plain arrays and builds no node; evaluation chunks and score
+requests (a chunk of one bag) share it. In either pass the attention
+kernels correlate over one zero-padded copy of the clip-mean signal.
 
 The head's backward works in place: it overwrites each pre-activation with
 the leaky ReLU's derivative there, and each layer's gradient over an
@@ -55,11 +54,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ConfigurationError, DimensionError, Parameter, Tensor, note_kink_margin
+from .autodiff import ConfigurationError, DimensionError, Tensor, note_kink_margin
 
 MTA_MODES = ("residual", "pure")
 HEAD_SHAPES = ("hourglass", "conventional")
-# the head's parameters, in the order its op lists them as parents
+# the head's parameters, in layer order
 _HEAD_NAMES = tuple(f"head.{i}.{kind}" for i in range(3) for kind in ("weight", "bias"))
 
 
@@ -231,34 +230,10 @@ def _padded_rows(v, t: int, half: int, at: int) -> np.ndarray:
     return buf
 
 
-def conv1d_same(x, weight, bias):
-    """1-d cross-correlation with zero 'same' padding, along the last axis of
-    a signal or of each row of a stack of them.
-
-    out[..., i] = b + sum_j w[j] * x[..., i + j - k//2], out-of-range x
-    entries read as zero, so the output length equals the input length.
-    ``mta_forward`` pads once for all its kernels instead; this per-kernel
-    form is the reference it is checked against.
-    """
-    if weight.ndim != 1:
-        raise DimensionError(f"conv1d_same expects a 1-d kernel, got shape {weight.shape}")
-    if bias.size != 1:
-        raise DimensionError(f"conv1d_same expects a single bias value, got shape {bias.shape}")
-    k = weight.shape[0]
-    t = x.shape[-1]
-    if k % 2 == 0 or k < 3:
-        raise ConfigurationError(f"conv1d_same kernel size must be odd and >= 3, got {k}")
-    if k > t:
-        raise ConfigurationError(f"conv1d_same kernel size {k} exceeds signal length {t}")
-    half = k // 2
-    corr = np.correlate(_padded_rows(x, t, half, half), weight, mode="valid")
-    # the first t outputs of each padded row are that row's; the rest
-    # straddle two rows and are dropped
-    return corr.reshape(-1, t + 2 * half)[:, :t].reshape(x.shape) + bias.reshape(())
-
-
 def _conv1d_weight_grad(x, g, k: int) -> np.ndarray:
-    """Gradient of sum(g * conv1d_same(x, w, b)) with respect to w."""
+    """Gradient with respect to w of sum(g * c), where c is the correlation
+    of each length-t row of x with the width-k kernel w under zero 'same'
+    padding."""
     t = x.shape[-1]
     half = k // 2
     n_cols = (x.size // t) * (t + 2 * half)
@@ -303,17 +278,18 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
     """Attention gate from the clip-mean signal of one bag (T,) or of a stack
     of bags (..., T); the gate has the signal's shape.
 
-    With ``training`` the gate is a graph node over one leaf per attention
-    kernel array, otherwise a plain array. Its backward overwrites the saved
-    convolution responses with the leaky ReLU's derivative there, so it runs
-    once.
+    With ``training`` the gate is a graph node at the bottom of the chain,
+    whose backward returns the attention kernels' gradients by name, each
+    in its kernel's dtype; otherwise it is a plain array. The backward
+    overwrites the saved convolution responses with the leaky ReLU's
+    derivative there, so it runs once.
 
     The signal is zero-padded once, by ``k_max // 2``, and each kernel
     correlates over its slice of that buffer: the same values in the same
-    windows as ``conv1d_same`` with each kernel's own padding. A training
-    pass takes the leaky ReLU through ``leaky_relu``, which notes its kink
-    margin for the gradient check; an inference pass takes it as bare
-    ufuncs, the same operations.
+    windows as a correlation with each kernel's own 'same' padding. A
+    training pass takes the leaky ReLU through ``leaky_relu``, which notes
+    its kink margin for the gradient check; an inference pass takes it as
+    bare ufuncs, the same operations.
     """
     means = np.asarray(means, dtype=np.float64)
     t = means.shape[-1]
@@ -344,14 +320,14 @@ def mta_forward(means, cfg: MtaConfig, params: ModelParameters, training: bool =
 
     def grad_fn(g):
         g = g * cfg.lambda1
-        grads = []
-        for c, (w, _) in zip(responses, kernels):
+        grads = {}
+        for k, c, (w, b) in zip(cfg.kernel_sizes, responses, kernels):
             gc = g * _to_leaky_relu_slope(c, cfg.slope)
-            grads += [_conv1d_weight_grad(means, gc, w.size), np.asarray(gc.sum()).reshape(1)]
-        return grads
+            grads[f"mta.conv{k}.weight"] = _conv1d_weight_grad(means, gc, k).astype(w.dtype, copy=False)
+            grads[f"mta.conv{k}.bias"] = np.asarray(gc.sum(), dtype=b.dtype).reshape(1)
+        return None, grads
 
-    names = [f"mta.conv{k}.{kind}" for k in cfg.kernel_sizes for kind in ("weight", "bias")]
-    return Tensor(gate, [Parameter(params[name], name) for name in names], grad_fn)
+    return Tensor(gate, (), grad_fn)
 
 
 class Workspace:
@@ -457,8 +433,9 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     the gate node a float64 gradient.
 
     Returns ``(scores, clean)``, both shaped like the bag axes: the scores
-    (with ``training``, a graph node over the head's parameters and the gate
-    node) and, as an array, the same scores with dropout off. A training
+    (with ``training``, a graph node over the gate node, whose backward
+    returns the six head gradients by name and the gate node's gradient)
+    and, as an array, the same scores with dropout off. A training
     pass computes both from one first layer, so the dropout-free pass costs
     no second product with W0.
 
@@ -482,7 +459,7 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     the backward runs at most once, and before the next forward into the
     same workspace.
     """
-    w0, b0, w1, b1, w2, b2 = head = [params[name] for name in _HEAD_NAMES]
+    w0, b0, w1, b1, w2, b2 = [params[name] for name in _HEAD_NAMES]
     dtype = w0.dtype
     bag_axes, bags = _feature_bags(x, cfg.dims[0])
     take = _no_buffer if workspace is None else workspace.take
@@ -539,17 +516,16 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         if masks is not None:
             g *= masks[0]
         g *= _to_leaky_relu_slope(z1, cfg.slope)
-        grads = [None, g.sum(axis=0), gw1, gb1, gw2, gb2]
+        gb0, gate_grad = g.sum(axis=0), None
         if gate_node is not None:
-            gate_grad = np.multiply(xw, g, out=xw).sum(axis=1)
-            grads.append(gate_grad.astype(np.float64, copy=False).reshape(gate_node.data.shape))
+            # ``backward`` widens it to the gate node's float64
+            gate_grad = np.multiply(xw, g, out=xw).sum(axis=1).reshape(gate_node.data.shape)
         if gate_col is not None:
             g *= gate_col
-        grads[0] = np.matmul(x.T, g, out=take("gw0", w0.shape, dtype))
-        return grads
+        gw0 = np.matmul(x.T, g, out=take("gw0", w0.shape, dtype))
+        return gate_grad, dict(zip(_HEAD_NAMES, (gw0, gb0, gw1, gb1, gw2, gb2)))
 
-    leaves = [Parameter(p, name) for name, p in zip(_HEAD_NAMES, head)]
-    parents = leaves if gate_node is None else leaves + [gate_node]
+    parents = () if gate_node is None else (gate_node,)
     return Tensor(out.reshape(bag_axes), parents, grad_fn), clean.reshape(bag_axes)
 
 

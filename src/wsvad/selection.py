@@ -67,23 +67,9 @@ def adaptive_k(omega, pos_scores, threshold: float = 0.9) -> np.ndarray:
     return np.clip(np.floor(np.asarray(omega) * count + 0.5).astype(np.int64), 1, sp.shape[-1])
 
 
-def topk_by_magnitude(features, k: int) -> tuple[int, ...]:
-    """Indices of the k rows with the largest L2 norm, descending; ties keep
-    the lower index first. Kept as the reference ``topk_mask`` is tested
-    against."""
-    feats = np.asarray(features)
-    if feats.ndim != 2:
-        raise ValueError(f"features must be 2-d, got shape {feats.shape}")
-    if not 1 <= k <= feats.shape[0]:
-        raise ValueError(f"k must be in [1, {feats.shape[0]}], got {k}")
-    norms = np.linalg.norm(feats, axis=1)
-    order = np.argsort(-norms, kind="stable")
-    return tuple(int(i) for i in order[:k])
-
-
 def topk_mask(magnitudes, k) -> np.ndarray:
     """Mask of the k largest magnitudes along the last axis, k one per row;
-    ties go to the lower index, as in ``topk_by_magnitude``."""
+    ties go to the lower index."""
     order = np.argsort(-np.asarray(magnitudes), axis=-1, kind="stable")
     rank = np.argsort(order, axis=-1)
     return rank < np.expand_dims(k, -1)

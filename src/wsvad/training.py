@@ -16,11 +16,11 @@ normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
   three loss terms read the (B, 2, T) scores of the stack without splitting
   it, for all pairs at once, with K free to differ between pairs;
 - one backward, then one Adam step with coupled L2 weight decay on the mean
-  pair loss. The step is a chain of three hand-differentiated ops over the
-  parameters: the gate (``model.mta_forward``), the head
-  (``model.hfc_forward``) and the objective (``losses.total_loss``). The
-  backward returns every parameter's gradient by name, and the Adam step
-  updates the parameter arrays in place from them.
+  pair loss. The step is a chain of three hand-differentiated ops: the
+  gate (``model.mta_forward``), the head (``model.hfc_forward``) and the
+  objective (``losses.total_loss``). Each op's backward returns its own
+  parameters' gradients by name, the backward collects them, and the Adam
+  step updates the parameter arrays in place from them.
 
 The stack, the head's activations, dropout masks and weight gradients, and
 Adam's temporaries live in one ``model.Workspace`` that ``TrainState`` holds
@@ -267,9 +267,14 @@ def load_train_state(path, params: ModelParameters) -> TrainState:
         for prefix, store in (("m", state.m), ("v", state.v)):
             key = f"{prefix}.{name}"
             if key not in arrays or arrays[key].shape != store[name].shape:
-                raise TrainingError(f"optimizer state for {name!r} missing or mis-shaped in {path}")
-            # into the parameter dtype: exact for moments a float32 run saved
-            store[name][...] = arrays[key]
+                raise CheckpointError(f"{path}: moment {key!r} is missing or not shaped {store[name].shape}")
+            try:
+                with np.errstate(over="raise"):
+                    # into the parameter dtype: exact for moments a float32 run saved
+                    store[name][...] = arrays[key]
+            except FloatingPointError:
+                raise CheckpointError(f"{path}: moment {key!r} holds values outside the "
+                                      f"{store[name].dtype} range") from None
     return state
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from references import conv1d_same, leaf
 from wsvad.autodiff import (
     ConfigurationError,
     DimensionError,
-    Parameter,
     Tensor,
     backward,
     grad_check,
@@ -21,7 +21,6 @@ from wsvad.losses import AIS_EPS, LossConfig, antagonistic_loss, total_loss
 from wsvad.model import (
     HfcConfig,
     MtaConfig,
-    conv1d_same,
     hfc_forward,
     init_parameters,
     leaky_relu,
@@ -148,16 +147,16 @@ class TestSigmoid:
 
 def _dot(node, weights):
     """sum(weights * node); its gradient is ``weights``."""
-    return Tensor((weights * node.data).sum(), (node,), lambda g: (g * weights,))
+    return Tensor((weights * node.data).sum(), (node,), lambda g: (g * weights, {}))
 
 
 def _square_sum(node):
     """sum(node ** 2); its gradient is 2 * node."""
-    return Tensor((node.data * node.data).sum(), (node,), lambda g: (2.0 * g * node.data,))
+    return Tensor((node.data * node.data).sum(), (node,), lambda g: (2.0 * g * node.data, {}))
 
 
 def _add(a, b):
-    return Tensor(a.data + b.data, (a, b), lambda g: (g, g))
+    return Tensor(a.data + b.data, (a, b), lambda g: (g, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ class TestBackward:
             "head.2.weight": [[-1.0], [0.0]], "head.2.bias": [3.0],
         }.items():
             params[name][...] = values
-        gate = Parameter(np.array([2.0]), name="gate")
+        gate = leaf(np.array([2.0]), "gate")
         scores, _ = hfc_forward(np.array([[1.0, 2.0]]), cfg, params, gate, training=True)
         grads = backward(_dot(scores, np.array([1.0])))
         np.testing.assert_array_equal(grads["head.0.weight"], [[-0.75], [-1.5]])
@@ -194,7 +193,7 @@ class TestBackward:
         # AIS gives -1/(0.8+eps) and 1/(1-0.2+eps) at the selected clips;
         # smoothness diffs d = (-0.2, 0.1) over 2 steps give 2*d/2 = d,
         # spread as (-d0, d0 - d1, d1) over the positive clips
-        scores = Parameter(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), name="scores")
+        scores = leaf(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), "scores")
         first = np.array([[True, False, False], [True, False, False]])
         sel = SelectionResult(omega=1.0, k=1, mask=first)
         grads = backward(total_loss(scores, sel, LossConfig(use_antagonistic=False)).node)
@@ -204,34 +203,26 @@ class TestBackward:
     def test_dead_parameter_gets_zero_gradient(self):
         # the backward returns the gradients of the leaves it reaches and no
         # other name; grad_check reads a missing name as an exact zero
-        used = Parameter(np.array([2.0]), name="used")
+        used = leaf(np.array([2.0]), "used")
         grads = backward(_dot(used, np.array([3.0])))
         assert list(grads) == ["used"]
         np.testing.assert_array_equal(grads["used"], [3.0])
 
     def test_second_backward_replaces_the_gradient(self):
         # each backward returns its own gradients: nothing carries over
-        p = Parameter(np.array([1.0]), name="p")
+        p = leaf(np.array([1.0]), "p")
         first = backward(_dot(p, np.array([2.0])))
         second = backward(_dot(p, np.array([-5.0])))
         np.testing.assert_array_equal(first["p"], [2.0])
         np.testing.assert_array_equal(second["p"], [-5.0])
 
-    def test_leaf_wraps_its_array_without_a_copy_or_a_gradient(self):
-        data = np.array([1.0, 2.0])
-        leaf = Parameter(data, name="w")
-        assert leaf.data is data and leaf._parents == ()
-        assert not hasattr(leaf, "grad")
-        with pytest.raises(TypeError):
-            Parameter(data)  # a leaf is found by its name, so it needs one
-
     def test_op_with_two_op_inputs_raises(self):
-        p = Parameter(np.array([1.5, -2.0]), name="p")
+        p = leaf(np.array([1.5, -2.0]), "p")
         with pytest.raises(ValueError, match="two op inputs"):
             backward(_add(_dot(p, np.ones(2)), _square_sum(p)))
 
     def test_scalar_loss_required(self):
-        p = Parameter(np.array([1.0, 2.0]), name="p")
+        p = leaf(np.array([1.0, 2.0]), "p")
         with pytest.raises(DimensionError):
             backward(_add(p, p))
         with pytest.raises(TypeError):
@@ -252,7 +243,7 @@ class TestBackward:
     def test_gather_and_adjacent_diff_gradients(self):
         # the objective reads the scores through the top-K masks (a gather
         # of every other clip), their peaks and their adjacent differences
-        scores = Parameter(np.array([[0.3, 0.9, 0.1, 0.5], [0.2, 0.6, 0.35, 0.4]]), name="scores")
+        scores = leaf(np.array([[0.3, 0.9, 0.1, 0.5], [0.2, 0.6, 0.35, 0.4]]), "scores")
         odd = np.array([[False, True, False, True], [False, True, False, True]])
         sel = SelectionResult(omega=1.0, k=2, mask=odd)
         report = grad_check(lambda: total_loss(scores, sel).node, {"scores": scores.data}, eps=1e-5, tol=1e-6)
@@ -282,14 +273,14 @@ class TestBackward:
 class TestGradCheck:
     def test_linear_only_graph_is_tight(self):
         r = rng(4)
-        w = Parameter(r.standard_normal((6, 2)), name="w")
+        w = leaf(r.standard_normal((6, 2)), "w")
         weights = r.standard_normal((6, 2))
         report = grad_check(lambda: _dot(w, weights), {"w": w.data}, eps=1e-5, tol=1e-6)
         assert report.max_rel_error < 1e-6, report.summary()
 
     def test_dead_parameter_compares_exactly(self):
-        used = Parameter(np.array([1.0]), name="used")
-        dead = Parameter(np.array([3.0]), name="dead")
+        used = leaf(np.array([1.0]), "used")
+        dead = leaf(np.array([3.0]), "dead")
         report = grad_check(lambda: _square_sum(used), {"used": used.data, "dead": dead.data}, eps=1e-5, tol=1e-6)
         assert report.passed
         assert report.per_parameter["dead"] == 0.0
@@ -342,7 +333,7 @@ def _head_case(r, gated=True, dropout=0.5, n_bags=2, t=4):
     cfg = HfcConfig.for_feature_dim(5, narrow=3, wide=4, dropout=dropout)
     params = init_parameters(None, cfg, seed=int(r.integers(2**31)), dtype=np.float64)
     x = r.standard_normal((n_bags, t, 5))
-    gate = Parameter(r.uniform(0.5, 1.5, (n_bags, t)), name="gate") if gated else None
+    gate = leaf(r.uniform(0.5, 1.5, (n_bags, t)), "gate") if gated else None
     weights = r.standard_normal((n_bags, t))
     mask_seed = int(r.integers(2**31))
 
@@ -357,7 +348,7 @@ def _objective_case(r, n_pairs=3, t=6, antagonistic=True):
     """The objective on random scores of one pair (n_pairs=0, shape (2, T))
     or of n_pairs pairs, with K drawn per pair."""
     bags = () if n_pairs == 0 else (n_pairs,)
-    scores = Parameter(r.uniform(0.05, 0.95, bags + (2, t)), name="scores")
+    scores = leaf(r.uniform(0.05, 0.95, bags + (2, t)), "scores")
     k = r.integers(1, t + 1, bags)
     magnitudes = np.moveaxis(r.uniform(size=(2,) + bags + (t,)), 0, -2)
     sel = SelectionResult(np.ones(bags), k, topk_mask(magnitudes, k[..., None]))

@@ -64,8 +64,8 @@ def test_graph_node_count_walks_a_training_step(workloads):
     neg = [data.ClipFeatureBag(rng.standard_normal((6, 8)), 0, f"n{i}", 6) for i in range(2)]
     breakdown, _ = training.batch_step(pos, neg, scorer, cfg.selection_config(), cfg.loss_config(),
                                        np.random.default_rng(1))
-    # the loss, the scores, the gate, 6 head and 4 attention kernel parameters
-    assert workloads.count_graph_nodes(breakdown.node) == 13
+    # the loss, the scores, the gate
+    assert workloads.count_graph_nodes(breakdown.node) == 3
 
 
 def test_traced_evaluation_records_the_layers_it_divides_by(workloads):

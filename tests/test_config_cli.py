@@ -17,7 +17,7 @@ from wsvad.cli import build_parser, main
 from wsvad.config import RunConfig, load_run_config, run_config_to_text, write_run_config
 from wsvad.data import FormatError, SyntheticSpec, save_features
 from wsvad.losses import LossConfig
-from wsvad.model import HfcConfig, MtaConfig
+from wsvad.model import STATE_MAGIC, HfcConfig, MtaConfig, read_container, write_container
 from wsvad.selection import SelectionConfig
 from wsvad.training import TrainConfig
 
@@ -333,6 +333,27 @@ class TestTrainEvalScoreCommands:
                      "--manifest", str(mp)])
         assert code == 2
         assert "is not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["missing", "overflow"])
+    def test_resume_from_a_bad_moment_is_usage_error(self, tiny_dataset, tmp_path, capsys, fault):
+        args = ["train", "--train-manifest", str(tiny_dataset["train"]),
+                "--test-manifest", str(tiny_dataset["test"]), "--set", "feature_dim=24",
+                "--set", "batch_pairs=4", "--epochs", "1", "--quiet"]
+        first = tmp_path / "first"
+        assert main(args + ["--out-dir", str(first)]) == 0
+        state = first / "final_state.lwts"
+        header, arrays = read_container(state, STATE_MAGIC)
+        arrays = dict(arrays)
+        if fault == "missing":
+            del arrays["m.head.2.bias"]
+        else:
+            arrays["v.head.2.bias"] = np.full(1, 1e300)
+        write_container(state, STATE_MAGIC, header, arrays)
+        capsys.readouterr()
+        code = main(args + ["--out-dir", str(tmp_path / "second"), "--resume-from", str(first)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {state}: moment ") and "head.2.bias" in err
 
     def test_score_command_stdout_and_file(self, trained_tiny, tmp_path, capsys):
         feats = np.random.default_rng(0).standard_normal((16, 24)).astype(np.float32)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsvad.autodiff import DimensionError, Parameter, Tensor, backward
+from references import leaf
+from wsvad.autodiff import DimensionError, Tensor, backward
 from wsvad.losses import (
     LossConfig,
     antagonistic_loss,
@@ -93,7 +94,7 @@ class TestAntagonisticLoss:
         sel = SelectionResult(omega=1.0, k=1, mask=_first_clips(2))
         grads = []
         for cfg in (LossConfig(), LossConfig(use_antagonistic=False)):
-            p = Parameter(scores, name="scores")
+            p = leaf(scores, "scores")
             grads.append(backward(total_loss(p, sel, cfg).node)["scores"])
         pull = grads[0] - grads[1]
         assert pull[0, 0] < 0 and pull[0, 1] == 0
@@ -145,7 +146,7 @@ class TestTotalLoss:
         assert out.antagonistic > 0.0 and out.sparsity > 0.0
 
     def test_gradients_flow_through_total(self):
-        scores = Parameter(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), name="scores")
+        scores = leaf(np.array([[0.8, 0.6, 0.7], [0.2, 0.1, 0.3]]), "scores")
         sel = SelectionResult(omega=1.0, k=1, mask=_first_clips(3))
         out = total_loss(scores, sel)
         grad = backward(out.node)["scores"]
@@ -162,12 +163,12 @@ def test_batch_of_pairs_is_the_mean_of_single_pairs(cfg):
     k = np.array([1, 3, 2])
     mask = np.stack([topk_mask(rng.uniform(size=(3, 6)), k), topk_mask(rng.uniform(size=(3, 6)), k)], axis=1)
 
-    batch_scores = Parameter(np.stack([pos, neg], axis=1), name="scores")
+    batch_scores = leaf(np.stack([pos, neg], axis=1), "scores")
     batch = total_loss(batch_scores, SelectionResult(np.ones(3), k, mask), cfg)
     batch_grad = backward(batch.node)["scores"]
     singles = []
     for i in range(3):
-        scores = Parameter(np.stack([pos[i], neg[i]]), name="pair")
+        scores = leaf(np.stack([pos[i], neg[i]]), "pair")
         out = total_loss(scores, SelectionResult(np.float64(1.0), k[i], mask[i]), cfg)
         grad = backward(out.node)["pair"]
         singles.append(out)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wsvad.autodiff import ConfigurationError, DimensionError, Parameter, Tensor, backward
+from references import conv1d_same, leaf
+from wsvad.autodiff import ConfigurationError, DimensionError, Tensor, backward
 from wsvad.checks import full_graph_grad_check
 from wsvad.model import (
     AnomalyScorer,
@@ -14,7 +15,6 @@ from wsvad.model import (
     HfcConfig,
     ModelParameters,
     MtaConfig,
-    conv1d_same,
     count_parameters,
     dropout_masks,
     hfc_forward,
@@ -345,10 +345,10 @@ class TestHfc:
         params = init_parameters(None, cfg, seed=4, dtype=np.float64)
         r = np.random.default_rng(9)
         x = r.standard_normal((3, 8, 64))
-        gate = Parameter(r.uniform(0.5, 1.5, (3, 8)), name="gate") if gated else None
+        gate = leaf(r.uniform(0.5, 1.5, (3, 8)), "gate") if gated else None
         upstream = r.standard_normal((3, 8))
         scores, clean = hfc_forward(x, cfg, params, gate, training=True, rng=np.random.default_rng(2))
-        grads = backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream,)))
+        grads = backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream, {})))
         masks = (dropout_masks(np.random.default_rng(2), 3, 8, cfg.dims[1:-1], dropout, dtype=np.float64)
                  if dropout else None)
         ref_scores, ref_clean, ref_grads = _reference_training_head(
@@ -364,7 +364,7 @@ class TestHfc:
         cfg = HfcConfig.for_feature_dim(6, narrow=4, wide=5)
         params = init_parameters(None, cfg, seed=2)
         scores, _ = hfc_forward(np.ones((4, 6)), cfg, params, training=True, rng=np.random.default_rng(0))
-        loss = Tensor(scores.data.sum(), (scores,), lambda g: (np.broadcast_to(g, scores.data.shape),))
+        loss = Tensor(scores.data.sum(), (scores,), lambda g: (np.broadcast_to(g, scores.data.shape), {}))
         backward(loss)
         with pytest.raises(RuntimeError, match="forward again"):
             backward(loss)
@@ -403,14 +403,14 @@ class TestAnomalyScorer:
         assert type(inference.scores) is np.ndarray and type(inference.gate) is np.ndarray
         training = model.score_bag(feats, training=True)
         assert isinstance(training.scores, Tensor) and type(training.gate) is np.ndarray
-        # head node -> head leaves and the gate node -> attention kernel
-        # leaves, each wrapping its registry array itself
-        *head, gate_node = training.scores._parents
-        leaves = head + list(gate_node._parents)
-        assert all(isinstance(leaf, Parameter) and leaf._parents == () for leaf in leaves)
-        assert sorted(leaf.name for leaf in leaves) == sorted(model.params)
-        assert all(leaf.data is model.params[leaf.name] for leaf in leaves)
+        # the chain is head node -> gate node, and nothing below the gate
+        (gate_node,) = training.scores._parents
+        assert isinstance(gate_node, Tensor) and gate_node._parents == ()
         np.testing.assert_array_equal(gate_node.data, inference.gate)
+        # between them, the two nodes hand back every parameter's gradient
+        shape = training.scores.data.shape
+        loss = Tensor(training.scores.data.sum(), (training.scores,), lambda g: (np.broadcast_to(g, shape), {}))
+        assert sorted(backward(loss)) == sorted(model.params)
         np.testing.assert_array_equal(training.scores.data, inference.scores)
 
     def test_without_attention_features_pass_through(self):

@@ -17,9 +17,22 @@ from wsvad.selection import (
     adaptive_k,
     confidence,
     select,
-    topk_by_magnitude,
     topk_mask,
 )
+
+
+def topk_by_magnitude(features, k: int) -> tuple[int, ...]:
+    """Indices of the k rows with the largest L2 norm, descending; ties keep
+    the lower index first. The reference ``topk_mask`` is tested against."""
+    feats = np.asarray(features)
+    if feats.ndim != 2:
+        raise ValueError(f"features must be 2-d, got shape {feats.shape}")
+    if not 1 <= k <= feats.shape[0]:
+        raise ValueError(f"k must be in [1, {feats.shape[0]}], got {k}")
+    norms = np.linalg.norm(feats, axis=1)
+    order = np.argsort(-norms, kind="stable")
+    return tuple(int(i) for i in order[:k])
+
 
 scores_strategy = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=24).map(np.array)
 
@@ -259,10 +272,11 @@ class TestAisLoss:
     def _ais_gradient(pos, neg, sel):
         # on constant scores the smoothness term has zero gradient, so with
         # the antagonistic term off the objective's gradient is the AIS term's
-        from wsvad.autodiff import Parameter, backward
+        from references import leaf
+        from wsvad.autodiff import backward
         from wsvad.losses import LossConfig, total_loss
 
-        scores = Parameter(_pair(pos, neg), name="scores")
+        scores = leaf(_pair(pos, neg), "scores")
         return backward(total_loss(scores, sel, LossConfig(use_antagonistic=False)).node)["scores"]
 
     def test_gradient_pushes_scores_apart(self):

@@ -16,6 +16,7 @@ from wsvad.model import (
     AnomalyScorer,
     CheckpointError,
     HfcConfig,
+    ModelParameters,
     MtaConfig,
     load_checkpoint,
     read_container,
@@ -41,8 +42,6 @@ from wsvad.training import (
 def _toy_params(values):
     """One float64 parameter: the formula tests compare against float64
     arithmetic on fresh arrays."""
-    from wsvad.model import ModelParameters
-
     params = ModelParameters()
     params.register("theta", values, np.float64)
     return params
@@ -587,5 +586,15 @@ class TestTrainStateIo:
         params = _toy_params([1.0, 2.0])
         path = save_train_state(tmp_path / "state.lwts", TrainState(params))
         other = _toy_params([1.0, 2.0, 3.0])
-        with pytest.raises(TrainingError, match="theta"):
+        with pytest.raises(CheckpointError, match=r"state\.lwts: moment 'm\.theta'"):
             load_train_state(path, other)
+
+    def test_moment_beyond_the_parameter_range_rejected(self, tmp_path):
+        # a float64 moment that no float32 holds must not load as inf
+        state = TrainState(_toy_params([1.0, 2.0]))
+        state.v["theta"][:] = [0.5, 1e300]
+        path = save_train_state(tmp_path / "state.lwts", state)
+        params = ModelParameters()
+        params.register("theta", [1.0, 2.0])
+        with pytest.raises(CheckpointError, match=r"state\.lwts: moment 'v\.theta' .* float32 range"):
+            load_train_state(path, params)
