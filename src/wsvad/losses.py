@@ -2,10 +2,12 @@
 temporal smoothness + an antagonistic top-1 term that drives the two bags'
 peak scores apart.
 
-Scores are shaped (..., 2, T), each pair's positive bag first, as in
-``selection``. Each term is computed per pair and the objective is their
-mean over the pairs. ``total_loss`` is the step's last graph op: its
-backward is written out by hand below, next to the terms it differentiates.
+Scores are shaped (2, ..., T), class first (the positive bags, then their
+negative partners), as in ``selection``. Each term is computed per pair and
+the objective is their mean over the pairs. ``total_loss`` is the step's
+last graph op: its backward is written out by hand below, next to the terms
+it differentiates. A negative bag's scores get a nonzero gradient only at
+its selected clips and its peak clip.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ class LossBreakdown:
 
 
 def selected_means(scores, sel: SelectionResult):
-    """Mean score of the selected clips of each bag, shaped (..., 2)."""
+    """Mean score of the selected clips of each bag, shaped (2, ...)."""
     inv_k = 1.0 / np.asarray(sel.k, dtype=np.float64)
-    return (scores * sel.mask).sum(axis=-1) * np.expand_dims(inv_k, -1)
+    return (scores * sel.mask).sum(axis=-1) * inv_k
 
 
 def ais_loss(scores, sel: SelectionResult):
@@ -52,7 +54,7 @@ def ais_loss(scores, sel: SelectionResult):
     the positive bag's selected mean toward 1 and the negative bag's toward
     0. ``AIS_EPS`` keeps both logs finite at the score boundaries."""
     m = selected_means(scores, sel)
-    return -(np.log(m[..., 0] + AIS_EPS) + np.log((1.0 - m[..., 1]) + AIS_EPS))
+    return -(np.log(m[0] + AIS_EPS) + np.log((1.0 - m[1]) + AIS_EPS))
 
 
 def smooth_loss(scores):
@@ -90,7 +92,7 @@ def sparsity_loss(pos_scores):
 
 
 def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfig()) -> LossBreakdown:
-    """Assemble the objective over (..., 2, T) scores; every term is
+    """Assemble the objective over (2, ..., T) scores; every term is
     reported even when it is not part of the sum.
 
     ``node`` is the mean of the enabled terms over the pairs as a graph node
@@ -98,7 +100,7 @@ def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfi
     a constant of it.
     """
     s = scores.data
-    pos, neg = s[..., 0, :], s[..., 1, :]
+    pos, neg = s[0], s[1]
     ais = ais_loss(s, sel)
     smooth = smooth_loss(pos)
     antagonistic = antagonistic_loss(pos, neg)
@@ -119,8 +121,8 @@ def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfi
         m = selected_means(s, sel)
         inv_k = 1.0 / np.asarray(sel.k, dtype=np.float64)
         g_ais = g * -1.0
-        coef = np.stack([g_ais / (m[..., 0] + AIS_EPS), -(g_ais / ((1.0 - m[..., 1]) + AIS_EPS))], axis=-1)
-        grad = np.expand_dims(coef * np.expand_dims(inv_k, -1), -1) * sel.mask
+        coef = np.stack([g_ais / (m[0] + AIS_EPS), -(g_ais / ((1.0 - m[1]) + AIS_EPS))])
+        grad = np.expand_dims(coef * inv_k, -1) * sel.mask
 
         d = np.diff(pos)
         g_d = np.expand_dims(g * (1.0 / d.shape[-1]), -1) * d
@@ -128,12 +130,12 @@ def total_loss(scores: Tensor, sel: SelectionResult, cfg: LossConfig = LossConfi
         g_smooth = np.zeros_like(pos)
         g_smooth[..., 1:] += g_d
         g_smooth[..., :-1] -= g_d
-        grad[..., 0, :] += g_smooth
+        grad[0] += g_smooth
 
         if cfg.use_antagonistic:
             # d/dp of (1 - (p - n)) + n + (1 - p) is -2, d/dn is +2
             peak = np.expand_dims(np.argmax(s, axis=-1), -1)
-            pull = np.stack([-(g + g), g + g], axis=-1)[..., None]
+            pull = np.stack([-(g + g), g + g])[..., None]
             np.put_along_axis(grad, peak, np.take_along_axis(grad, peak, axis=-1) + pull, axis=-1)
         return grad, {}
 

@@ -148,6 +148,8 @@ class ModelParameters(dict[str, np.ndarray]):
             arr = np.asarray(arrays[name])
             if arr.shape != p.shape:
                 raise CheckpointError(f"parameter {name!r} shape {arr.shape} does not match expected {p.shape}")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"parameter {name!r} holds a non-finite value")
             try:
                 with np.errstate(over="raise"):
                     p[...] = arr  # rounds float64 values once into float32 parameters
@@ -358,16 +360,18 @@ def _no_buffer(name: str, shape: tuple[int, ...], dtype) -> None:
 
 
 def dropout_masks(rng, n_bags: int, t: int, widths, rate: float,
-                  workspace: Workspace | None = None, dtype=np.float32) -> list[np.ndarray]:
+                  workspace: Workspace | None = None, dtype=np.float32, draw_order=None) -> list[np.ndarray]:
     """Inverted-dropout masks for the hidden layers of ``n_bags`` bags of
     ``t`` clips, one (n_bags * t, width) ``dtype`` mask per width, in
     buffers of ``workspace`` when one is given.
 
-    The uniform draws are float64, taken in bag order and, within a bag, in
-    layer order: the same values, in the same order, as one ``rng.random``
-    call for the whole stack takes from the same generator. Each (t, width)
-    draw goes through one float64 scratch array into its mask's rows, so
-    masks of any dtype keep the same dropout stream.
+    The uniform draws are float64, taken bag by bag and, within a bag, in
+    layer order. The bags draw in ``draw_order`` (their indices in the
+    stack), by default in stack order: then the draws are the same values,
+    in the same order, as one ``rng.random`` call for the whole stack takes
+    from the same generator. Each (t, width) draw goes through one float64
+    scratch array into its mask's rows, so masks of any dtype keep the same
+    dropout stream.
     """
     if rng is None:
         raise ConfigurationError("dropout in training mode needs a random generator")
@@ -376,7 +380,8 @@ def dropout_masks(rng, n_bags: int, t: int, widths, rate: float,
              for i, w in enumerate(widths)]
     scratch = np.empty(t * max(widths))
     draws = [scratch[: t * w].reshape(t, w) for w in widths]
-    for start in range(0, n_bags * t, t):
+    for n in range(n_bags) if draw_order is None else draw_order:
+        start = n * t
         for m, u in zip(masks, draws):
             # 1 where the unit is kept
             np.greater_equal(rng.random(out=u), rate, out=m[start : start + t])
@@ -453,11 +458,24 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     Every (rows x width) array goes into a buffer of ``workspace`` when one
     is given, and into a fresh array otherwise. A training pass runs the
     dropout-free tail first, then masks the first activation in place and
-    runs the tail again through the same buffers. Its backward overwrites
-    each pre-activation with the leaky ReLU's derivative there, and each
-    layer's gradient over an activation it has read for the last time. So
-    the backward runs at most once, and before the next forward into the
-    same workspace.
+    runs the tail again through the same buffers. Its dropout masks are
+    drawn bag by bag in column-major order of the bag grid (the bag axes
+    but the last), so a class-major stack of pairs (2, B, T) draws pair by
+    pair, anomalous bag first, and a flat stack draws in stack order. Its
+    backward overwrites each pre-activation with the leaky ReLU's
+    derivative there, and each layer's gradient over an activation it has
+    read for the last time. So the backward runs at most once, and before
+    the next forward into the same workspace.
+
+    The backward sums the first weight's gradient X^T g over only the rows
+    whose score gradient is nonzero: a zero there is zero in every layer's
+    gradient of that row. It reads the leading run of such rows in place
+    and gathers the ones after it, unless they are more than half of the
+    rows after the run; then, as with every row live, it takes the one
+    product over all rows. The objective reads a negative bag only at its
+    selected and peak clips, so in a class-major stack the run holds every
+    anomalous row and about half the rows are skipped. The narrower layers'
+    gradients keep every row.
     """
     w0, b0, w1, b1, w2, b2 = [params[name] for name in _HEAD_NAMES]
     dtype = w0.dtype
@@ -494,8 +512,10 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         return clean.reshape(bag_axes), clean.reshape(bag_axes)
     out, masks = clean, None
     if cfg.dropout:
-        masks = dropout_masks(rng, math.prod(bag_axes[:-1]), bag_axes[-1], cfg.dims[1:-1], cfg.dropout,
-                              workspace, dtype)
+        grid = bag_axes[:-1]
+        order = np.arange(math.prod(grid)).reshape(grid).ravel(order="F").tolist()
+        masks = dropout_masks(rng, len(order), bag_axes[-1], cfg.dims[1:-1], cfg.dropout,
+                              workspace, dtype, draw_order=order)
         h1 *= masks[0]
         out = _head_tail(h1, cfg.slope, w1, b1, w2, b2, z2, h2, masks[1])[0]
     spent = False
@@ -506,6 +526,13 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
             raise RuntimeError("the head's backward has overwritten its saved activations; run the forward again")
         spent = True
         g = (g.reshape(-1, 1) * out * (1.0 - out)).astype(dtype, copy=False)
+        live = g[:, 0] != 0
+        lead = live.size if live.all() else int(live.argmin())
+        rest = np.flatnonzero(live[lead:]) + lead
+        if 2 * rest.size > live.size - lead:
+            # gathering most of the rows after the run costs more than
+            # reading them all in place
+            lead, rest = live.size, rest[:0]
         gw2, gb2 = h2.T @ g, g.sum(axis=0)
         g = np.matmul(g, w2.T, out=h2)
         if masks is not None:
@@ -522,7 +549,10 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
             gate_grad = np.multiply(xw, g, out=xw).sum(axis=1).reshape(gate_node.data.shape)
         if gate_col is not None:
             g *= gate_col
-        gw0 = np.matmul(x.T, g, out=take("gw0", w0.shape, dtype))
+        # the live rows only: the leading run where it lies, the rest gathered
+        gw0 = np.matmul(x[:lead].T, g[:lead], out=take("gw0", w0.shape, dtype))
+        if rest.size:
+            gw0 += np.matmul(x[rest].T, g[rest], out=take("gw0.rest", w0.shape, dtype))
         return gate_grad, dict(zip(_HEAD_NAMES, (gw0, gb0, gw1, gb1, gw2, gb2)))
 
     parents = () if gate_node is None else (gate_node,)
@@ -753,6 +783,8 @@ def load_checkpoint(path, expected_config: dict | None = None) -> AnomalyScorer:
         params = _zero_parameters(mta_cfg, hfc_cfg)
         params.load_arrays(arrays)
         return AnomalyScorer(hfc_cfg, mta_cfg, params=params)
+    except CheckpointError as err:
+        raise CheckpointError(f"{path}: {err}") from None
     except (KeyError, TypeError, ValueError) as err:
         # ValueError covers the configs' own checks and load_arrays' errors
         raise CheckpointError(f"{path}: {type(err).__name__}: {err}") from None

@@ -4,10 +4,10 @@ A MIL step sees positive (anomalous) and negative (normal) bags in pairs.
 The selector estimates how far training has progressed from each pair's
 two score sequences alone, converts that confidence into an instance budget
 K, and marks the K clips with the largest feature magnitude in each bag.
-Scores, magnitudes and the selected-clip mask are shaped (..., 2, T): each
-pair's positive bag first, then its negative partner, for one pair (2, T)
-or a batch of B pairs (B, 2, T), with K free to differ between pairs. The
-selection itself is score-free bookkeeping: the objective
+Scores, magnitudes and the selected-clip mask are shaped (2, ..., T),
+class first: the positive bags, then their negative partners, for one pair
+(2, T) or a batch of B pairs (2, B, T), with K free to differ between
+pairs. The selection itself is score-free bookkeeping: the objective
 (``losses.total_loss``) holds omega, K and the chosen clips fixed and
 differentiates the AIS term through the selected scores only.
 """
@@ -42,20 +42,20 @@ class SelectionResult:
 
 
 def confidence(scores) -> np.ndarray:
-    """Training maturity in [0, 1], per pair of (..., 2, T) scores.
+    """Training maturity in [0, 1], per pair of (2, ..., T) scores.
 
     High when the negative bag's scores sit near zero and both score
     sequences vary little between neighbouring clips; raw values below 0 or
     above 1 clamp to the ends.
     """
     s = np.asarray(scores)
-    if s.ndim < 2 or s.shape[-2] != 2:
-        raise ValueError(f"scores must be shaped (..., 2, T), one row per bag of a pair, got {s.shape}")
+    if s.ndim < 2 or s.shape[0] != 2:
+        raise ValueError(f"scores must be shaped (2, ..., T), one row per bag of a pair, got {s.shape}")
     t = s.shape[-1]
     if t < 2:
         raise ValueError(f"confidence needs at least 2 clips, got {t}")
     rough = np.abs(np.diff(s)).sum(axis=-1)
-    raw = 1.0 - s[..., 1, :].mean(axis=-1) - (rough[..., 1] + rough[..., 0]) / (2 * t - 2)
+    raw = 1.0 - s[1].mean(axis=-1) - (rough[1] + rough[0]) / (2 * t - 2)
     return np.clip(raw, 0.0, 1.0)
 
 
@@ -68,21 +68,22 @@ def adaptive_k(omega, pos_scores, threshold: float = 0.9) -> np.ndarray:
 
 
 def topk_mask(magnitudes, k) -> np.ndarray:
-    """Mask of the k largest magnitudes along the last axis, k one per row;
-    ties go to the lower index."""
+    """Mask of the k largest magnitudes along the last axis, with k
+    broadcast over the rows: one per row, or one per pair of a (2, B, T)
+    stack; ties go to the lower index."""
     order = np.argsort(-np.asarray(magnitudes), axis=-1, kind="stable")
     rank = np.argsort(order, axis=-1)
     return rank < np.expand_dims(k, -1)
 
 
 def select(scores, magnitudes, cfg: SelectionConfig = SelectionConfig()) -> SelectionResult:
-    """Full selection over (..., 2, T) scores and the clip magnitudes that
+    """Full selection over (2, ..., T) scores and the clip magnitudes that
     rank them; both bags of a pair keep the pair's K clips. With
     ``cfg.adaptive`` off, K pins to 1 and the step reduces to classic top-1
     MIL."""
     omega = confidence(scores)
     if cfg.adaptive:
-        k = adaptive_k(omega, np.asarray(scores)[..., 0, :], cfg.threshold)
+        k = adaptive_k(omega, np.asarray(scores)[0], cfg.threshold)
     else:
         k = np.ones(omega.shape, dtype=np.int64)
-    return SelectionResult(omega=omega, k=k, mask=topk_mask(magnitudes, k[..., None]))
+    return SelectionResult(omega=omega, k=k, mask=topk_mask(magnitudes, k))

@@ -3,24 +3,31 @@
 Each batch pairs ``batch_pairs`` anomalous bags with the same number of
 normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
 
-- the batch's 2B bags are stacked into one (B, 2, T, D) array of the
-  parameters' dtype, pair by pair (anomalous bag, then its normal partner);
-  float32 bags into the default float32 parameters are copied, not widened;
+- the batch's 2B bags are stacked into one (2, B, T, D) array of the
+  parameters' dtype, class-major: the B anomalous bags, then their B
+  normal partners; float32 bags into the default float32 parameters are
+  copied, not widened;
 - one forward over the stack computes the per-clip attention gate from the
   bags' cached clip means, and the head's first layer as gate * (X W0) + b0,
   with one product with W0 for the whole batch; its activation feeds both
   the dropout-free scores that instance selection reads and the training
-  scores with dropout;
-- selection (omega, K and the (B, 2, T) mask of the top-K clips of each
+  scores with dropout, whose masks each bag draws in pair order (pair by
+  pair, anomalous bag first), so a bag's masks do not depend on the layout;
+- selection (omega, K and the (2, B, T) mask of the top-K clips of each
   bag, where clip magnitude is |gate| times the cached clip norm) and the
-  three loss terms read the (B, 2, T) scores of the stack without splitting
+  three loss terms read the (2, B, T) scores of the stack without splitting
   it, for all pairs at once, with K free to differ between pairs;
 - one backward, then one Adam step with coupled L2 weight decay on the mean
   pair loss. The step is a chain of three hand-differentiated ops: the
   gate (``model.mta_forward``), the head (``model.hfc_forward``) and the
   objective (``losses.total_loss``). Each op's backward returns its own
   parameters' gradients by name, the backward collects them, and the Adam
-  step updates the parameter arrays in place from them.
+  step updates the parameter arrays in place from them. The objective
+  reads a normal bag only at its selected and peak clips, so the head's
+  first-layer weight gradient sums over only the rows with a nonzero score
+  gradient: every anomalous row, read in place from the front of the
+  stack, plus the few live rows of the normal bags (at most two per bag
+  at K = 1), gathered.
 
 The stack, the head's activations, dropout masks and weight gradients, and
 Adam's temporaries live in one ``model.Workspace`` that ``TrainState`` holds
@@ -175,25 +182,27 @@ def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfi
                loss_cfg: LossConfig, dropout_rng, workspace: Workspace | None = None, sel=None):
     """Loss and selection for one batch of B bag pairs (i-th with i-th).
 
-    ``workspace`` holds the (B, 2, T, D) stack the bags are copied into and
-    the head's buffers (see ``model.hfc_forward``), reused across batches;
+    ``workspace`` holds the (2, B, T, D) stack the bags are copied into,
+    class-major (the anomalous bags, then the normal ones, so the rows
+    that carry gradient into every anomalous clip lead the stack), and the
+    head's buffers (see ``model.hfc_forward``), reused across batches;
     without it, both are fresh arrays. ``sel`` replaces the computed
     selection, as a gradient check needs. Returns (LossBreakdown over the
     pairs, SelectionResult).
     """
-    bags = [bag for pair in zip(pos_bags, neg_bags) for bag in pair]
+    bags = list(pos_bags) + list(neg_bags)
     b, t = len(pos_bags), bags[0].num_clips
-    shape = (b, 2, t, model.feature_dim)
+    shape = (2, b, t, model.feature_dim)
     x = np.empty(shape, model.dtype) if workspace is None else workspace.take("stack", shape, model.dtype)
     rows = x.reshape(2 * b, t, model.feature_dim)
     for i, bag in enumerate(bags):
         rows[i] = bag.features  # float32 bags into float32 parameters: a plain copy
     out = model.score_bag(x, training=True, rng=dropout_rng,
-                          means=np.array([bag.clip_means for bag in bags]).reshape(b, 2, t),
+                          means=np.array([bag.clip_means for bag in bags]).reshape(2, b, t),
                           workspace=workspace)
     if sel is None:
         # |a_t x_t| = |a_t| |x_t|: the gated features are never built
-        magnitudes = np.abs(out.gate) * np.array([bag.clip_norms for bag in bags]).reshape(b, 2, t)
+        magnitudes = np.abs(out.gate) * np.array([bag.clip_norms for bag in bags]).reshape(2, b, t)
         sel = select(out.clean, magnitudes, sel_cfg)
     return total_loss(out.scores, sel, loss_cfg), sel
 
@@ -268,6 +277,8 @@ def load_train_state(path, params: ModelParameters) -> TrainState:
             key = f"{prefix}.{name}"
             if key not in arrays or arrays[key].shape != store[name].shape:
                 raise CheckpointError(f"{path}: moment {key!r} is missing or not shaped {store[name].shape}")
+            if not np.isfinite(arrays[key]).all():
+                raise CheckpointError(f"{path}: moment {key!r} holds a non-finite value")
             try:
                 with np.errstate(over="raise"):
                     # into the parameter dtype: exact for moments a float32 run saved

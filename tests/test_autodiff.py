@@ -256,10 +256,10 @@ class TestBackward:
         hfc_cfg = HfcConfig.for_feature_dim(4, narrow=3, wide=5, dropout=0.3)
         params = init_parameters(mta_cfg, hfc_cfg, seed=2, dtype=np.float64)
         params["mta.conv3.weight"][:] = r.uniform(-1, 1, 3)
+        # a class-major stack (2, B, T, D) of B = 2 pairs
         x = r.standard_normal((2, 2, 5, 4))
         k = np.array([1, 3])
-        # the positive bags' magnitudes are drawn first, then the negative ones'
-        sel = SelectionResult(np.ones(2), k, topk_mask(np.moveaxis(r.uniform(size=(2, 2, 5)), 0, 1), k[:, None]))
+        sel = SelectionResult(np.ones(2), k, topk_mask(r.uniform(size=(2, 2, 5)), k))
 
         def build():
             gate = mta_forward(x.mean(axis=-1), mta_cfg, params, training=True)
@@ -346,12 +346,11 @@ def _head_case(r, gated=True, dropout=0.5, n_bags=2, t=4):
 
 def _objective_case(r, n_pairs=3, t=6, antagonistic=True):
     """The objective on random scores of one pair (n_pairs=0, shape (2, T))
-    or of n_pairs pairs, with K drawn per pair."""
+    or of n_pairs pairs (2, n_pairs, T), with K drawn per pair."""
     bags = () if n_pairs == 0 else (n_pairs,)
-    scores = leaf(r.uniform(0.05, 0.95, bags + (2, t)), "scores")
+    scores = leaf(r.uniform(0.05, 0.95, (2,) + bags + (t,)), "scores")
     k = r.integers(1, t + 1, bags)
-    magnitudes = np.moveaxis(r.uniform(size=(2,) + bags + (t,)), 0, -2)
-    sel = SelectionResult(np.ones(bags), k, topk_mask(magnitudes, k[..., None]))
+    sel = SelectionResult(np.ones(bags), k, topk_mask(r.uniform(size=(2,) + bags + (t,)), k))
     cfg = LossConfig(use_antagonistic=antagonistic)
     return {"scores": scores.data}, lambda: total_loss(scores, sel, cfg).node
 

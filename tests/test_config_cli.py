@@ -334,7 +334,7 @@ class TestTrainEvalScoreCommands:
         assert code == 2
         assert "is not a file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["missing", "overflow"])
+    @pytest.mark.parametrize("fault", ["missing", "overflow", "inf"])
     def test_resume_from_a_bad_moment_is_usage_error(self, tiny_dataset, tmp_path, capsys, fault):
         args = ["train", "--train-manifest", str(tiny_dataset["train"]),
                 "--test-manifest", str(tiny_dataset["test"]), "--set", "feature_dim=24",
@@ -347,7 +347,7 @@ class TestTrainEvalScoreCommands:
         if fault == "missing":
             del arrays["m.head.2.bias"]
         else:
-            arrays["v.head.2.bias"] = np.full(1, 1e300)
+            arrays["v.head.2.bias"] = np.full(1, 1e300 if fault == "overflow" else np.inf)
         write_container(state, STATE_MAGIC, header, arrays)
         capsys.readouterr()
         code = main(args + ["--out-dir", str(tmp_path / "second"), "--resume-from", str(first)])
@@ -373,6 +373,15 @@ class TestTrainEvalScoreCommands:
         rows = list(csv.DictReader(open(out_csv)))
         assert len(rows) == 40
         assert all(0.0 < float(r["score"]) < 1.0 for r in rows)
+
+    def test_score_with_a_nan_weight_is_usage_error(self, trained_tiny, tmp_path, capsys):
+        header, arrays = read_container(trained_tiny["result"].best_checkpoint, b"LWCK")
+        arrays = dict(arrays, **{"head.1.bias": np.full(arrays["head.1.bias"].shape, np.nan)})
+        ckpt = write_container(tmp_path / "nan.lwck", b"LWCK", header, arrays)
+        fpath = save_features(tmp_path / "clip.lwvf", np.zeros((16, 24), np.float32))
+        code = main(["score", "--checkpoint", str(ckpt), "--features", str(fpath)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: parameter 'head.1.bias' holds a non-finite value")
 
     def test_score_wrong_dim_is_usage_error(self, trained_tiny, tmp_path, capsys):
         feats = np.random.default_rng(0).standard_normal((16, 7)).astype(np.float32)

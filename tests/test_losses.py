@@ -156,23 +156,23 @@ class TestTotalLoss:
 
 @pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(use_antagonistic=False)])
 def test_batch_of_pairs_is_the_mean_of_single_pairs(cfg):
-    # a (B, 2, T) batch with K differing between pairs: each term, the total
+    # a (2, B, T) batch with K differing between pairs: each term, the total
     # and every score gradient equal the per-pair computation averaged over B
     rng = np.random.default_rng(4)
     pos, neg = rng.uniform(size=(3, 6)), rng.uniform(size=(3, 6))
     k = np.array([1, 3, 2])
-    mask = np.stack([topk_mask(rng.uniform(size=(3, 6)), k), topk_mask(rng.uniform(size=(3, 6)), k)], axis=1)
+    mask = np.stack([topk_mask(rng.uniform(size=(3, 6)), k), topk_mask(rng.uniform(size=(3, 6)), k)])
 
-    batch_scores = leaf(np.stack([pos, neg], axis=1), "scores")
+    batch_scores = leaf(np.stack([pos, neg]), "scores")
     batch = total_loss(batch_scores, SelectionResult(np.ones(3), k, mask), cfg)
     batch_grad = backward(batch.node)["scores"]
     singles = []
     for i in range(3):
         scores = leaf(np.stack([pos[i], neg[i]]), "pair")
-        out = total_loss(scores, SelectionResult(np.float64(1.0), k[i], mask[i]), cfg)
+        out = total_loss(scores, SelectionResult(np.float64(1.0), k[i], mask[:, i]), cfg)
         grad = backward(out.node)["pair"]
         singles.append(out)
-        np.testing.assert_allclose(batch_grad[i], grad / 3, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(batch_grad[:, i], grad / 3, rtol=1e-12, atol=1e-15)
     for term in ("ais", "smooth", "antagonistic", "sparsity", "total"):
         expected = np.mean([getattr(o, term) for o in singles])
         assert getattr(batch, term) == pytest.approx(expected, rel=1e-12)

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from references import conv1d_same, leaf
 from wsvad.autodiff import ConfigurationError, DimensionError, Tensor, backward
 from wsvad.checks import full_graph_grad_check
+from wsvad.data import ClipFeatureBag
+from wsvad.losses import LossConfig, total_loss
 from wsvad.model import (
     AnomalyScorer,
     CheckpointError,
@@ -25,8 +27,11 @@ from wsvad.model import (
     _to_leaky_relu_slope,
     save_checkpoint,
     sigmoid,
+    Workspace,
     write_container,
 )
+from wsvad.selection import SelectionConfig
+from wsvad.training import batch_step
 
 
 def _leaky(x, slope):
@@ -54,10 +59,13 @@ def _reference_head(feats, cfg: HfcConfig, params: ModelParameters) -> np.ndarra
     return out
 
 
-def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, masks, upstream):
+def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, masks, upstream,
+                             every_row=False):
     """The head's training pass and backward on fresh arrays, with given
     dropout masks (or None): scores, clean scores, and the gradients of
-    sum(upstream * scores) for W0, b0, W1, b1, W2, b2 and then the gate."""
+    sum(upstream * scores) for W0, b0, W1, b1, W2, b2 and then the gate.
+    W0's gradient sums the rows with a nonzero ``upstream`` as the package
+    does, or with ``every_row`` all rows in one product."""
     w0, b0, w1, b1, w2, b2 = (params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias"))
     bag_axes = x.shape[:-1]
     x = x.reshape(-1, cfg.dims[0])
@@ -96,7 +104,15 @@ def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, m
     if gate is not None:
         grads.append((g * xw).sum(axis=1).reshape(gate.shape))
         g = g * gate_col
-    grads[0] = x.T @ g
+    # the leading run of rows with a nonzero score gradient, plus the ones
+    # after it when they are at most half of the rows after the run
+    live = upstream.reshape(-1) != 0
+    lead = live.size if live.all() else int(live.argmin())
+    rest = np.flatnonzero(live[lead:]) + lead
+    if every_row or 2 * rest.size > live.size - lead:
+        grads[0] = x.T @ g
+    else:
+        grads[0] = x[:lead].T @ g[:lead] + x[rest].T @ g[rest]
     return out.reshape(bag_axes), clean.reshape(bag_axes), grads
 
 
@@ -340,23 +356,64 @@ class TestHfc:
     def test_training_pass_matches_the_allocating_reference(self, gated, dropout):
         # the in-place pass and backward against the same maths on fresh
         # arrays, bit for bit, with masks drawn from the same generator; the
-        # reference computes in float64
+        # reference computes in float64. The listed clips get a zero score
+        # gradient: with none, or with one (12 of the 13 rows after the
+        # leading run stay live), the first weight's gradient is the one
+        # product over all rows; with nine (4 of 13 stay live), it sums the
+        # live rows in two parts
         cfg = HfcConfig.for_feature_dim(64, dropout=dropout)
         params = init_parameters(None, cfg, seed=4, dtype=np.float64)
         r = np.random.default_rng(9)
         x = r.standard_normal((3, 8, 64))
         gate = leaf(r.uniform(0.5, 1.5, (3, 8)), "gate") if gated else None
-        upstream = r.standard_normal((3, 8))
-        scores, clean = hfc_forward(x, cfg, params, gate, training=True, rng=np.random.default_rng(2))
-        grads = backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream, {})))
-        masks = (dropout_masks(np.random.default_rng(2), 3, 8, cfg.dims[1:-1], dropout, dtype=np.float64)
-                 if dropout else None)
-        ref_scores, ref_clean, ref_grads = _reference_training_head(
-            x, cfg, params, None if gate is None else gate.data, masks, upstream)
-        assert scores.data.tobytes() == ref_scores.tobytes()
-        assert clean.tobytes() == ref_clean.tobytes()
-        got = [grads[name] for name in params] + ([grads["gate"]] if gated else [])
-        assert [g.tobytes() for g in got] == [g.tobytes() for g in ref_grads]
+        drawn = r.standard_normal((3, 8))
+        for zero_clips in ((), ((1, 3),), ((1, slice(3, None)), (2, [0, 2, 5, 6]))):
+            upstream = drawn.copy()
+            for bag, clips in zero_clips:
+                upstream[bag, clips] = 0.0
+            scores, clean = hfc_forward(x, cfg, params, gate, training=True, rng=np.random.default_rng(2))
+            grads = backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream, {})))
+            masks = (dropout_masks(np.random.default_rng(2), 3, 8, cfg.dims[1:-1], dropout, dtype=np.float64)
+                     if dropout else None)
+            ref_scores, ref_clean, ref_grads = _reference_training_head(
+                x, cfg, params, None if gate is None else gate.data, masks, upstream)
+            assert scores.data.tobytes() == ref_scores.tobytes()
+            assert clean.tobytes() == ref_clean.tobytes()
+            got = [grads[name] for name in params] + ([grads["gate"]] if gated else [])
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in ref_grads], zero_clips
+
+    def test_first_weight_gradient_reads_only_the_rows_that_carry_gradient(self):
+        # a class-major training step of a float64 model with dropout on:
+        # the first weight's gradient equals X^T g over every row, and the
+        # rows it skips, poisoned with NaN before the backward, are exactly
+        # those with a zero score gradient: every anomalous clip is read,
+        # and of each normal bag only its selected and peak clips
+        b, t, d = 4, 8, 32
+        r = np.random.default_rng(3)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(d), MtaConfig(), seed=2, dtype=np.float64)
+        pos = [ClipFeatureBag(r.standard_normal((t, d)) + 0.3, 1, f"a{i}", t) for i in range(b)]
+        neg = [ClipFeatureBag(r.standard_normal((t, d)), 0, f"n{i}", t) for i in range(b)]
+        workspace, forwards, score_bag = Workspace(), [], model.score_bag
+
+        def recording(*args, **kwargs):
+            forwards.append(score_bag(*args, **kwargs))
+            return forwards[-1]
+
+        model.score_bag = recording
+        breakdown, sel = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), np.random.default_rng(1),
+                                    workspace)
+        out = forwards[-1]
+        upstream = backward(total_loss(leaf(out.scores.data, "scores"), sel).node)["scores"]
+        live = upstream.reshape(-1) != 0
+        assert live[: b * t].all() and live.mean() < 0.75
+        stack = workspace.take("stack", (2, b, t, d), np.float64)
+        masks = [workspace.take(f"mask{i}", (2 * b * t, w), np.float64)
+                 for i, w in enumerate(model.hfc_cfg.dims[1:-1])]
+        every_row = _reference_training_head(stack, model.hfc_cfg, model.params, out.gate, masks, upstream,
+                                             every_row=True)[2][0]
+        stack.reshape(-1, d)[~live] = np.nan
+        gw0 = backward(breakdown.node)["head.0.weight"]
+        np.testing.assert_allclose(gw0, every_row, rtol=1e-12)
 
     def test_training_backward_runs_once(self):
         # the backward overwrites the activations it reads, so a second
@@ -548,6 +605,15 @@ class TestCheckpoints:
         arrays["head.0.bias"][1] = 1e300
         path = write_container(tmp_path / "big.lwck", b"LWCK", model.config_dict(), arrays)
         with pytest.raises(CheckpointError, match="'head.0.bias' holds values outside the float32 range"):
+            load_checkpoint(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        # a NaN weight must not load and fail the fit steps later
+        model = self._model()
+        arrays = {name: a.astype(np.float64) for name, a in model.params.items()}
+        arrays["head.0.weight"][2, 1] = np.nan
+        path = write_container(tmp_path / "nan.lwck", b"LWCK", model.config_dict(), arrays)
+        with pytest.raises(CheckpointError, match=r"nan\.lwck: parameter 'head\.0\.weight' holds a non-finite"):
             load_checkpoint(path)
 
     def test_round_trip_preserves_config(self, tmp_path):

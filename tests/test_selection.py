@@ -1,6 +1,6 @@
 """Confidence estimate, adaptive budget, magnitude ranking, selection loss.
 
-Scores, magnitudes and masks are shaped (..., 2, T), positive bag first."""
+Scores, magnitudes and masks are shaped (2, ..., T), positive bags first."""
 
 from __future__ import annotations
 
@@ -72,15 +72,15 @@ class TestConfidence:
 
     def test_mismatched_lengths_rejected(self):
         # bags of different lengths cannot form a (2, T) array
-        with pytest.raises(ValueError, match=r"\(\.\.\., 2, T\)"):
+        with pytest.raises(ValueError, match=r"\(2, \.\.\., T\)"):
             confidence(np.array([[0.5, 0.5], [0.5, 0.5, 0.5]], dtype=object))
 
     @pytest.mark.parametrize("shape", [(4,), (3, 4), (5, 3, 4)])
     def test_scores_not_in_pairs_rejected(self, shape):
         scores = np.full(shape, 0.5)
-        with pytest.raises(ValueError, match=r"\(\.\.\., 2, T\)"):
+        with pytest.raises(ValueError, match=r"\(2, \.\.\., T\)"):
             confidence(scores)
-        with pytest.raises(ValueError, match=r"\(\.\.\., 2, T\)"):
+        with pytest.raises(ValueError, match=r"\(2, \.\.\., T\)"):
             select(scores, np.ones(shape))
 
     @settings(max_examples=60, deadline=None)
@@ -232,21 +232,21 @@ class TestSelect:
         np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_batch_equals_each_pair(self):
-        # one (B, 2, T) call selects exactly what B calls on (2, T) pairs
+        # one (2, B, T) call selects exactly what B calls on (2, T) pairs
         # select; a single pair's omega and K are 0-d
         rng = np.random.default_rng(5)
         pos = rng.uniform(0.6, 1.0, size=(6, 10))
         neg = rng.uniform(0.0, 0.2, size=(6, 10))
-        scores = np.stack([pos, neg], axis=1)
-        magnitudes = np.stack([rng.uniform(size=(6, 10)), rng.uniform(size=(6, 10))], axis=1)
+        scores = np.stack([pos, neg])
+        magnitudes = np.stack([rng.uniform(size=(6, 10)), rng.uniform(size=(6, 10))])
         cfg = SelectionConfig(threshold=0.8)
         batch = select(scores, magnitudes, cfg)
         assert len(set(batch.k)) > 1 and batch.mask.shape == scores.shape
         for i in range(6):
-            one = select(scores[i], magnitudes[i], cfg)
+            one = select(scores[:, i], magnitudes[:, i], cfg)
             assert np.shape(one.omega) == np.shape(one.k) == ()
             assert one.omega == batch.omega[i] and one.k == batch.k[i]
-            np.testing.assert_array_equal(one.mask, batch.mask[i])
+            np.testing.assert_array_equal(one.mask, batch.mask[:, i])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="threshold"):

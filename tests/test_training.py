@@ -18,6 +18,7 @@ from wsvad.model import (
     HfcConfig,
     ModelParameters,
     MtaConfig,
+    dropout_masks,
     load_checkpoint,
     read_container,
     save_checkpoint,
@@ -317,7 +318,23 @@ class TestWorkspace:
         buffers = state.workspace._buffers
         assert {name: buf.dtype for name, buf in buffers.items()} == dict.fromkeys(buffers, np.float32)
         # the batch stack is a float32 copy of the bags, at half the float64 size
-        assert buffers["stack"].shape == (b, 2, t, d) and buffers["stack"].nbytes == b * 2 * t * d * 4
+        assert buffers["stack"].shape == (2, b, t, d) and buffers["stack"].nbytes == b * 2 * t * d * 4
+
+    def test_dropout_masks_follow_the_bag_not_the_layout(self):
+        # the class-major stack holds bag (c, i) at c * B + i, and it gets
+        # the masks that pair-by-pair draws (anomalous bag first) give bag
+        # 2i + c of a pair-major stack
+        b, t, d = 3, 8, 16
+        r = np.random.default_rng(8)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(d, dropout=0.5), MtaConfig(), seed=3)
+        state = TrainState(model.params)
+        batch_step(_random_bags(r, b, 1, t, d), _random_bags(r, b, 0, t, d), model,
+                   SelectionConfig(), LossConfig(), np.random.default_rng(4), state.workspace)
+        widths = model.hfc_cfg.dims[1:-1]
+        pair_major = dropout_masks(np.random.default_rng(4), 2 * b, t, widths, 0.5)
+        for layer, width in enumerate(widths):
+            got = state.workspace.take(f"mask{layer}", (2 * b * t, width), np.float32).reshape(2, b, t, width)
+            np.testing.assert_array_equal(got, pair_major[layer].reshape(b, 2, t, width).swapaxes(0, 1))
 
     @pytest.mark.parametrize("use_mta", [True, False])
     def test_backward_sets_every_gradient_of_the_step(self, use_mta):
@@ -588,6 +605,13 @@ class TestTrainStateIo:
         other = _toy_params([1.0, 2.0, 3.0])
         with pytest.raises(CheckpointError, match=r"state\.lwts: moment 'm\.theta'"):
             load_train_state(path, other)
+
+    def test_non_finite_moment_rejected(self, tmp_path):
+        state = TrainState(_toy_params([1.0, 2.0]))
+        state.v["theta"][:] = [0.5, np.inf]
+        path = save_train_state(tmp_path / "state.lwts", state)
+        with pytest.raises(CheckpointError, match=r"state\.lwts: moment 'v\.theta' holds a non-finite value"):
+            load_train_state(path, _toy_params([1.0, 2.0]))
 
     def test_moment_beyond_the_parameter_range_rejected(self, tmp_path):
         # a float64 moment that no float32 holds must not load as inf
