@@ -339,8 +339,9 @@ class Workspace:
     ``name``, or a new, uninitialised one when there is none of that shape
     and dtype; the caller overwrites it whole. A training step writes its
     batch stack, the head's activations, dropout masks and weight gradients
-    here, so in steady state it allocates no array that grows with the
-    batch.
+    here, so in steady state the only feature-wide arrays it allocates are
+    the gather of the few live normal rows for the first weight's gradient
+    and their product.
     """
 
     def __init__(self):
@@ -359,28 +360,31 @@ def _no_buffer(name: str, shape: tuple[int, ...], dtype) -> None:
     return None
 
 
-def dropout_masks(rng, n_bags: int, t: int, widths, rate: float,
-                  workspace: Workspace | None = None, dtype=np.float32, draw_order=None) -> list[np.ndarray]:
-    """Inverted-dropout masks for the hidden layers of ``n_bags`` bags of
-    ``t`` clips, one (n_bags * t, width) ``dtype`` mask per width, in
-    buffers of ``workspace`` when one is given.
+def dropout_masks(rng, grid, t: int, widths, rate: float,
+                  workspace: Workspace | None = None, dtype=np.float32) -> list[np.ndarray]:
+    """Inverted-dropout masks for the hidden layers of a ``grid`` of bags
+    (a shape, or a count) of ``t`` clips each, one (bags * t, width)
+    ``dtype`` mask per width, in buffers of ``workspace`` when one is
+    given. The masks' rows follow the stack: bag by bag in row-major order
+    of the grid.
 
-    The uniform draws are float64, taken bag by bag and, within a bag, in
-    layer order. The bags draw in ``draw_order`` (their indices in the
-    stack), by default in stack order: then the draws are the same values,
-    in the same order, as one ``rng.random`` call for the whole stack takes
-    from the same generator. Each (t, width) draw goes through one float64
-    scratch array into its mask's rows, so masks of any dtype keep the same
-    dropout stream.
+    The uniform draws are float64, taken bag by bag in column-major order
+    of the grid and, within a bag, in layer order. So a class-major grid
+    (2, B) of pairs draws pair by pair, anomalous bag first, and a count
+    draws in stack order: the same values, in the same order, as one
+    ``rng.random`` call for the whole stack takes from the same generator.
+    Each (t, width) draw goes through one float64 scratch array into its
+    mask's rows, so masks of any dtype keep the same dropout stream.
     """
     if rng is None:
         raise ConfigurationError("dropout in training mode needs a random generator")
-    masks = [np.empty((n_bags * t, w), dtype) if workspace is None
-             else workspace.take(f"mask{i}", (n_bags * t, w), dtype)
+    grid = np.arange(np.prod(grid, dtype=int)).reshape(grid)
+    masks = [np.empty((grid.size * t, w), dtype) if workspace is None
+             else workspace.take(f"mask{i}", (grid.size * t, w), dtype)
              for i, w in enumerate(widths)]
     scratch = np.empty(t * max(widths))
     draws = [scratch[: t * w].reshape(t, w) for w in widths]
-    for n in range(n_bags) if draw_order is None else draw_order:
+    for n in grid.ravel(order="F").tolist():
         start = n * t
         for m, u in zip(masks, draws):
             # 1 where the unit is kept
@@ -470,8 +474,7 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     The backward sums the first weight's gradient X^T g over only the rows
     whose score gradient is nonzero: a zero there is zero in every layer's
     gradient of that row. It reads the leading run of such rows in place
-    and gathers the ones after it, unless they are more than half of the
-    rows after the run; then, as with every row live, it takes the one
+    and gathers the ones after it; with every row live, that is the one
     product over all rows. The objective reads a negative bag only at its
     selected and peak clips, so in a class-major stack the run holds every
     anomalous row and about half the rows are skipped. The narrower layers'
@@ -512,10 +515,7 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         return clean.reshape(bag_axes), clean.reshape(bag_axes)
     out, masks = clean, None
     if cfg.dropout:
-        grid = bag_axes[:-1]
-        order = np.arange(math.prod(grid)).reshape(grid).ravel(order="F").tolist()
-        masks = dropout_masks(rng, len(order), bag_axes[-1], cfg.dims[1:-1], cfg.dropout,
-                              workspace, dtype, draw_order=order)
+        masks = dropout_masks(rng, bag_axes[:-1], bag_axes[-1], cfg.dims[1:-1], cfg.dropout, workspace, dtype)
         h1 *= masks[0]
         out = _head_tail(h1, cfg.slope, w1, b1, w2, b2, z2, h2, masks[1])[0]
     spent = False
@@ -529,10 +529,6 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         live = g[:, 0] != 0
         lead = live.size if live.all() else int(live.argmin())
         rest = np.flatnonzero(live[lead:]) + lead
-        if 2 * rest.size > live.size - lead:
-            # gathering most of the rows after the run costs more than
-            # reading them all in place
-            lead, rest = live.size, rest[:0]
         gw2, gb2 = h2.T @ g, g.sum(axis=0)
         g = np.matmul(g, w2.T, out=h2)
         if masks is not None:
@@ -552,7 +548,7 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         # the live rows only: the leading run where it lies, the rest gathered
         gw0 = np.matmul(x[:lead].T, g[:lead], out=take("gw0", w0.shape, dtype))
         if rest.size:
-            gw0 += np.matmul(x[rest].T, g[rest], out=take("gw0.rest", w0.shape, dtype))
+            gw0 += x[rest].T @ g[rest]
         return gate_grad, dict(zip(_HEAD_NAMES, (gw0, gb0, gw1, gb1, gw2, gb2)))
 
     parents = () if gate_node is None else (gate_node,)
@@ -786,5 +782,5 @@ def load_checkpoint(path, expected_config: dict | None = None) -> AnomalyScorer:
     except CheckpointError as err:
         raise CheckpointError(f"{path}: {err}") from None
     except (KeyError, TypeError, ValueError) as err:
-        # ValueError covers the configs' own checks and load_arrays' errors
+        # ValueError covers the configs' own checks
         raise CheckpointError(f"{path}: {type(err).__name__}: {err}") from None

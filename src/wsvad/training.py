@@ -33,7 +33,8 @@ The stack, the head's activations, dropout masks and weight gradients, and
 Adam's temporaries live in one ``model.Workspace`` that ``TrainState`` holds
 for the whole run. After the first batch, a step allocates only small
 arrays: one value per clip (scores, gate, selection), bias and kernel
-gradients. Every result is bit-identical to a step on fresh arrays.
+gradients, and the gathered live normal rows with their share of the
+first weight's gradient. Every result is bit-identical to a step on fresh arrays.
 
 Every bag of the train split must therefore have the same clip count. Runs
 are bit-reproducible: the same seed yields identical logs and checkpoints,

@@ -105,14 +105,13 @@ def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, m
         grads.append((g * xw).sum(axis=1).reshape(gate.shape))
         g = g * gate_col
     # the leading run of rows with a nonzero score gradient, plus the ones
-    # after it when they are at most half of the rows after the run
+    # after it
     live = upstream.reshape(-1) != 0
-    lead = live.size if live.all() else int(live.argmin())
+    lead = live.size if every_row or live.all() else int(live.argmin())
     rest = np.flatnonzero(live[lead:]) + lead
-    if every_row or 2 * rest.size > live.size - lead:
-        grads[0] = x.T @ g
-    else:
-        grads[0] = x[:lead].T @ g[:lead] + x[rest].T @ g[rest]
+    grads[0] = x[:lead].T @ g[:lead]
+    if rest.size:
+        grads[0] = grads[0] + x[rest].T @ g[rest]
     return out.reshape(bag_axes), clean.reshape(bag_axes), grads
 
 
@@ -357,10 +356,10 @@ class TestHfc:
         # the in-place pass and backward against the same maths on fresh
         # arrays, bit for bit, with masks drawn from the same generator; the
         # reference computes in float64. The listed clips get a zero score
-        # gradient: with none, or with one (12 of the 13 rows after the
-        # leading run stay live), the first weight's gradient is the one
-        # product over all rows; with nine (4 of 13 stay live), it sums the
-        # live rows in two parts
+        # gradient: with none, the first weight's gradient is the one
+        # product over all rows; with one (12 of the 13 rows after the
+        # leading run stay live) or nine (4 of 13), it sums the live rows
+        # in two parts
         cfg = HfcConfig.for_feature_dim(64, dropout=dropout)
         params = init_parameters(None, cfg, seed=4, dtype=np.float64)
         r = np.random.default_rng(9)
