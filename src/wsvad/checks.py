@@ -1,15 +1,21 @@
-"""End-to-end gradient verification for the full scoring-plus-loss graph."""
+"""Harnesses that the test suite and the CLI share: the finite-difference
+check of the full scoring-plus-loss graph and the component ablation."""
 
 from __future__ import annotations
+
+import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from .autodiff import GradCheckReport, grad_check, record_kink_margins
+from .config import RunConfig, write_run_config
 from .data import ClipFeatureBag
 from .losses import LossConfig
 from .model import AnomalyScorer, HfcConfig, MtaConfig
 from .selection import SelectionConfig
-from .training import batch_step
+from .training import FitResult, batch_step, fit
 
 
 def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed: int = 3,
@@ -83,3 +89,23 @@ def full_graph_grad_check(t: int = 8, d: int = 16, mode: str = "residual", seed:
     raise RuntimeError(
         f"no kink-safe input found in {max_attempts} draws (margin_min={margin_min})"
     )
+
+
+def ablation_lattice(cfg: RunConfig, train_bags, test_bags, out_dir) -> dict[tuple[bool, ...], FitResult]:
+    """Train ``cfg`` with each on/off combination of the attention block, the
+    hourglass head (off: the conventional one), adaptive selection and the
+    antagonistic term, each cell in its own directory under ``out_dir``
+    (``mta1_hg0_ais1_ant1`` ...) beside the ``config.txt`` that reruns it.
+    Returns each cell's ``FitResult`` keyed by (use_mta, hourglass, use_ais,
+    use_antagonistic), the full model first."""
+    cells = {}
+    for key in itertools.product((True, False), repeat=4):
+        use_mta, hourglass, use_ais, use_antagonistic = key
+        cell_dir = Path(out_dir) / "mta{:d}_hg{:d}_ais{:d}_ant{:d}".format(*key)
+        cell = replace(cfg, use_mta=use_mta, head_shape="hourglass" if hourglass else "conventional",
+                       use_ais=use_ais, use_antagonistic=use_antagonistic, out_dir=str(cell_dir))
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        write_run_config(cell_dir / "config.txt", cell)
+        cells[key] = fit(train_bags, test_bags, cell.build_model(), cell.train_config(), cell_dir,
+                         sel_cfg=cell.selection_config(), loss_cfg=cell.loss_config())
+    return cells

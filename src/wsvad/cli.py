@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen-synth, train, eval, score, params, grad-check. Exit codes:
-0 on success, 2 for usage or input problems (missing files, malformed
-formats, bad config), 1 for anything unexpected.
+Subcommands: gen-synth, train, eval, score, params, grad-check, ablation.
+Exit codes: 0 on success, 2 for usage or input problems (missing files,
+malformed formats, bad config), 1 for anything unexpected.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .autodiff import ConfigurationError
-from .checks import full_graph_grad_check
+from .checks import ablation_lattice, full_graph_grad_check
 from .config import load_run_config, write_run_config
 from .data import SyntheticSpec, load_bag, load_bags, make_synthetic
 from .evaluation import evaluate_bags, export_scores_csv, per_video_auc, score_video
@@ -70,13 +70,15 @@ def cmd_gen_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, args.overrides)
+def _load_splits(cfg):
     if not cfg.train_manifest or not cfg.test_manifest:
         raise ConfigurationError("train_manifest and test_manifest must both be set")
+    return load_bags(cfg.train_manifest), load_bags(cfg.test_manifest)
 
-    train_bags = load_bags(cfg.train_manifest)
-    test_bags = load_bags(cfg.test_manifest)
+
+def cmd_train(args) -> int:
+    cfg = load_run_config(args.config, args.overrides)
+    train_bags, test_bags = _load_splits(cfg)
     model = cfg.build_model()
 
     out = Path(cfg.out_dir)
@@ -176,6 +178,16 @@ def cmd_grad_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_INTERNAL
 
 
+def cmd_ablation(args) -> int:
+    cfg = load_run_config(args.config, args.overrides)
+    cells = ablation_lattice(cfg, *_load_splits(cfg), cfg.out_dir)
+    print(f"{'attention':>9}  {'head':>12}  {'adaptive':>8}  {'antag':>5}  {'best auc':>8}")
+    for (mta, hourglass, ais, antag), result in cells.items():
+        print(f"{'on' if mta else 'off':>9}  {'hourglass' if hourglass else 'conventional':>12}  "
+              f"{'on' if ais else 'off':>8}  {'on' if antag else 'off':>5}  {result.best_auc:8.4f}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsvad",
@@ -235,6 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_grad_check)
+
+    p = sub.add_parser("ablation", help="train every on/off combination of the four components")
+    _add_config_args(p)
+    p.set_defaults(func=cmd_ablation)
 
     return parser
 

@@ -338,6 +338,8 @@ def load_manifest(path) -> list[ManifestEntry]:
                 raise FormatError(f"{path}:{lineno}: label and num_frames must be integers") from None
             if label not in (0, 1):
                 raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+            if num_frames < 1:
+                raise FormatError(f"{path}:{lineno}: num_frames must be positive, got {num_frames}")
             if "\0" in feat_cell + flabel_cell:
                 raise FormatError(f"{path}:{lineno}: a file path holds a NUL character")
             where = f"{path}:{lineno}"
@@ -389,8 +391,11 @@ def load_frame_labels(path, expected_frames: int) -> np.ndarray:
 def load_bags(manifest_path) -> list[ClipFeatureBag]:
     """Load every entry of a manifest into memory, in manifest order."""
     bags = []
-    for i, e in enumerate(load_manifest(manifest_path)):
+    for e in load_manifest(manifest_path):
         feats = load_features(e.feature_path)
+        if e.num_frames < feats.shape[0]:
+            raise FormatError(f"{manifest_path}: num_frames ({e.num_frames}) of {e.feature_path} "
+                              f"is below its clip count ({feats.shape[0]})")
         frame_labels = None
         if e.frame_label_path is not None:
             frame_labels = load_frame_labels(e.frame_label_path, e.num_frames)

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import ConfigurationError, DimensionError
 from .data import ClipFeatureBag
 from .model import AnomalyScorer
 
@@ -144,6 +145,20 @@ def score_video(bag: ClipFeatureBag, model: AnomalyScorer) -> np.ndarray:
     return _on_frames(bag, model.score_bag(bag.features, means=means).scores)
 
 
+def _check_scorable(bag: ClipFeatureBag, model: AnomalyScorer) -> None:
+    """Reject, naming the video, a bag whose shape ``model`` cannot score:
+    another feature width, or fewer clips than the widest attention kernel."""
+    t, d = bag.features.shape
+    if d != model.feature_dim:
+        raise DimensionError(
+            f"evaluation video {bag.video_id!r} has {d}-dim features, the model expects {model.feature_dim}"
+        )
+    if model.use_mta and t < model.mta_cfg.k_max:
+        raise ConfigurationError(
+            f"evaluation video {bag.video_id!r} has {t} clips but the largest kernel needs {model.mta_cfg.k_max}"
+        )
+
+
 # clip rows per forward in evaluation: 8 bags at T=32. Per-bag products keep
 # the GEMM time per clip fixed, so a chunk only has to spread the
 # per-forward overhead. Timed on 400 bags of 32 clips at D=2048 (one BLAS
@@ -163,11 +178,16 @@ def _score_split(bags: list[ClipFeatureBag],
     """Every bag's record and clip scores, in input order. Bags of one
     feature shape are scored in chunks of at most ``EVAL_CHUNK_ROWS`` clips,
     one forward per chunk that multiplies each bag alone (see
-    ``hfc_forward``), so the scores equal ``score_video``'s bit for bit."""
+    ``hfc_forward``), so the scores equal ``score_video``'s bit for bit.
+    Each shape is checked once, at its first bag, before any forward."""
     labels = [_frame_labels(b) for b in bags]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, bag in enumerate(bags):
-        groups.setdefault(bag.features.shape, []).append(i)
+        members = groups.get(bag.features.shape)
+        if members is None:
+            _check_scorable(bag, model)
+            members = groups[bag.features.shape] = []
+        members.append(i)
     clip_scores: list[np.ndarray | None] = [None] * len(bags)
     for (t, _), members in groups.items():
         step = max(1, EVAL_CHUNK_ROWS // t)

@@ -202,25 +202,6 @@ def count_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig) -> int:
 # layers: plain array -> array forwards
 
 
-def linear(x, weight, bias=None, out=None):
-    """Affine map on row vectors: out[..., n, o] = sum_i x[..., n, i] W[i, o]
-    (+ b[o]), written into ``out`` when given. Leading axes of ``x`` are a
-    stack of matrices, each multiplied by ``weight`` in its own product."""
-    if (
-        x.ndim < 2
-        or weight.ndim != 2
-        or x.shape[-1] != weight.shape[0]
-        or (bias is not None and (bias.ndim != 1 or weight.shape[1] != bias.shape[0]))
-    ):
-        shapes = f"x{x.shape} W{weight.shape}" + ("" if bias is None else f" b{bias.shape}")
-        raise DimensionError(f"linear: incompatible shapes {shapes}")
-    # the operator is the cheaper call on a bag of a few dozen clips
-    out = x @ weight if out is None else np.matmul(x, weight, out=out)
-    if bias is not None:
-        out += bias
-    return out
-
-
 def _padded_rows(v, t: int, half: int, at: int) -> np.ndarray:
     """Every length-t row of v inside a zero row of width t + 2*half, starting
     at column ``at``, end to end, plus 2*half zeros, so that a 'valid'
@@ -417,11 +398,12 @@ def _head_tail(h1, slope: float, w1, b1, w2, b2, z2, h2, mask=None):
     given; those two go into ``z2`` and ``h2`` unless they are None. The
     last logit is widened to float64 before the sigmoid, so the scores keep
     float64 resolution near 0 and 1 whatever the compute dtype."""
-    z2 = linear(h1, w1, b1, out=z2)
+    z2 = h1 @ w1 if z2 is None else np.matmul(h1, w1, out=z2)
+    z2 += b1
     h2 = leaky_relu(z2, slope, out=h2)
     if mask is not None:
         h2 *= mask
-    return sigmoid(linear(h2, w2, b2).astype(np.float64, copy=False)), z2, h2
+    return sigmoid((h2 @ w2 + b2).astype(np.float64, copy=False)), z2, h2
 
 
 def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
@@ -488,7 +470,7 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         # one flat product over every clip of the stack
         x = np.asarray(bags, dtype=dtype).reshape(-1, cfg.dims[0])
         rows = x.shape[:-1]
-        xw = linear(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
+        xw = np.matmul(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
     else:
         # each bag's own product, read where the bag lies, into its rows
         rows = bag_axes

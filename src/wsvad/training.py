@@ -209,18 +209,18 @@ def batch_step(pos_bags, neg_bags, model: AnomalyScorer, sel_cfg: SelectionConfi
 
 
 def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg: TrainConfig,
-                sel_cfg: SelectionConfig, loss_cfg: LossConfig,
-                shuffle_rng, dropout_rng) -> dict[str, float]:
-    """One pass over min(len(pos), len(neg)) // batch_pairs batches; returns
-    the per-pair means of the loss terms, omega and K by log column name."""
+                sel_cfg: SelectionConfig, loss_cfg: LossConfig) -> dict[str, float]:
+    """One pass over min(len(pos), len(neg)) // batch_pairs batches, shuffled
+    and masked by ``state``'s generators; returns the per-pair means of the
+    loss terms, omega and K by log column name."""
     if len(pos_bags) < cfg.batch_pairs or len(neg_bags) < cfg.batch_pairs:
         raise ConfigurationError(
             f"batch_pairs={cfg.batch_pairs} needs at least that many bags per class, "
             f"got {len(pos_bags)} anomalous / {len(neg_bags)} normal"
         )
     check_train_bags(list(pos_bags) + list(neg_bags), model)
-    pos_order = shuffle_rng.permutation(len(pos_bags))
-    neg_order = shuffle_rng.permutation(len(neg_bags))
+    pos_order = state.shuffle_rng.permutation(len(pos_bags))
+    neg_order = state.shuffle_rng.permutation(len(neg_bags))
     n_batches = min(len(pos_bags), len(neg_bags)) // cfg.batch_pairs
 
     sums = np.zeros(len(_MEAN_COLUMNS))
@@ -229,7 +229,7 @@ def train_epoch(pos_bags, neg_bags, model: AnomalyScorer, state: TrainState, cfg
         breakdown, sel = batch_step(
             [pos_bags[i] for i in pos_order[batch]],
             [neg_bags[i] for i in neg_order[batch]],
-            model, sel_cfg, loss_cfg, dropout_rng, state.workspace,
+            model, sel_cfg, loss_cfg, state.dropout_rng, state.workspace,
         )
         grads = backward(breakdown.node)
         adam_step(model.params, grads, state, cfg)
@@ -362,8 +362,7 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     with open(log_path, "w") as log:
         log.write(earlier_log)
         for epoch in range(state.epoch + 1, last + 1):
-            means = train_epoch(pos_bags, neg_bags, model, state, cfg, sel_cfg, loss_cfg,
-                                state.shuffle_rng, state.dropout_rng)
+            means = train_epoch(pos_bags, neg_bags, model, state, cfg, sel_cfg, loss_cfg)
             state.epoch = epoch
             auc_value = None
             if epoch % cfg.eval_every == 0 or epoch == last:

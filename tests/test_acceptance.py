@@ -8,7 +8,6 @@ module scope and shared across criteria.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 import time
@@ -18,12 +17,11 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from wsvad.checks import full_graph_grad_check
+from wsvad import checks
+from wsvad.config import RunConfig
 from wsvad.data import SyntheticSpec, load_bags, make_synthetic
 from wsvad.evaluation import auc, evaluate_bags
-from wsvad.losses import LossConfig
 from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig, count_parameters
-from wsvad.selection import SelectionConfig
 from wsvad.training import TrainConfig, fit
 
 EPOCHS = 50
@@ -73,25 +71,8 @@ def run_b(corpus, tmp_path_factory):
 @pytest.fixture(scope="module")
 def ablation_lattice(corpus, tmp_path_factory):
     """All 16 component toggles, 20 epochs each on the shared corpus."""
-    root = tmp_path_factory.mktemp("lattice")
-    lattice = {}
-    toggles = list(itertools.product([True, False], repeat=4))
-    for use_mta, use_hfc, use_ais, use_antagonistic in toggles:
-        key = (use_mta, use_hfc, use_ais, use_antagonistic)
-        model = AnomalyScorer(
-            HfcConfig.for_feature_dim(64, head_shape="hourglass" if use_hfc else "conventional"),
-            MtaConfig() if use_mta else None,
-            seed=SEED,
-        )
-        result = fit(
-            corpus["train"], corpus["test"], model,
-            TrainConfig(epochs=20, seed=SEED),
-            root / "_".join(str(int(v)) for v in key),
-            sel_cfg=SelectionConfig(adaptive=use_ais),
-            loss_cfg=LossConfig(use_antagonistic=use_antagonistic),
-        )
-        lattice[key] = result
-    return lattice
+    cfg = RunConfig(feature_dim=64, epochs=20, seed=SEED)
+    return checks.ablation_lattice(cfg, corpus["train"], corpus["test"], tmp_path_factory.mktemp("lattice"))
 
 
 def test_criterion_1_parameter_count(capsys):
@@ -112,7 +93,7 @@ def test_criterion_2_gradient_correctness():
     # the check's cost
     start = time.process_time()
     for mode in ("residual", "pure"):
-        report = full_graph_grad_check(t=8, d=16, mode=mode)
+        report = checks.full_graph_grad_check(t=8, d=16, mode=mode)
         assert report.max_rel_error < 1e-4, f"{mode}: {report.max_rel_error:.3e}"
     assert time.process_time() - start < 10.0
 

@@ -24,7 +24,6 @@ from wsvad.model import (
     hfc_forward,
     init_parameters,
     leaky_relu,
-    linear,
     mta_forward,
     sigmoid,
 )
@@ -35,36 +34,6 @@ rng = np.random.default_rng
 
 # ---------------------------------------------------------------------------
 # forward values
-
-
-class TestLinear:
-    def test_identity_weight(self):
-        out = linear(np.array([[1.0, 2.0]]), np.eye(2), np.array([0.0, 0.0]))
-        np.testing.assert_array_equal(out, [[1.0, 2.0]])
-
-    def test_bias_shift(self):
-        out = linear(np.array([[1.0, 2.0]]), np.eye(2), np.array([3.0, 4.0]))
-        np.testing.assert_array_equal(out, [[4.0, 6.0]])
-
-    def test_hand_matrix_multiply(self):
-        out = linear(np.array([[2.0, 3.0]]), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.0, 0.0]))
-        np.testing.assert_array_equal(out, [[5.0, -1.0]])
-
-    def test_shape_mismatch_names_operation(self):
-        with pytest.raises(DimensionError, match="linear"):
-            linear(np.array([[1.0, 2.0, 3.0]]), np.eye(2), np.array([0.0, 0.0]))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(-3, 3))
-    def test_linearity_without_bias(self, seed, alpha, beta):
-        r = rng(seed)
-        x = r.standard_normal((3, 4))
-        y = r.standard_normal((3, 4))
-        w = r.standard_normal((4, 2))
-        b = np.zeros(2)
-        lhs = linear(alpha * x + beta * y, w, b)
-        rhs = alpha * linear(x, w, b) + beta * linear(y, w, b)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestConv1dSame:

@@ -232,6 +232,38 @@ class TestParamsCommand:
         assert f"{expected:,}" in out
 
 
+class TestAblationCommand:
+    def test_each_cell_reruns_from_its_config_to_the_same_bytes(self, tiny_dataset, tmp_path, capsys):
+        out_dir = tmp_path / "lattice"
+        code = main(["ablation", "--set", f"train_manifest={tiny_dataset['train']}",
+                     "--set", f"test_manifest={tiny_dataset['test']}", "--set", f"out_dir={out_dir}",
+                     "--set", "feature_dim=24", "--set", "batch_pairs=4", "--set", "epochs=1"])
+        table = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert table[0].split() == ["attention", "head", "adaptive", "antag", "best", "auc"]
+        assert len(table) == 17 and len(list(out_dir.iterdir())) == 16
+        # the full model first; attention off, conventional head, AIS on,
+        # antagonistic term off is the 14th cell
+        assert table[1].split()[:4] == ["on", "hourglass", "on", "on"]
+        row = table[14].split()
+        assert row[:4] == ["off", "conventional", "on", "off"]
+        cell = out_dir / "mta0_hg0_ais1_ant0"
+        cfg = load_run_config(cell / "config.txt")
+        assert (cfg.use_mta, cfg.head_shape, cfg.use_ais, cfg.use_antagonistic) == (False, "conventional", True, False)
+        logged = [float(r["auc"]) for r in csv.DictReader(open(cell / "train_log.csv"))]
+        assert row[4] == f"{max(logged):.4f}"
+
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--config", str(cell / "config.txt"), "--out-dir", str(rerun), "--quiet"]) == 0
+        capsys.readouterr()
+        for name in ("train_log.csv", "final.lwck"):
+            assert (rerun / name).read_bytes() == (cell / name).read_bytes()
+
+    def test_missing_manifests_are_a_usage_error(self, capsys):
+        assert main(["ablation", "--set", "epochs=1"]) == 2
+        assert "train_manifest and test_manifest" in capsys.readouterr().err
+
+
 class TestTrainEvalScoreCommands:
     def test_train_eval_round_trip(self, tiny_dataset, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -279,6 +279,19 @@ class TestBagsAndManifests:
         assert len(loaded) == 1
         assert loaded[0].label == 0 and loaded[0].num_frames == 16
 
+    @pytest.mark.parametrize("frames", [-1, 0, 5])
+    def test_a_frame_count_below_the_clip_count_names_its_row(self, tmp_path, frames):
+        # a count below 1 is rejected at its manifest line; 5 frames for 8
+        # clips once the feature file is read, naming it and the manifest
+        fp = save_features(tmp_path / "a.lwvf", np.ones((8, 3), dtype=np.float32))
+        write_frame_labels(tmp_path / "a.txt", [0, 1] * 4)
+        mp = tmp_path / "manifest.csv"
+        mp.write_text(f"feature_path,label,num_frames,frame_labels,class\na.lwvf,1,{frames},a.txt,\n")
+        with pytest.raises(FormatError, match=f"num_frames.*{frames}") as err:
+            load_bags(mp)
+        where = [f"{mp}:2:"] if frames < 1 else [str(mp), str(fp.resolve())]
+        assert all(w in str(err.value) for w in where), str(err.value)
+
     def test_missing_manifest_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "nope.csv")

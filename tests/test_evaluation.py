@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsvad.autodiff import ConfigurationError, DimensionError
 from wsvad.data import ClipFeatureBag, SyntheticSpec, load_bags, make_synthetic
 from wsvad.evaluation import (
     EvalRecord,
@@ -389,6 +390,18 @@ class TestStackedEvaluation:
         pooled = auc(np.concatenate([r.frame_scores for r in result.records]),
                      np.concatenate([r.frame_labels for r in result.records]))
         assert result.overall_auc == pooled
+
+    @pytest.mark.parametrize("shape, error, message", [
+        ((3, 6), ConfigurationError, "has 3 clips but the largest kernel needs 5"),
+        ((16, 9), DimensionError, "has 9-dim features, the model expects 6"),
+    ], ids=["too-few-clips", "wrong-width"])
+    def test_a_shape_the_model_cannot_score_names_its_first_video(self, shape, error, message):
+        # valid bags before and after; the bad shape's group is named by
+        # its first video, not its last
+        bags = [_bag(np.ones((8, 6)), video_id="ok_0"), _bag(np.ones(shape), video_id="bad_0"),
+                _bag(np.ones((8, 6)), video_id="ok_1"), _bag(np.ones(shape), video_id="bad_1")]
+        with pytest.raises(error, match=f"evaluation video 'bad_0' {message}"):
+            evaluate_bags(bags, _tiny_model())
 
     def test_empty_split_is_an_undefined_metric(self):
         with pytest.raises(UndefinedMetricError, match="holds no videos"):

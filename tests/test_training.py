@@ -144,8 +144,7 @@ class TestTrainEpoch:
         cfg = TrainConfig(batch_pairs=100)
         with pytest.raises(ConfigurationError, match="batch_pairs"):
             train_epoch(pos, neg, model, TrainState(model.params), cfg,
-                        SelectionConfig(), LossConfig(),
-                        np.random.default_rng(0), np.random.default_rng(1))
+                        SelectionConfig(), LossConfig())
 
     def test_epoch_is_deterministic_given_rng_state(self, tiny_bags):
         outs = []
@@ -153,8 +152,7 @@ class TestTrainEpoch:
             model, pos, neg = _fresh(tiny_bags)
             cfg = TrainConfig(batch_pairs=4, lr=0.01)
             stats = train_epoch(pos, neg, model, TrainState(model.params), cfg,
-                                SelectionConfig(), LossConfig(),
-                                np.random.default_rng(0), np.random.default_rng(1))
+                                SelectionConfig(), LossConfig())
             outs.append((stats, {name: p.copy() for name, p in model.params.items()}))
         assert outs[0][0] == outs[1][0]
         for name in outs[0][1]:
@@ -165,8 +163,7 @@ class TestTrainEpoch:
         before = {name: p.copy() for name, p in model.params.items()}
         cfg = TrainConfig(batch_pairs=4, lr=0.0, weight_decay=0.0)
         train_epoch(pos, neg, model, TrainState(model.params), cfg,
-                    SelectionConfig(), LossConfig(),
-                    np.random.default_rng(0), np.random.default_rng(1))
+                    SelectionConfig(), LossConfig())
         for name, arr in before.items():
             np.testing.assert_array_equal(model.params[name], arr)
 
@@ -179,8 +176,7 @@ class TestTrainEpoch:
         assert not (tmp_path / "train_log.csv").exists()
         with pytest.raises(ConfigurationError, match="short_video"):
             train_epoch(pos, neg, model, TrainState(model.params), TrainConfig(batch_pairs=4),
-                        SelectionConfig(), LossConfig(),
-                        np.random.default_rng(0), np.random.default_rng(1))
+                        SelectionConfig(), LossConfig())
 
     def test_bags_shorter_than_widest_kernel_rejected(self, tiny_bags, tmp_path):
         model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(k_max=17), seed=7)
@@ -193,8 +189,7 @@ class TestTrainEpoch:
         cfg = TrainConfig(batch_pairs=4, lr=0.001)
         state = TrainState(model.params)
         stats = train_epoch(pos, neg, model, state, cfg,
-                            SelectionConfig(), LossConfig(),
-                            np.random.default_rng(0), np.random.default_rng(1))
+                            SelectionConfig(), LossConfig())
         assert state.step == 3  # one Adam step per batch: 12 pairs / 4 per batch
         assert set(stats) == set(LOG_COLUMNS) - {"epoch", "auc"}
         assert 0.0 <= stats["omega"] <= 1.0
