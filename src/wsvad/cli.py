@@ -83,7 +83,8 @@ def cmd_train(args) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_run_config(out / "config.txt", cfg)
+    if args.resume_from is None:  # before the first epoch, so a killed run keeps it
+        write_run_config(out / "config.txt", cfg)
 
     def progress(row):
         if row["auc"] is not None:
@@ -103,6 +104,8 @@ def cmd_train(args) -> int:
         resume_from=args.resume_from,
         progress=progress if not args.quiet else None,
     )
+    if args.resume_from is not None:  # once fit took the resume: a refused one changes no file
+        write_run_config(out / "config.txt", cfg)
     print(f"best auc: {result.best_auc:.6f}")
     print(f"log: {result.log_path}")
     print(f"best checkpoint: {result.best_checkpoint}")
@@ -134,7 +137,7 @@ def cmd_eval(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    bag = load_bag(args.features, num_frames=args.num_frames)
+    bag = load_bag(args.features, num_frames=args.num_frames, video_id=args.features)
     frame_scores = score_video(bag, model)
     if args.out:
         export_scores_csv(args.out, frame_scores)

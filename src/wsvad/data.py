@@ -149,6 +149,16 @@ def load_features(path) -> np.ndarray:
 # bags
 
 
+def mean_per_clip(features) -> np.ndarray:
+    """Mean of each clip's features, (..., T) from (..., T, D) or a list of
+    (T, D) bags: what ``np.mean`` computes, without its Python wrapper. Summed
+    in float64 as the reduction reads the features, with no float64 copy."""
+    features = np.asarray(features)
+    means = np.add.reduce(features, axis=-1, dtype=np.float64)
+    means /= features.shape[-1]
+    return means
+
+
 @dataclass
 class ClipFeatureBag:
     """One video as a MIL bag: T clip feature rows plus its weak video label."""
@@ -202,13 +212,8 @@ class ClipFeatureBag:
 
     @cached_property
     def clip_means(self) -> np.ndarray:
-        """Mean of each clip's features, (T,): the attention block's input.
-        Summed in float64 as the reduction reads the features, with no
-        float64 copy of them: a score request's largest temporary. This is
-        what ``np.mean`` computes, without its Python wrapper."""
-        means = np.add.reduce(self.features, axis=1, dtype=np.float64)
-        means /= self.features.shape[1]
-        return means
+        """Mean of each clip's features, (T,): the attention block's input."""
+        return mean_per_clip(self.features)
 
     @cached_property
     def clip_norms(self) -> np.ndarray:
@@ -239,18 +244,16 @@ class ClipFeatureBag:
 
 
 def load_bag(path, label=0, num_frames=None, video_id=None, class_name=None, frame_labels=None):
-    """Load one feature file into a bag; metadata defaults to trivial values."""
+    """Load one feature file into a bag, naming the file in any error; metadata defaults to trivial values."""
     if not isinstance(path, Path):
         path = Path(path)
     feats = load_features(path)
-    return ClipFeatureBag(
-        features=feats,
-        label=label,
-        video_id=video_id if video_id is not None else path.stem,
-        num_frames=num_frames if num_frames is not None else feats.shape[0],
-        class_name=class_name,
-        frame_labels=frame_labels,
-    )
+    try:
+        return ClipFeatureBag(features=feats, label=label, video_id=path.stem if video_id is None else video_id,
+                              num_frames=feats.shape[0] if num_frames is None else num_frames,
+                              class_name=class_name, frame_labels=frame_labels)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ConfigurationError, DimensionError
 from .data import ClipFeatureBag
 from .model import AnomalyScorer
 
@@ -140,23 +139,10 @@ def score_video(bag: ClipFeatureBag, model: AnomalyScorer) -> np.ndarray:
     """Inference-mode clip scores broadcast over each clip's frame range.
     The head scores one bag as a chunk of one, the way ``evaluate_bags``
     scores its chunks (see ``hfc_forward``), from the bag's cached clip
-    means."""
+    means. ``AnomalyScorer.check_bag`` names a bag it cannot score."""
+    model.check_bag(bag, "scored")
     means = bag.clip_means if model.use_mta else None
     return _on_frames(bag, model.score_bag(bag.features, means=means).scores)
-
-
-def _check_scorable(bag: ClipFeatureBag, model: AnomalyScorer) -> None:
-    """Reject, naming the video, a bag whose shape ``model`` cannot score:
-    another feature width, or fewer clips than the widest attention kernel."""
-    t, d = bag.features.shape
-    if d != model.feature_dim:
-        raise DimensionError(
-            f"evaluation video {bag.video_id!r} has {d}-dim features, the model expects {model.feature_dim}"
-        )
-    if model.use_mta and t < model.mta_cfg.k_max:
-        raise ConfigurationError(
-            f"evaluation video {bag.video_id!r} has {t} clips but the largest kernel needs {model.mta_cfg.k_max}"
-        )
 
 
 # clip rows per forward in evaluation: 8 bags at T=32. Per-bag products keep
@@ -185,7 +171,7 @@ def _score_split(bags: list[ClipFeatureBag],
     for i, bag in enumerate(bags):
         members = groups.get(bag.features.shape)
         if members is None:
-            _check_scorable(bag, model)
+            model.check_bag(bag, "evaluation")
             members = groups[bag.features.shape] = []
         members.append(i)
     clip_scores: list[np.ndarray | None] = [None] * len(bags)

@@ -55,6 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ConfigurationError, DimensionError, Tensor, note_kink_margin
+from .data import mean_per_clip
 
 MTA_MODES = ("residual", "pure")
 HEAD_SHAPES = ("hourglass", "conventional")
@@ -140,21 +141,29 @@ class ModelParameters(dict[str, np.ndarray]):
         return sum(p.size for p in self.values())
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self) - set(arrays)
-        extra = set(arrays) - set(self)
-        if missing or extra:
-            raise CheckpointError(f"parameter names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, p in self.items():
-            arr = np.asarray(arrays[name])
-            if arr.shape != p.shape:
-                raise CheckpointError(f"parameter {name!r} shape {arr.shape} does not match expected {p.shape}")
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"parameter {name!r} holds a non-finite value")
-            try:
-                with np.errstate(over="raise"):
-                    p[...] = arr  # rounds float64 values once into float32 parameters
-            except FloatingPointError:
-                raise CheckpointError(f"parameter {name!r} holds values outside the {p.dtype} range") from None
+        load_checked(self, arrays, "parameter")
+
+
+def load_checked(into: dict[str, np.ndarray], arrays: dict[str, np.ndarray], what: str) -> None:
+    """Copy ``arrays`` into the same-named arrays of ``into``, in their dtypes,
+    once the names match and each array has its target's shape and finite
+    values its dtype holds; else a ``CheckpointError`` names the first
+    failing ``what`` (``"parameter"``, or a state file's ``"<path>: moment"``)."""
+    missing = set(into) - set(arrays)
+    extra = set(arrays) - set(into)
+    if missing or extra:
+        raise CheckpointError(f"{what} names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+    for name, p in into.items():
+        arr = np.asarray(arrays[name])
+        if arr.shape != p.shape:
+            raise CheckpointError(f"{what} {name!r} shape {arr.shape} does not match expected {p.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{what} {name!r} holds a non-finite value")
+        try:
+            with np.errstate(over="raise"):
+                p[...] = arr  # rounds float64 values once into float32 arrays
+        except FloatingPointError:
+            raise CheckpointError(f"{what} {name!r} holds values outside the {p.dtype} range") from None
 
 
 def _zero_parameters(mta_cfg: MtaConfig | None, hfc_cfg: HfcConfig, dtype=np.float32) -> ModelParameters:
@@ -584,6 +593,17 @@ class AnomalyScorer:
         """The parameters' dtype, which the head computes in."""
         return self.params["head.0.weight"].dtype
 
+    def check_bag(self, bag, split: str) -> None:
+        """Reject, naming the ``split`` video, a bag of a shape this model
+        cannot score: another feature width, or fewer clips than a kernel."""
+        t, d = bag.features.shape
+        if d != self.feature_dim:
+            raise DimensionError(f"{split} video {bag.video_id!r} has {d}-dim features, "
+                                 f"the model expects {self.feature_dim}")
+        if self.use_mta and t < self.mta_cfg.k_max:
+            raise ConfigurationError(f"{split} video {bag.video_id!r} has {t} clips "
+                                     f"but the largest kernel needs {self.mta_cfg.k_max}")
+
     def score_bag(self, features, training: bool = False, rng=None, means=None,
                   workspace: Workspace | None = None) -> BagScores:
         """Score one bag (T, D), a stack of bags (..., T, D) or a list of
@@ -594,16 +614,15 @@ class AnomalyScorer:
         ``means`` are the clips' feature means, shaped like the bag axes
         ((len(list), T) for a list); a caller that has them cached passes
         them, otherwise they are computed here when the attention block
-        needs them, summed in float64, as ``ClipFeatureBag.clip_means``
+        needs them, by ``data.mean_per_clip`` as ``ClipFeatureBag.clip_means``
         computes them. The features' shapes are checked before that, so a
         list of bags of two shapes raises ``DimensionError`` either way.
         """
         gate = None
         if self.use_mta:
             if means is None:
-                bag_axes, bags = _feature_bags(features, self.feature_dim)
-                means = np.add.reduce(bags, axis=-1, dtype=np.float64).reshape(bag_axes)
-                means /= self.feature_dim
+                _feature_bags(features, self.feature_dim)
+                means = mean_per_clip(features)
             gate = mta_forward(means, self.mta_cfg, self.params, training)
         scores, clean = hfc_forward(features, self.hfc_cfg, self.params, gate, training, rng, workspace)
         if gate is None:

@@ -58,6 +58,7 @@ from .model import (
     CheckpointError,
     ModelParameters,
     Workspace,
+    load_checked,
     load_checkpoint,
     read_container,
     replacing,
@@ -155,27 +156,19 @@ def adam_step(params: ModelParameters, grads: dict[str, np.ndarray], state: Trai
 
 
 def check_train_bags(bags, model: AnomalyScorer) -> None:
-    """Training stacks bags into one array, so every bag needs the model's
-    feature width and one shared clip count, at least 2 and at least the
-    widest attention kernel. Names the first video that breaks this."""
-    if not bags:
-        return
-    t = bags[0].num_clips
-    least = model.mta_cfg.k_max if model.use_mta else 2
+    """Training stacks bags into one array, so every bag must be one the
+    model can score (``AnomalyScorer.check_bag``), with one shared clip
+    count of at least 2. Names the first video that breaks this."""
     for bag in bags:
-        if bag.feature_dim != model.feature_dim:
+        model.check_bag(bag, "train")
+        if bag.num_clips < 2:
             raise ConfigurationError(
-                f"train video {bag.video_id!r} has {bag.feature_dim}-dim features, "
-                f"the model expects {model.feature_dim}"
+                f"train video {bag.video_id!r} has {bag.num_clips} clips, training needs at least 2"
             )
-        if bag.num_clips < least:
-            raise ConfigurationError(
-                f"train video {bag.video_id!r} has {bag.num_clips} clips, training needs at least {least}"
-            )
-        if bag.num_clips != t:
+        if bag.num_clips != bags[0].num_clips:
             raise ConfigurationError(
                 f"train video {bag.video_id!r} has {bag.num_clips} clips but {bags[0].video_id!r} "
-                f"has {t}; training needs one clip count for all bags"
+                f"has {bags[0].num_clips}; training needs one clip count for all bags"
             )
 
 
@@ -253,13 +246,17 @@ class FitResult:
     rows: list[dict] = field(repr=False, default_factory=list)
 
 
+def _moments(state: TrainState) -> dict[str, np.ndarray]:
+    """Both Adam moments of every parameter, as a state file names them."""
+    return {f"{prefix}.{name}": a for prefix, store in (("m", state.m), ("v", state.v))
+            for name, a in store.items()}
+
+
 def save_train_state(path, state: TrainState) -> Path:
-    arrays = {f"m.{k}": v for k, v in state.m.items()}
-    arrays.update({f"v.{k}": v for k, v in state.v.items()})
     header = {"step": state.step, "epoch": state.epoch, "best_auc": state.best_auc,
               "shuffle_rng": state.shuffle_rng.bit_generator.state,
               "dropout_rng": state.dropout_rng.bit_generator.state}
-    return write_container(path, STATE_MAGIC, header, arrays)
+    return write_container(path, STATE_MAGIC, header, _moments(state))
 
 
 def load_train_state(path, params: ModelParameters) -> TrainState:
@@ -273,20 +270,7 @@ def load_train_state(path, params: ModelParameters) -> TrainState:
         state.dropout_rng.bit_generator.state = config["dropout_rng"]
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: bad optimizer state header: {type(err).__name__}: {err}") from None
-    for name in params:
-        for prefix, store in (("m", state.m), ("v", state.v)):
-            key = f"{prefix}.{name}"
-            if key not in arrays or arrays[key].shape != store[name].shape:
-                raise CheckpointError(f"{path}: moment {key!r} is missing or not shaped {store[name].shape}")
-            if not np.isfinite(arrays[key]).all():
-                raise CheckpointError(f"{path}: moment {key!r} holds a non-finite value")
-            try:
-                with np.errstate(over="raise"):
-                    # into the parameter dtype: exact for moments a float32 run saved
-                    store[name][...] = arrays[key]
-            except FloatingPointError:
-                raise CheckpointError(f"{path}: moment {key!r} holds values outside the "
-                                      f"{store[name].dtype} range") from None
+    load_checked(_moments(state), arrays, f"{path}: moment")
     return state
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wsvad import training
 from wsvad.autodiff import ConfigurationError
 from wsvad.cli import build_parser, main
 from wsvad.config import RunConfig, load_run_config, run_config_to_text, write_run_config
@@ -19,7 +20,7 @@ from wsvad.data import FormatError, SyntheticSpec, save_features
 from wsvad.losses import LossConfig
 from wsvad.model import STATE_MAGIC, HfcConfig, MtaConfig, read_container, write_container
 from wsvad.selection import SelectionConfig
-from wsvad.training import TrainConfig
+from wsvad.training import TrainConfig, TrainingError
 
 
 def _tree_hash(root: Path) -> str:
@@ -387,6 +388,27 @@ class TestTrainEvalScoreCommands:
         assert code == 2
         assert err.startswith(f"error: {state}: moment ") and "head.2.bias" in err
 
+    def test_refused_resume_changes_no_file(self, tiny_dataset, tmp_path, capsys, monkeypatch):
+        args = ["train", "--train-manifest", str(tiny_dataset["train"]),
+                "--test-manifest", str(tiny_dataset["test"]), "--set", "feature_dim=24",
+                "--set", "batch_pairs=4", "--epochs", "1", "--quiet", "--out-dir", str(tmp_path)]
+        assert main(args + ["--set", "dropout=0.5"]) == 0
+        before = _tree_hash(tmp_path)
+        capsys.readouterr()
+        code = main(args + ["--set", "dropout=0.3", "--resume-from", str(tmp_path)])
+        assert code == 2
+        assert "does not match expected" in capsys.readouterr().err
+        assert _tree_hash(tmp_path) == before
+
+        # a fresh run has written its config before its first epoch, so a
+        # run killed in that epoch keeps it
+        def killed(*_):
+            raise TrainingError("killed")
+
+        monkeypatch.setattr(training, "train_epoch", killed)
+        assert main(args + ["--out-dir", str(tmp_path / "killed"), "--set", "dropout=0.3"]) == 1
+        assert load_run_config(tmp_path / "killed" / "config.txt").dropout == 0.3
+
     def test_score_command_stdout_and_file(self, trained_tiny, tmp_path, capsys):
         feats = np.random.default_rng(0).standard_normal((16, 24)).astype(np.float32)
         fpath = save_features(tmp_path / "clip.lwvf", feats)
@@ -422,6 +444,20 @@ class TestTrainEvalScoreCommands:
                      "--features", str(fpath)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape, flags, message", [
+        ((3, 24), [], "has 3 clips but the largest kernel needs 5"),
+        ((8, 25), [], "has 25-dim features, the model expects 24"),
+        ((8, 24), ["--num-frames", "0"], "num_frames (0) must be >= clip count (8)"),
+        ((8, 24), ["--num-frames", "-3"], "num_frames (-3) must be >= clip count (8)"),
+    ], ids=["too-few-clips", "wrong-width", "zero-frames", "negative-frames"])
+    def test_score_rejection_names_the_features_file(self, trained_tiny, tmp_path, capsys, shape, flags, message):
+        fpath = save_features(tmp_path / "clip.lwvf", np.zeros(shape, np.float32))
+        code = main(["score", "--checkpoint", str(trained_tiny["result"].best_checkpoint),
+                     "--features", str(fpath)] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(fpath) in err and message in err
 
 
 class TestGradCheckCommand:

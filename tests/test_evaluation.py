@@ -252,6 +252,14 @@ class TestScoreVideo:
         frames = score_video(_bag(np.random.default_rng(1).standard_normal((8, 6))), model)
         assert (frames > 0).all() and (frames < 1).all()
 
+    @pytest.mark.parametrize("shape, error, message", [
+        ((3, 6), ConfigurationError, "has 3 clips but the largest kernel needs 5"),
+        ((8, 9), DimensionError, "has 9-dim features, the model expects 6"),
+    ], ids=["too-few-clips", "wrong-width"])
+    def test_a_bag_the_model_cannot_score_is_named(self, shape, error, message):
+        with pytest.raises(error, match=f"scored video 'bad' {message}"):
+            score_video(_bag(np.ones(shape), video_id="bad"), _tiny_model())
+
 
 def _scored_record(bag, model) -> EvalRecord:
     """One bag's record, as ``evaluate_bags`` makes it."""

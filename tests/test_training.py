@@ -181,7 +181,8 @@ class TestTrainEpoch:
     def test_bags_shorter_than_widest_kernel_rejected(self, tiny_bags, tmp_path):
         model = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(k_max=17), seed=7)
         train = tiny_bags["train"]
-        with pytest.raises(ConfigurationError, match=f"{train[0].video_id!r} has 16 clips, training needs at least 17"):
+        message = f"train video {train[0].video_id!r} has 16 clips but the largest kernel needs 17"
+        with pytest.raises(ConfigurationError, match=message):
             fit(train, tiny_bags["test"], model, TrainConfig(epochs=1, batch_pairs=4), tmp_path)
 
     def test_stats_ranges(self, tiny_bags):
@@ -600,6 +601,16 @@ class TestTrainStateIo:
         other = _toy_params([1.0, 2.0, 3.0])
         with pytest.raises(CheckpointError, match=r"state\.lwts: moment 'm\.theta'"):
             load_train_state(path, other)
+
+    def test_moment_the_model_lacks_rejected(self, tmp_path):
+        # a state saved with attention used to load into a model without it,
+        # its attention moments ignored
+        with_mta = AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7)
+        without = AnomalyScorer(HfcConfig.for_feature_dim(24), None, seed=7)
+        path = save_train_state(tmp_path / "state.lwts", TrainState(with_mta.params))
+        with pytest.raises(CheckpointError, match=r"state\.lwts: moment names mismatch: missing=\[\] "
+                                                  r"extra=\['m\.mta\.conv3\.bias'"):
+            load_train_state(path, without.params)
 
     def test_non_finite_moment_rejected(self, tmp_path):
         state = TrainState(_toy_params([1.0, 2.0]))
