@@ -2,12 +2,15 @@
 
 Subcommands: gen-synth, train, eval, score, params, grad-check, ablation.
 Exit codes: 0 on success, 2 for usage or input problems (missing files,
-malformed formats, bad config), 1 for anything unexpected.
+malformed formats, bad config), 1 for anything unexpected. A reader that
+closes stdout early (``wsvad score ... | head -1``) ends the command
+quietly, with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -145,7 +148,7 @@ def cmd_score(args) -> int:
     else:
         print("frame_index,score,label")
         for i, s in enumerate(frame_scores):
-            print(f"{i},{s!r},")
+            print(f"{i},{float(s)!r},")
     return EXIT_OK
 
 
@@ -263,6 +266,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped early (`wsvad score | head -1`): end quietly, and
+        # point stdout at the null device so the flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -358,13 +358,18 @@ def dropout_masks(rng, grid, t: int, widths, rate: float,
     given. The masks' rows follow the stack: bag by bag in row-major order
     of the grid.
 
-    The uniform draws are float64, taken bag by bag in column-major order
-    of the grid and, within a bag, in layer order. So a class-major grid
-    (2, B) of pairs draws pair by pair, anomalous bag first, and a count
-    draws in stack order: the same values, in the same order, as one
-    ``rng.random`` call for the whole stack takes from the same generator.
-    Each (t, width) draw goes through one float64 scratch array into its
-    mask's rows, so masks of any dtype keep the same dropout stream.
+    Each unit's keep decision reads 16 bits of the generator's raw 64-bit
+    words, read as little-endian uint16 on any host, so one word decides
+    four units: a unit is kept when its slice is >= thr = min(round(rate *
+    2^16), 2^16 - 1), and a kept unit is scaled by 2^16 / (2^16 - thr), so
+    that E[mask] = 1 exactly (at rate 0.5, thr = 2^15 and the scale is 2).
+    A bag takes ceil(t * sum(widths) / 4) whole words, its first layer's t
+    * width slices first, then the next layer's; the bags draw in
+    column-major order of the grid. So a class-major grid (2, B) of pairs
+    draws pair by pair, anomalous bag first, a count draws in stack order,
+    and a stack draws what its bags draw one at a time. One
+    ``random_raw`` call draws a column of the grid (a pair), whose slices
+    are compared straight into its bags' rows of every mask.
     """
     if rng is None:
         raise ConfigurationError("dropout in training mode needs a random generator")
@@ -372,15 +377,20 @@ def dropout_masks(rng, grid, t: int, widths, rate: float,
     masks = [np.empty((grid.size * t, w), dtype) if workspace is None
              else workspace.take(f"mask{i}", (grid.size * t, w), dtype)
              for i, w in enumerate(widths)]
-    scratch = np.empty(t * max(widths))
-    draws = [scratch[: t * w].reshape(t, w) for w in widths]
-    for n in grid.ravel(order="F").tolist():
-        start = n * t
-        for m, u in zip(masks, draws):
+    thr = min(round(rate * 2**16), 2**16 - 1)
+    words = -(-t * sum(widths) // 4)
+    # a column's bags lie `grid.size // per_call` bags apart in the stack
+    per_call = grid.shape[0] if grid.ndim > 1 else 1
+    rows = [m.reshape(per_call, -1, t, w) for m, w in zip(masks, widths)]
+    ends = np.cumsum([t * w for w in widths]).tolist()
+    for first in grid.ravel(order="F")[::per_call].tolist():
+        bits = rng.bit_generator.random_raw(per_call * words).astype("<u8", copy=False).view("<u2")
+        bits = bits.reshape(per_call, 4 * words)
+        for m, w, end in zip(rows, widths, ends):
             # 1 where the unit is kept
-            np.greater_equal(rng.random(out=u), rate, out=m[start : start + t])
+            np.greater_equal(bits[:, end - t * w : end].reshape(per_call, t, w), thr, out=m[:, first])
     for m in masks:
-        m /= 1.0 - rate
+        m *= 2**16 / (2**16 - thr)
     return masks
 
 
@@ -453,11 +463,13 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     Every (rows x width) array goes into a buffer of ``workspace`` when one
     is given, and into a fresh array otherwise. A training pass runs the
     dropout-free tail first, then masks the first activation in place and
-    runs the tail again through the same buffers. Its dropout masks are
-    drawn bag by bag in column-major order of the bag grid (the bag axes
-    but the last), so a class-major stack of pairs (2, B, T) draws pair by
-    pair, anomalous bag first, and a flat stack draws in stack order. Its
-    backward overwrites each pre-activation with the leaky ReLU's
+    runs the tail again through the same buffers. Its dropout masks
+    (``dropout_masks``) read one 16-bit slice of the generator's raw words
+    per unit, in whole words per bag, drawn bag by bag in column-major
+    order of the bag grid (the bag axes but the last): a class-major stack
+    of pairs (2, B, T) draws pair by pair, anomalous bag first, a flat
+    stack draws in stack order, and either draws what its bags draw one at
+    a time. Its backward overwrites each pre-activation with the leaky ReLU's
     derivative there, and each layer's gradient over an activation it has
     read for the last time. So the backward runs at most once, and before
     the next forward into the same workspace.

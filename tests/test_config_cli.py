@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wsvad
 from wsvad import training
 from wsvad.autodiff import ConfigurationError
 from wsvad.cli import build_parser, main
@@ -417,16 +421,31 @@ class TestTrainEvalScoreCommands:
         assert main(["score", "--checkpoint", ckpt, "--features", str(fpath),
                      "--num-frames", "40"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("frame_index,score,label")
-        assert len(out.strip().splitlines()) == 41
 
         out_csv = tmp_path / "scores.csv"
         assert main(["score", "--checkpoint", ckpt, "--features", str(fpath),
                      "--num-frames", "40", "--out", str(out_csv)]) == 0
         capsys.readouterr()
-        rows = list(csv.DictReader(open(out_csv)))
-        assert len(rows) == 40
-        assert all(0.0 < float(r["score"]) < 1.0 for r in rows)
+        rows = list(csv.reader(open(out_csv, newline="")))
+        assert len(rows) == 41
+        assert all(0.0 < float(r[1]) < 1.0 for r in rows[1:])
+        # stdout is the CSV that --out writes, cell for cell
+        assert list(csv.reader(out.splitlines())) == rows
+
+    def test_score_into_a_closed_pipe_ends_quietly(self, trained_tiny, tmp_path):
+        # `wsvad score --num-frames 200000 | head -1`: the reader closes the
+        # pipe after one line, and the command stops with nothing on stderr
+        fpath = save_features(tmp_path / "clip.lwvf", np.zeros((16, 24), np.float32))
+        src = str(Path(wsvad.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wsvad", "score", "--checkpoint", str(trained_tiny["result"].best_checkpoint),
+             "--features", str(fpath), "--num-frames", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"frame_index,score,label\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
     def test_score_with_a_nan_weight_is_usage_error(self, trained_tiny, tmp_path, capsys):
         header, arrays = read_container(trained_tiny["result"].best_checkpoint, b"LWCK")

@@ -59,6 +59,18 @@ def _reference_head(feats, cfg: HfcConfig, params: ModelParameters) -> np.ndarra
     return out
 
 
+def _reference_bag_masks(rng, t: int, widths, rate: float) -> list[np.ndarray]:
+    """One bag's dropout masks from its own ceil(t * sum(widths) / 4) raw
+    words, split into 16-bit slices low bits first, layer by layer."""
+    thr = min(round(rate * 2**16), 2**16 - 1)
+    units = t * sum(widths)
+    words = [int(w) for w in rng.bit_generator.random_raw(-(-units // 4))]
+    slices = np.array([(w >> (16 * k)) & 0xFFFF for w in words for k in range(4)][:units])
+    ends = np.cumsum([0] + [t * w for w in widths])
+    return [(slices[a:b].reshape(t, w) >= thr) * (2**16 / (2**16 - thr))
+            for a, b, w in zip(ends[:-1], ends[1:], widths)]
+
+
 def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, masks, upstream,
                              every_row=False):
     """The head's training pass and backward on fresh arrays, with given
@@ -329,20 +341,56 @@ class TestHfc:
         np.testing.assert_array_equal(clean, a)
 
     def test_dropout_masks_match_per_bag_draws(self):
-        # one draw for a stack of bags takes the values that one inverted
-        # dropout draw per bag and layer takes from the same generator, in
-        # the order: bag 0 layer 0, bag 0 layer 1, bag 1 layer 0, ...
-        t, widths, rate = 5, (4, 6), 0.5
-        masks = dropout_masks(np.random.default_rng(3), 4, t, widths, rate)
-        per_bag = np.random.default_rng(3)
-        for n in range(4):
-            for layer, width in enumerate(widths):
-                expected = (per_bag.random((t, width)) >= rate) / (1 - rate)
-                np.testing.assert_array_equal(masks[layer][n * t : (n + 1) * t], expected)
+        # a stack's masks are the per-bag reference draws, bag by bag in
+        # column-major order of the grid, each bag's rows where the stack
+        # holds it; t * sum(widths) = 28, 35, 42, 49 takes every remainder
+        # mod 4
+        widths, rate = (3, 4), 0.3
+        for grid in (4, (2, 3), (2, 2, 2), ()):
+            for t in (4, 5, 6, 7):
+                stack = np.random.default_rng(3)
+                masks = dropout_masks(stack, grid, t, widths, rate, dtype=np.float64)
+                per_bag = np.random.default_rng(3)
+                for n in np.arange(np.prod(grid, dtype=int)).reshape(grid).ravel(order="F"):
+                    for m, expected in zip(masks, _reference_bag_masks(per_bag, t, widths, rate)):
+                        np.testing.assert_array_equal(m[n * t : (n + 1) * t], expected, err_msg=f"{grid}, t={t}")
+                # ceil(t * sum(widths) / 4) whole words per bag, the last
+                # one's spare slices unused: a state saved between batches
+                # resumes the stream
+                skipped = np.random.default_rng(3)
+                skipped.bit_generator.advance(int(np.prod(grid)) * -(-t * sum(widths) // 4))
+                assert stack.bit_generator.state == per_bag.bit_generator.state == skipped.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [0.3, 0.5])
+    def test_dropout_keep_share_and_scale(self, rate):
+        # a unit is kept with probability (2^16 - thr) / 2^16 and scaled by
+        # its inverse, so the mask's mean is 1 in expectation
+        thr = round(rate * 2**16)
+        keep = (2**16 - thr) / 2**16
+        masks = dropout_masks(np.random.default_rng(6), (2, 16), 32, (64, 128), rate, dtype=np.float64)
+        values = np.concatenate([m.ravel() for m in masks])
+        assert set(np.unique(values).tolist()) == {0.0, 2**16 / (2**16 - thr)}
+        # within 5 binomial standard deviations of the keep probability
+        n = values.size
+        assert abs(np.count_nonzero(values) / n - keep) < 5 * np.sqrt(keep * (1 - keep) / n)
+        assert abs(values.mean() - 1.0) < 5 * np.sqrt((1 - keep) / keep / n)
+        if rate == 0.5:
+            assert 2**16 / (2**16 - thr) == 2.0
+
+    def test_dropout_masks_stay_finite_just_below_rate_one(self):
+        # thr tops out at 2^16 - 1: the one slice value 0xFFFF is kept,
+        # scaled by 2^16, and no scale divides by zero
+        rate = np.nextafter(1.0, 0.0)
+        masks = dropout_masks(np.random.default_rng(7), 64, 32, (64, 128), rate)
+        values = np.concatenate([m.ravel() for m in masks])
+        assert np.isfinite(values).all()
+        assert set(np.unique(values).tolist()) <= {0.0, 2.0**16}
 
     def test_stacked_training_pass_matches_per_bag_passes(self):
+        # float64: in float32 the flat product over the stack rounds
+        # differently from each bag's own product (see hfc_forward)
         cfg = HfcConfig.for_feature_dim(6, narrow=4, wide=5)
-        params = init_parameters(None, cfg, seed=2)
+        params = init_parameters(None, cfg, seed=2, dtype=np.float64)
         feats = np.random.default_rng(7).standard_normal((3, 5, 6))
         stacked, _ = hfc_forward(feats, cfg, params, training=True, rng=np.random.default_rng(8))
         rng = np.random.default_rng(8)
