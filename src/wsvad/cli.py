@@ -174,6 +174,9 @@ def cmd_params(args) -> int:
 
 def cmd_grad_check(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        # a check that ran nothing must not pass
+        raise ConfigurationError(f"--modes names no attention mode: {args.modes!r}")
     all_ok = True
     for mode in modes:
         report = full_graph_grad_check(

@@ -26,13 +26,16 @@ forward on plain arrays and builds no node; evaluation chunks and score
 requests (a chunk of one bag) share it. In either pass the attention
 kernels correlate over one zero-padded copy of the clip-mean signal.
 
-The head's backward works in place: it overwrites each pre-activation with
-the leaky ReLU's derivative there, and each layer's gradient over an
-activation it no longer needs. Given a ``Workspace`` that the caller keeps
-from batch to batch, every array of the head whose size grows with the
-batch (activations, dropout masks, weight gradients) goes into one of its
-buffers, so a steady-state training step allocates none of them; without
-one, the same code runs on fresh arrays.
+The head's backward works in place and over only the rows that carry
+gradient: every layer skips the rows whose score gradient is zero, which
+the objective leaves at every normal clip it does not read. It overwrites
+each live pre-activation with the leaky ReLU's derivative there, and each
+layer's gradient over an activation it no longer needs. Given a
+``Workspace`` that the caller keeps from batch to batch, every array of
+the head whose size grows with the batch (activations, dropout masks,
+weight gradients) goes into one of its buffers, so a steady-state training
+step allocates none of them, only the gathered copies of the few live rows
+after the leading run; without one, the same code runs on fresh arrays.
 
 The parameters' dtype is the head's compute dtype: float32 by default, as
 the features are stored, and float64 for the gradient check, which takes
@@ -329,9 +332,11 @@ class Workspace:
     ``name``, or a new, uninitialised one when there is none of that shape
     and dtype; the caller overwrites it whole. A training step writes its
     batch stack, the head's activations, dropout masks and weight gradients
-    here, so in steady state the only feature-wide arrays it allocates are
-    the gather of the few live normal rows for the first weight's gradient
-    and their product.
+    (for the leading run of live rows and for the gathered rest) here, so
+    in steady state the only feature-wide array it allocates is the gather
+    of the few live normal rows (at most two per bag at K = 1); the rest
+    are their narrower activations and masks, bias gradients and vectors
+    of one value per clip.
     """
 
     def __init__(self):
@@ -474,14 +479,15 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     read for the last time. So the backward runs at most once, and before
     the next forward into the same workspace.
 
-    The backward sums the first weight's gradient X^T g over only the rows
-    whose score gradient is nonzero: a zero there is zero in every layer's
-    gradient of that row. It reads the leading run of such rows in place
-    and gathers the ones after it; with every row live, that is the one
-    product over all rows. The objective reads a negative bag only at its
-    selected and peak clips, so in a class-major stack the run holds every
-    anomalous row and about half the rows are skipped. The narrower layers'
-    gradients keep every row.
+    The backward runs every layer over only the rows whose score gradient
+    is nonzero: a zero there is zero in every layer's gradient of that row,
+    and the row's gate gradient is exactly 0. It runs once over the leading
+    run of such rows, read and overwritten where they lie, and once over
+    the ones after it, gathered, and sums the two parts' weight and bias
+    gradients; with every row live, it is one pass over all rows. The
+    objective reads a negative bag only at its selected and peak clips, so
+    in a class-major stack the run holds every anomalous row and about half
+    the rows are skipped.
     """
     w0, b0, w1, b1, w2, b2 = [params[name] for name in _HEAD_NAMES]
     dtype = w0.dtype
@@ -523,36 +529,54 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
         out = _head_tail(h1, cfg.slope, w1, b1, w2, b2, z2, h2, masks[1])[0]
     spent = False
 
+    def rows_backward(g, at, part, gate_grad):
+        """The six head gradients summed over the rows ``at`` of the stack,
+        from their score gradient ``g``, into the weight buffers named with
+        ``part``; the gate's gradient goes into those rows of ``gate_grad``.
+        A slice's rows are read and overwritten where they lie, an index
+        array's are gathered."""
+        s, h2_at, h1_at = out[at], h2[at], h1[at]
+        g = (g[at] * s * (1.0 - s)).astype(dtype, copy=False)
+        gw2 = np.matmul(h2_at.T, g, out=take(f"gw2{part}", w2.shape, dtype))
+        gb2 = g.sum(axis=0)
+        g = np.matmul(g, w2.T, out=h2_at)
+        if masks is not None:
+            g *= masks[1][at]
+        g *= _to_leaky_relu_slope(z2[at], cfg.slope)
+        gw1 = np.matmul(h1_at.T, g, out=take(f"gw1{part}", w1.shape, dtype))
+        gb1 = g.sum(axis=0)
+        g = np.matmul(g, w1.T, out=h1_at)
+        if masks is not None:
+            g *= masks[0][at]
+        g *= _to_leaky_relu_slope(z1[at], cfg.slope)
+        gb0 = g.sum(axis=0)
+        if gate_grad is not None:
+            xw_at = xw[at]
+            gate_grad[at] = np.multiply(xw_at, g, out=xw_at).sum(axis=1)
+        if gate_col is not None:
+            g *= gate_col[at]
+        gw0 = np.matmul(x[at].T, g, out=take(f"gw0{part}", w0.shape, dtype))
+        return gw0, gb0, gw1, gb1, gw2, gb2
+
     def grad_fn(g):
         nonlocal spent
         if spent:
             raise RuntimeError("the head's backward has overwritten its saved activations; run the forward again")
         spent = True
-        g = (g.reshape(-1, 1) * out * (1.0 - out)).astype(dtype, copy=False)
+        g = g.reshape(-1, 1)
         live = g[:, 0] != 0
         lead = live.size if live.all() else int(live.argmin())
         rest = np.flatnonzero(live[lead:]) + lead
-        gw2, gb2 = h2.T @ g, g.sum(axis=0)
-        g = np.matmul(g, w2.T, out=h2)
-        if masks is not None:
-            g *= masks[1]
-        g *= _to_leaky_relu_slope(z2, cfg.slope)
-        gw1, gb1 = np.matmul(h1.T, g, out=take("gw1", w1.shape, dtype)), g.sum(axis=0)
-        g = np.matmul(g, w1.T, out=h1)
-        if masks is not None:
-            g *= masks[0]
-        g *= _to_leaky_relu_slope(z1, cfg.slope)
-        gb0, gate_grad = g.sum(axis=0), None
-        if gate_node is not None:
-            # ``backward`` widens it to the gate node's float64
-            gate_grad = np.multiply(xw, g, out=xw).sum(axis=1).reshape(gate_node.data.shape)
-        if gate_col is not None:
-            g *= gate_col
-        # the live rows only: the leading run where it lies, the rest gathered
-        gw0 = np.matmul(x[:lead].T, g[:lead], out=take("gw0", w0.shape, dtype))
+        # a dead row's gate gradient is exactly 0; ``backward`` widens it
+        # to the gate node's float64
+        gate_grad = None if gate_node is None else np.zeros(live.size, dtype)
+        grads = rows_backward(g, slice(0, lead), "", gate_grad)
         if rest.size:
-            gw0 += x[rest].T @ g[rest]
-        return gate_grad, dict(zip(_HEAD_NAMES, (gw0, gb0, gw1, gb1, gw2, gb2)))
+            for total, more in zip(grads, rows_backward(g, rest, ".rest", gate_grad)):
+                total += more
+        if gate_grad is not None:
+            gate_grad = gate_grad.reshape(gate_node.data.shape)
+        return gate_grad, dict(zip(_HEAD_NAMES, grads))
 
     parents = () if gate_node is None else (gate_node,)
     return Tensor(out.reshape(bag_axes), parents, grad_fn), clean.reshape(bag_axes)
@@ -698,14 +722,16 @@ def write_container(path, magic: bytes, config: dict, arrays: dict[str, np.ndarr
         fh.write(cfg_bytes)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
+            # a contiguous little-endian float64 array is written from where
+            # it lies; anything else is widened or reordered in one copy
+            arr = np.asarray(arr, dtype="<f8", order="C")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(arr.data)
     return path
 
 

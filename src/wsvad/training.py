@@ -23,8 +23,8 @@ normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
   objective (``losses.total_loss``). Each op's backward returns its own
   parameters' gradients by name, the backward collects them, and the Adam
   step updates the parameter arrays in place from them. The objective
-  reads a normal bag only at its selected and peak clips, so the head's
-  first-layer weight gradient sums over only the rows with a nonzero score
+  reads a normal bag only at its selected and peak clips, so every layer
+  of the head's backward runs over only the rows with a nonzero score
   gradient: every anomalous row, read in place from the front of the
   stack, plus the few live rows of the normal bags (at most two per bag
   at K = 1), gathered.
@@ -33,8 +33,8 @@ The stack, the head's activations, dropout masks and weight gradients, and
 Adam's temporaries live in one ``model.Workspace`` that ``TrainState`` holds
 for the whole run. After the first batch, a step allocates only small
 arrays: one value per clip (scores, gate, selection), bias and kernel
-gradients, and the gathered live normal rows with their share of the
-first weight's gradient. Every result is bit-identical to a step on fresh arrays.
+gradients, and the gathered live normal rows. Every result is
+bit-identical to a step on fresh arrays.
 
 Every bag of the train split must therefore have the same clip count. Runs
 are bit-reproducible: the same seed yields identical logs and checkpoints,

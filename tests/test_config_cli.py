@@ -486,3 +486,12 @@ class TestGradCheckCommand:
         assert code == 0
         assert "mode residual:" in out and "mode pure:" in out
         assert "PASS" in out
+
+    @pytest.mark.parametrize("modes", [",", "", " , ,"])
+    def test_empty_mode_list_is_usage_error(self, capsys, modes):
+        # a gradient check that checked nothing does not pass
+        code = main(["grad-check", "--clips", "6", "--dims", "8", "--modes", modes])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--modes" in captured.err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -30,7 +32,7 @@ from wsvad.model import (
     Workspace,
     write_container,
 )
-from wsvad.selection import SelectionConfig
+from wsvad.selection import SelectionConfig, SelectionResult, topk_mask
 from wsvad.training import batch_step
 
 
@@ -76,8 +78,10 @@ def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, m
     """The head's training pass and backward on fresh arrays, with given
     dropout masks (or None): scores, clean scores, and the gradients of
     sum(upstream * scores) for W0, b0, W1, b1, W2, b2 and then the gate.
-    W0's gradient sums the rows with a nonzero ``upstream`` as the package
-    does, or with ``every_row`` all rows in one product."""
+    The backward runs over the rows with a nonzero ``upstream`` as the
+    package does, in two parts whose weight and bias gradients it sums: the
+    leading run of such rows, then the ones after it, gathered. With
+    ``every_row``, it runs over all rows in one part."""
     w0, b0, w1, b1, w2, b2 = (params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias"))
     bag_axes = x.shape[:-1]
     x = x.reshape(-1, cfg.dims[0])
@@ -101,29 +105,37 @@ def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, m
     h1 = leaky(z1)
     out, h1m, z2, h2m = tail(h1, masks)
     clean = tail(h1, None)[0]
-    g = upstream.reshape(-1, 1) * out * (1.0 - out)
-    gw2, gb2 = h2m.T @ g, g.sum(axis=0)
-    g = g @ w2.T
-    if masks is not None:
-        g = g * masks[1]
-    g = g * slope(z2)
-    gw1, gb1 = h1m.T @ g, g.sum(axis=0)
-    g = g @ w1.T
-    if masks is not None:
-        g = g * masks[0]
-    g = g * slope(z1)
-    grads = [None, g.sum(axis=0), gw1, gb1, gw2, gb2]
-    if gate is not None:
-        grads.append((g * xw).sum(axis=1).reshape(gate.shape))
-        g = g * gate_col
-    # the leading run of rows with a nonzero score gradient, plus the ones
+    upstream = upstream.reshape(-1, 1)
+    gate_grad = np.zeros(len(x))
+
+    def rows_backward(at):
+        g = upstream[at] * out[at] * (1.0 - out[at])
+        gw2, gb2 = h2m[at].T @ g, g.sum(axis=0)
+        g = g @ w2.T
+        if masks is not None:
+            g = g * masks[1][at]
+        g = g * slope(z2[at])
+        gw1, gb1 = h1m[at].T @ g, g.sum(axis=0)
+        g = g @ w1.T
+        if masks is not None:
+            g = g * masks[0][at]
+        g = g * slope(z1[at])
+        gb0 = g.sum(axis=0)
+        if gate is not None:
+            gate_grad[at] = (g * xw[at]).sum(axis=1)
+            g = g * gate_col[at]
+        return [x[at].T @ g, gb0, gw1, gb1, gw2, gb2]
+
+    # the leading run of rows with a nonzero score gradient, then the ones
     # after it
-    live = upstream.reshape(-1) != 0
+    live = upstream[:, 0] != 0
     lead = live.size if every_row or live.all() else int(live.argmin())
     rest = np.flatnonzero(live[lead:]) + lead
-    grads[0] = x[:lead].T @ g[:lead]
+    grads = rows_backward(slice(0, lead))
     if rest.size:
-        grads[0] = grads[0] + x[rest].T @ g[rest]
+        grads = [a + b for a, b in zip(grads, rows_backward(rest))]
+    if gate is not None:
+        grads.append(gate_grad.reshape(gate.shape))
     return out.reshape(bag_axes), clean.reshape(bag_axes), grads
 
 
@@ -404,10 +416,10 @@ class TestHfc:
         # the in-place pass and backward against the same maths on fresh
         # arrays, bit for bit, with masks drawn from the same generator; the
         # reference computes in float64. The listed clips get a zero score
-        # gradient: with none, the first weight's gradient is the one
-        # product over all rows; with one (12 of the 13 rows after the
-        # leading run stay live) or nine (4 of 13), it sums the live rows
-        # in two parts
+        # gradient: with none, the backward is one pass over all rows; with
+        # one (12 of the 13 rows after the leading run stay live) or nine
+        # (4 of 13), every weight and bias gradient sums the live rows in
+        # two parts
         cfg = HfcConfig.for_feature_dim(64, dropout=dropout)
         params = init_parameters(None, cfg, seed=4, dtype=np.float64)
         r = np.random.default_rng(9)
@@ -429,17 +441,25 @@ class TestHfc:
             got = [grads[name] for name in params] + ([grads["gate"]] if gated else [])
             assert [g.tobytes() for g in got] == [g.tobytes() for g in ref_grads], zero_clips
 
-    def test_first_weight_gradient_reads_only_the_rows_that_carry_gradient(self):
-        # a class-major training step of a float64 model with dropout on:
-        # the first weight's gradient equals X^T g over every row, and the
-        # rows it skips, poisoned with NaN before the backward, are exactly
-        # those with a zero score gradient: every anomalous clip is read,
-        # and of each normal bag only its selected and peak clips
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_layer_reads_only_the_rows_that_carry_gradient(self, k):
+        # a class-major training step of a float64 model with dropout on, at
+        # K = 1 and with the second pair at K = k: every anomalous clip
+        # carries gradient, and of each normal bag only its selected and
+        # peak clips. The other rows, poisoned with NaN in the stack, in
+        # every activation the backward reads and in both masks, are read by
+        # no layer, so the head's and the attention kernels' gradients equal
+        # those of the backward over every row
         b, t, d = 4, 8, 32
         r = np.random.default_rng(3)
         model = AnomalyScorer(HfcConfig.for_feature_dim(d), MtaConfig(), seed=2, dtype=np.float64)
         pos = [ClipFeatureBag(r.standard_normal((t, d)) + 0.3, 1, f"a{i}", t) for i in range(b)]
         neg = [ClipFeatureBag(r.standard_normal((t, d)), 0, f"n{i}", t) for i in range(b)]
+        sel = None
+        if k > 1:
+            ks = np.ones(b, np.int64)
+            ks[1] = k
+            sel = SelectionResult(np.zeros(b), ks, topk_mask(r.random((2, b, t)), ks))
         workspace, forwards, score_bag = Workspace(), [], model.score_bag
 
         def recording(*args, **kwargs):
@@ -448,19 +468,29 @@ class TestHfc:
 
         model.score_bag = recording
         breakdown, sel = batch_step(pos, neg, model, SelectionConfig(), LossConfig(), np.random.default_rng(1),
-                                    workspace)
+                                    workspace, sel)
+        assert sel.k.tolist() == [1, k, 1, 1]
         out = forwards[-1]
         upstream = backward(total_loss(leaf(out.scores.data, "scores"), sel).node)["scores"]
         live = upstream.reshape(-1) != 0
         assert live[: b * t].all() and live.mean() < 0.75
+        n, (narrow, wide) = 2 * b * t, model.hfc_cfg.dims[1:-1]
         stack = workspace.take("stack", (2, b, t, d), np.float64)
-        masks = [workspace.take(f"mask{i}", (2 * b * t, w), np.float64)
-                 for i, w in enumerate(model.hfc_cfg.dims[1:-1])]
-        every_row = _reference_training_head(stack, model.hfc_cfg, model.params, out.gate, masks, upstream,
-                                             every_row=True)[2][0]
-        stack.reshape(-1, d)[~live] = np.nan
-        gw0 = backward(breakdown.node)["head.0.weight"]
-        np.testing.assert_allclose(gw0, every_row, rtol=1e-12)
+        masks = [workspace.take("mask0", (n, narrow), np.float64), workspace.take("mask1", (n, wide), np.float64)]
+        saved = [workspace.take(name, (n, narrow), np.float64) for name in ("xw", "z1", "h1")]
+        saved += [workspace.take(name, (n, wide), np.float64) for name in ("z2", "h2")]
+        ref = _reference_training_head(stack, model.hfc_cfg, model.params, out.gate, masks, upstream,
+                                       every_row=True)[2]
+        means = np.array([bag.clip_means for bag in pos + neg]).reshape(2, b, t)
+        gate = mta_forward(means, model.mta_cfg, model.params, training=True)
+        want = backward(Tensor((gate.data * ref[6]).sum(), (gate,), lambda g: (g * ref[6], {})))
+        want.update(zip([name for name in model.params if name.startswith("head.")], ref[:6]))
+        for rows in [stack.reshape(n, d)] + masks + saved:
+            rows[~live] = np.nan
+        got = backward(breakdown.node)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            np.testing.assert_allclose(got[name], value, rtol=1e-12, err_msg=name)
 
     def test_training_backward_runs_once(self):
         # the backward overwrites the activations it reads, so a second
@@ -697,6 +727,23 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    def test_container_bytes_follow_the_layout(self, tmp_path):
+        # each array's payload is its values as little-endian float64, in
+        # C order, whatever the array's dtype and layout
+        r = np.random.default_rng(5)
+        arrays = {"f32": r.standard_normal((3, 4)).astype(np.float32), "f64": r.standard_normal((2, 5)).T,
+                  "scalar": np.float64(0.25)}
+        config = {"b": [1, 2], "a": "x"}
+        path = write_container(tmp_path / "c.bin", b"LWCK", config, arrays)
+        cfg_bytes = b'{"a": "x", "b": [1, 2]}'
+        want = b"LWCK" + struct.pack("<HI", 1, len(cfg_bytes)) + cfg_bytes + struct.pack("<I", len(arrays))
+        for name, arr in arrays.items():
+            arr = np.asarray(arr)
+            want += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", arr.ndim)
+            want += b"".join(struct.pack("<I", dim) for dim in arr.shape)
+            want += arr.astype("<f8").tobytes()
+        assert path.read_bytes() == want
 
     def test_same_model_saves_identical_bytes(self, tmp_path):
         a = save_checkpoint(tmp_path / "a.lwck", self._model())
