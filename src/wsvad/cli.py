@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,6 +120,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     bags = load_bags(args.manifest)
+    if args.scores_dir:
+        # each video's scores go to <video id>.csv, its feature file's stem
+        shared = [v for v, n in Counter(b.video_id for b in bags).items() if n > 1]
+        if shared:
+            raise ValueError(f"{args.manifest}: more than one video has the id {shared[0]!r}, "
+                             f"so --scores-dir would write each to {shared[0]}.csv")
     result = evaluate_bags(bags, model)
     print(f"frame auc: {result.overall_auc:.6f}")
     for cls, cls_auc in result.per_class.items():

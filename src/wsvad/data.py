@@ -12,6 +12,8 @@ Binary feature file layout (little endian):
 Features are stored as float32 on disk and stay float32 in memory; the
 scoring head computes in float32 by default, so they reach it without a
 copy. Clip means and norms are reduced from an exact float64 promotion.
+A loader reads each feature once before scoring: the float64 row sums that
+prove every value finite are also, divided by D, the bag's clip means.
 The CSV twin (``.csv`` suffix) holds the same float32 values as T rows of D
 decimal fields.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import struct
 import warnings
@@ -75,11 +78,16 @@ def save_features(path, features) -> Path:
     return path
 
 
-def load_features(path) -> np.ndarray:
-    """Read a feature file back as the stored float32 values, bit for bit.
+def load_features(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a feature file back as the stored float32 values, bit for bit,
+    with each clip's mean, ``mean_per_clip``'s bits: ``(features, means)``.
 
     NaN and infinite values are rejected, naming the CSV line or the byte
-    offset of the first one, and so is a CSV without data rows.
+    offset of the first one, and so is a CSV without data rows. The check
+    and the means are one pass: a float64 sum of finite float32 values
+    cannot overflow, so the row sums are all finite exactly when every
+    value is, and divided by D they are the means. Only a file whose sums
+    are not all finite is scanned value by value, to name the first bad one.
     """
     if not isinstance(path, Path):
         path = Path(path)
@@ -93,13 +101,14 @@ def load_features(path) -> np.ndarray:
             raise FormatError(f"{path}: malformed feature CSV: {exc}") from None
         if arr.size == 0:
             raise FormatError(f"{path}: feature CSV holds no data rows")
-        if not np.isfinite(arr).all():
+        means = _finite_clip_means(arr)
+        if means is None:
             row = int(np.argmin(np.isfinite(arr).all(axis=1)))
             # loadtxt skips blank and comment lines; count only the data rows
             lines = [n for n, text in enumerate(path.read_text().splitlines(), 1)
                      if text.split("#", 1)[0].strip()]
             raise FormatError(f"{path}:{lines[row]}: non-finite feature value")
-        return arr
+        return arr, means
 
     # unbuffered: the header and the payload are one read each, with no
     # buffer fill behind the 14-byte header read
@@ -127,7 +136,7 @@ def load_features(path) -> np.ndarray:
         if payload > expected:
             raise FormatError(f"{path}: trailing bytes after payload", offset=_HEADER.size + expected)
         # read straight into an aligned array: a view of a payload that
-        # starts at byte 14 would be unaligned, and slower to check and copy
+        # starts at byte 14 would be unaligned, and slower to sum and copy
         arr = np.empty((t, d), dtype="<f4")
         got = fh.readinto(arr)
         while got < expected:
@@ -136,13 +145,25 @@ def load_features(path) -> np.ndarray:
             if not more:
                 raise FormatError(f"{path}: file shrank while being read", offset=_HEADER.size + got)
             got += more
-    if not np.isfinite(arr).all():
+    means = _finite_clip_means(arr)
+    if means is None:
         i = int(np.argmin(np.isfinite(arr.reshape(-1))))
         raise FormatError(
             f"{path}: non-finite feature value {arr.flat[i]} at clip {i // d}, dim {i % d}",
             offset=_HEADER.size + 4 * i,
         )
-    return arr
+    return arr, means
+
+
+@np.errstate(invalid="ignore")
+def _finite_clip_means(arr) -> np.ndarray | None:
+    """``mean_per_clip(arr)``, or None when a mean is not finite. A float64
+    sum of finite float32 values cannot overflow, so the means, and their
+    total, are finite exactly when every value is. A signalling NaN, or
+    +inf and -inf in one row, would raise NumPy's invalid-value warning in
+    a reduction; the None is the whole report."""
+    means = mean_per_clip(arr)
+    return means if math.isfinite(np.add.reduce(means)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +227,15 @@ class ClipFeatureBag:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    # computed on first use, not at load; the means and norms reduce the
-    # exact float64 promotion, so a float32 bag and a float64 bag of the same
-    # values give the same bits
+    # computed on first use; the means and norms reduce the exact float64
+    # promotion, so a float32 bag and a float64 bag of the same values give
+    # the same bits
 
     @cached_property
     def clip_means(self) -> np.ndarray:
-        """Mean of each clip's features, (T,): the attention block's input."""
+        """Mean of each clip's features, (T,): the attention block's input.
+        ``load_bag`` and ``load_bags`` set it from the load's finiteness
+        pass (see ``load_features``), so a loaded bag never sums again."""
         return mean_per_clip(self.features)
 
     @cached_property
@@ -247,13 +270,15 @@ def load_bag(path, label=0, num_frames=None, video_id=None, class_name=None, fra
     """Load one feature file into a bag, naming the file in any error; metadata defaults to trivial values."""
     if not isinstance(path, Path):
         path = Path(path)
-    feats = load_features(path)
+    feats, means = load_features(path)
     try:
-        return ClipFeatureBag(features=feats, label=label, video_id=path.stem if video_id is None else video_id,
-                              num_frames=feats.shape[0] if num_frames is None else num_frames,
-                              class_name=class_name, frame_labels=frame_labels)
+        bag = ClipFeatureBag(features=feats, label=label, video_id=path.stem if video_id is None else video_id,
+                             num_frames=feats.shape[0] if num_frames is None else num_frames,
+                             class_name=class_name, frame_labels=frame_labels)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+    bag.clip_means = means
+    return bag
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +420,23 @@ def load_bags(manifest_path) -> list[ClipFeatureBag]:
     """Load every entry of a manifest into memory, in manifest order."""
     bags = []
     for e in load_manifest(manifest_path):
-        feats = load_features(e.feature_path)
+        feats, means = load_features(e.feature_path)
         if e.num_frames < feats.shape[0]:
             raise FormatError(f"{manifest_path}: num_frames ({e.num_frames}) of {e.feature_path} "
                               f"is below its clip count ({feats.shape[0]})")
         frame_labels = None
         if e.frame_label_path is not None:
             frame_labels = load_frame_labels(e.frame_label_path, e.num_frames)
-        bags.append(
-            ClipFeatureBag(
-                features=feats,
-                label=e.label,
-                video_id=e.feature_path.stem,
-                num_frames=e.num_frames,
-                class_name=e.class_name,
-                frame_labels=frame_labels,
-            )
+        bag = ClipFeatureBag(
+            features=feats,
+            label=e.label,
+            video_id=e.feature_path.stem,
+            num_frames=e.num_frames,
+            class_name=e.class_name,
+            frame_labels=frame_labels,
         )
+        bag.clip_means = means
+        bags.append(bag)
     return bags
 
 

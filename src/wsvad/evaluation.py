@@ -2,10 +2,12 @@
 
 A split is scored in chunks of equal-length bags, one forward per chunk,
 each bag's scores bit-equal to scoring it alone. A score request is a chunk
-of one bag through the same lean inference pass (see ``model``), so its
-frame scores equal the bag's evaluation record bit for bit. The head reads
-every bag's features where they lie, so an evaluation copies no feature
-bytes.
+of one bag through the same inference layer sequence (see ``model``), so
+its frame scores equal the bag's evaluation record bit for bit. The head
+reads every bag's features where they lie, so an evaluation copies no
+feature bytes, and a loaded bag's clip means come with it from the load's
+finiteness pass (see ``data.load_features``), so a request reads its
+features once before the head's first product.
 
 Each record expands its clip scores onto frames through the same partition
 the labels use, so every frame carries the score of the clip that covers
@@ -138,8 +140,9 @@ def _frame_labels(bag: ClipFeatureBag) -> np.ndarray:
 def score_video(bag: ClipFeatureBag, model: AnomalyScorer) -> np.ndarray:
     """Inference-mode clip scores broadcast over each clip's frame range.
     The head scores one bag as a chunk of one, the way ``evaluate_bags``
-    scores its chunks (see ``hfc_forward``), from the bag's cached clip
-    means. ``AnomalyScorer.check_bag`` names a bag it cannot score."""
+    scores its chunks (see ``hfc_forward``), from the bag's clip means,
+    which a loaded bag already holds. ``AnomalyScorer.check_bag`` names a
+    bag it cannot score."""
     model.check_bag(bag, "scored")
     means = bag.clip_means if model.use_mta else None
     return _on_frames(bag, model.score_bag(bag.features, means=means).scores)

@@ -21,10 +21,13 @@ hand-written backward. In a training pass ``mta_forward`` returns the gate
 as a graph node, and ``hfc_forward`` the scores as a node over the gate
 node; each node's backward returns its own parameters' gradients by name.
 The head's backward gives the first layer's weight gradient as X^T (a * g)
-and hands the gate node its gradient. An inference pass runs the same
-forward on plain arrays and builds no node; evaluation chunks and score
-requests (a chunk of one bag) share it. In either pass the attention
-kernels correlate over one zero-padded copy of the clip-mean signal.
+and hands the gate node its gradient. An inference pass computes the same
+values on plain arrays and builds no node: one layer sequence for a bag, a
+stack and a list, with one first product per call over a bag or a stack,
+in-place leaky ReLUs, and none of training's buffers or kink-margin notes.
+Evaluation chunks and score requests (a chunk of one bag) share it. In
+either pass the attention kernels correlate over one zero-padded copy of
+the clip-mean signal.
 
 The head's backward works in place and over only the rows that carry
 gradient: every layer skips the rows whose score gradient is zero, which
@@ -400,9 +403,10 @@ def dropout_masks(rng, grid, t: int, widths, rate: float,
 
 
 def _feature_bags(x, width: int):
-    """The bag axes and the (T, ``width``) matrices of one bag (T, width),
-    a stack of bags (..., T, width) or a list of bags of one shape (T,
-    width), as they lie: nothing is copied or cast."""
+    """The bag axes and the features of one bag (T, ``width``) or a stack
+    of bags (..., T, width), as one array, or of a list of bags of one
+    shape (T, width), as a list of arrays: as they lie, nothing is copied
+    or cast."""
     if isinstance(x, (list, tuple)):
         bags = [np.asarray(b) for b in x]
         shapes = sorted({b.shape for b in bags})
@@ -412,7 +416,7 @@ def _feature_bags(x, width: int):
     x = np.asarray(x)
     if x.ndim < 2 or x.shape[-1] != width:
         raise DimensionError(f"head expects (T, {width}) or (..., T, {width}) features, got shape {x.shape}")
-    return x.shape[:-1], x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:])
+    return x.shape[:-1], x
 
 
 def _head_tail(h1, slope: float, w1, b1, w2, b2, z2, h2, mask=None):
@@ -437,9 +441,9 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
 
     Layer pattern: linear -> leaky ReLU -> dropout for both hidden layers,
     then linear -> sigmoid; dropout only fires when ``training``. A ``gate``
-    shaped like the bag axes (an array, or the gate node) rescales each
-    clip, applied after the first matrix product: gate * (x W0) + b0. The
-    features are data: no gradient flows back to them.
+    shaped like the bag axes (an array, or in training the gate node)
+    rescales each clip, applied after the first matrix product: gate *
+    (x W0) + b0. The features are data: no gradient flows back to them.
 
     The features and the gate are cast to the parameters' dtype, and every
     layer runs in it (float32 features into float32 parameters are not
@@ -454,23 +458,27 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     pass computes both from one first layer, so the dropout-free pass costs
     no second product with W0.
 
-    An inference pass multiplies each bag by the first weight in its own
-    product, read from where the bag lies (a list of bags is never stacked,
-    and a float64 bag is cast to the parameters' dtype alone), into that
-    bag's rows of one (..., T, width) activation; the later layers keep the
-    bag axes. So each bag goes through every layer in a matrix product of
-    the shape it has when scored alone, and a bag's scores in a stack or a
-    list are bit for bit its scores alone. (One flat product over a stack
-    can take another BLAS path for bags of a few clips and round
-    differently.) A training pass multiplies every clip of the stack in one
-    flat product, which is the faster call at D=2048.
+    An inference pass is one layer sequence on plain arrays, for a bag, a
+    stack and a list alike. Its first product is one ``np.matmul`` over a
+    bag or a stack, which NumPy runs as one product per bag; a list is
+    never stacked, and each of its bags is multiplied where it lies (a
+    float64 bag cast to the parameters' dtype alone) into its rows of one
+    (n, T, width) activation. The later layers keep the bag axes. So each
+    bag goes through every layer in a matrix product of the shape it has
+    when scored alone, and a bag's scores in a stack or a list are bit for
+    bit its scores alone. (One flat product over a stack can take another
+    BLAS path for bags of a few clips and round differently.) The leaky
+    ReLU runs in place as bare ufuncs, without ``leaky_relu``'s slope check
+    and kink margin, which only training needs, and no workspace is used.
+    A training pass multiplies every clip of the stack in one flat product,
+    which is the faster call at D=2048.
 
-    Every (rows x width) array goes into a buffer of ``workspace`` when one
-    is given, and into a fresh array otherwise. A training pass runs the
-    dropout-free tail first, then masks the first activation in place and
-    runs the tail again through the same buffers. Its dropout masks
-    (``dropout_masks``) read one 16-bit slice of the generator's raw words
-    per unit, in whole words per bag, drawn bag by bag in column-major
+    In a training pass every (rows x width) array goes into a buffer of
+    ``workspace`` when one is given, and into a fresh array otherwise. The
+    pass runs the dropout-free tail first, then masks the first activation
+    in place and runs the tail again through the same buffers. Its dropout
+    masks (``dropout_masks``) read one 16-bit slice of the generator's raw
+    words per unit, in whole words per bag, drawn bag by bag in column-major
     order of the bag grid (the bag axes but the last): a class-major stack
     of pairs (2, B, T) draws pair by pair, anomalous bag first, a flat
     stack draws in stack order, and either draws what its bags draw one at
@@ -492,19 +500,28 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     w0, b0, w1, b1, w2, b2 = [params[name] for name in _HEAD_NAMES]
     dtype = w0.dtype
     bag_axes, bags = _feature_bags(x, cfg.dims[0])
+    if not training:
+        if isinstance(bags, list):
+            # each bag's own product, read where the bag lies, into its rows
+            z = np.empty(bag_axes + (cfg.dims[1],), dtype)
+            for bag, out in zip(bags, z):
+                np.matmul(bag.astype(dtype, copy=False), w0, out=out)
+        else:
+            z = np.matmul(bags.astype(dtype, copy=False), w0)
+        if gate is not None:
+            z *= np.asarray(gate, dtype).reshape(bag_axes + (1,))
+        z += b0
+        np.maximum(z, z * cfg.slope, out=z)
+        z = np.matmul(z, w1)
+        z += b1
+        np.maximum(z, z * cfg.slope, out=z)
+        scores = sigmoid((z @ w2 + b2).astype(np.float64, copy=False)).reshape(bag_axes)
+        return scores, scores
     take = _no_buffer if workspace is None else workspace.take
-    if training:
-        # one flat product over every clip of the stack
-        x = np.asarray(bags, dtype=dtype).reshape(-1, cfg.dims[0])
-        rows = x.shape[:-1]
-        xw = np.matmul(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
-    else:
-        # each bag's own product, read where the bag lies, into its rows
-        rows = bag_axes
-        shape = rows + (cfg.dims[1],)
-        xw = np.empty(shape, dtype) if workspace is None else workspace.take("xw", shape, dtype)
-        for bag, out in zip(bags, xw.reshape((len(bags),) + shape[-2:])):
-            np.matmul(np.asarray(bag, dtype=dtype), w0, out=out)
+    # one flat product over every clip of the stack
+    x = np.asarray(bags, dtype=dtype).reshape(-1, cfg.dims[0])
+    rows = x.shape[:-1]
+    xw = np.matmul(x, w0, out=take("xw", rows + (cfg.dims[1],), dtype))
     gate_node = gate if isinstance(gate, Tensor) else None
     if gate_node is not None:
         gate = gate_node.data
@@ -520,8 +537,6 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     h1 = leaky_relu(z1, cfg.slope, out=take("h1", xw.shape, dtype))
     wide = rows + (cfg.dims[2],)
     clean, z2, h2 = _head_tail(h1, cfg.slope, w1, b1, w2, b2, take("z2", wide, dtype), take("h2", wide, dtype))
-    if not training:
-        return clean.reshape(bag_axes), clean.reshape(bag_axes)
     out, masks = clean, None
     if cfg.dropout:
         masks = dropout_masks(rng, bag_axes[:-1], bag_axes[-1], cfg.dims[1:-1], cfg.dropout, workspace, dtype)
@@ -655,7 +670,7 @@ class AnomalyScorer:
         list of bags of two shapes raises ``DimensionError`` either way.
         """
         gate = None
-        if self.use_mta:
+        if self.mta_cfg is not None:
             if means is None:
                 _feature_bags(features, self.feature_dim)
                 means = mean_per_clip(features)

@@ -1,5 +1,6 @@
 """Reference code that the tests compare the package against: a per-kernel
-'same' convolution and a named graph leaf."""
+'same' convolution, a frozen inference pass of the scoring head and a named
+graph leaf."""
 
 from __future__ import annotations
 
@@ -33,6 +34,40 @@ def conv1d_same(x, weight, bias):
     # the first t outputs of each padded row are that row's; the rest
     # straddle two rows and are dropped
     return corr.reshape(-1, t + 2 * half)[:, :t].reshape(x.shape) + bias.reshape(())
+
+
+def inference_head(x, params, slope: float, gate=None) -> np.ndarray:
+    """The scoring head's inference pass as it was before one layer sequence
+    served a bag, a stack and a list, kept here unchanged so that the head's
+    bits stay pinned: each bag (T, D) of ``x`` (one bag, a stack or a list)
+    multiplied by the first weight in its own product into its rows of one
+    activation shaped like the bag axes, the ``gate`` cast to the
+    parameters' dtype and applied after that product, then the leaky ReLU
+    and the later layers on fresh arrays, as ``leaky_relu`` and
+    ``_head_tail`` computed them, the last logit widened to float64 before
+    the sigmoid."""
+    w0, b0, w1, b1, w2, b2 = (params[f"head.{i}.{kind}"] for i in range(3) for kind in ("weight", "bias"))
+    dtype = w0.dtype
+    if isinstance(x, list):
+        bags = [np.asarray(b) for b in x]
+        bag_axes = (len(bags), bags[0].shape[0])
+    else:
+        x = np.asarray(x)
+        bag_axes = x.shape[:-1]
+        bags = x.reshape((-1,) + x.shape[-2:])
+    xw = np.empty(bag_axes + (w0.shape[1],), dtype)
+    for bag, out in zip(bags, xw.reshape((-1,) + xw.shape[-2:])):
+        np.matmul(np.asarray(bag, dtype=dtype), w0, out=out)
+    if gate is not None:
+        xw *= np.asarray(gate, dtype=dtype).reshape(bag_axes + (1,))
+    xw += b0
+    h1 = np.maximum(xw, np.multiply(xw, slope))
+    z2 = h1 @ w1
+    z2 += b1
+    h2 = np.maximum(z2, np.multiply(z2, slope))
+    logit = (h2 @ w2 + b2).astype(np.float64, copy=False)
+    e = np.exp(-np.abs(logit))
+    return (np.where(logit >= 0, 1.0, e) / (1.0 + e)).reshape(bag_axes)
 
 
 def leaf(data, name: str) -> Tensor:

@@ -20,7 +20,7 @@ from wsvad import training
 from wsvad.autodiff import ConfigurationError
 from wsvad.cli import build_parser, main
 from wsvad.config import RunConfig, load_run_config, run_config_to_text, write_run_config
-from wsvad.data import FormatError, SyntheticSpec, save_features
+from wsvad.data import FormatError, SyntheticSpec, load_bags, save_features, write_frame_labels
 from wsvad.losses import LossConfig
 from wsvad.model import STATE_MAGIC, HfcConfig, MtaConfig, read_container, write_container
 from wsvad.selection import SelectionConfig
@@ -313,6 +313,29 @@ class TestTrainEvalScoreCommands:
         assert len(files) == 12  # 6 normal + 6 anomalous test videos
         rows = list(csv.DictReader(open(files[0])))
         assert set(rows[0]) == {"frame_index", "score", "label"}
+
+    def test_eval_scores_dir_refuses_two_videos_of_one_id(self, trained_tiny, tiny_dataset, tmp_path, capsys):
+        # a/v1.lwvf and b/v1.lwvf would both write v1.csv: refused before
+        # any file is written, naming the shared id
+        test_bags = load_bags(tiny_dataset["test"])
+        rows = ["feature_path,label,num_frames,frame_labels,class"]
+        for sub, bag in (("a", test_bags[0]), ("b", test_bags[-1])):  # a normal and an anomalous video
+            (tmp_path / sub).mkdir()
+            save_features(tmp_path / sub / "v1.lwvf", bag.features)
+            labels = ""
+            if bag.label:
+                labels = f"{sub}/v1.txt"
+                write_frame_labels(tmp_path / labels, bag.frame_labels)
+            rows.append(f"{sub}/v1.lwvf,{bag.label},{bag.num_frames},{labels},")
+        mp = tmp_path / "manifest.csv"
+        mp.write_text("\n".join(rows) + "\n")
+        scores_dir = tmp_path / "scores"
+        code = main(["eval", "--checkpoint", str(trained_tiny["result"].best_checkpoint),
+                     "--manifest", str(mp), "--scores-dir", str(scores_dir)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "'v1'" in err and "v1.csv" in err and str(mp) in err
+        assert out == "" and not scores_dir.exists()
 
     def test_missing_train_manifest_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--train-manifest", str(tmp_path / "none.csv"),

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wsvad import data as data_module
+from wsvad import model as model_module
 from wsvad.data import (
     ClipFeatureBag,
     FormatError,
@@ -28,11 +29,13 @@ from wsvad.data import (
     load_frame_labels,
     load_manifest,
     make_synthetic,
+    mean_per_clip,
     save_features,
     write_frame_labels,
     write_manifest,
 )
-from wsvad.evaluation import auc
+from wsvad.evaluation import auc, score_video
+from wsvad.model import AnomalyScorer, HfcConfig, MtaConfig
 
 
 def _tree_hash(root: Path) -> str:
@@ -52,7 +55,7 @@ class TestFeatureFiles:
     def test_binary_round_trip_bit_identical(self, tmp_path):
         feats = np.random.default_rng(0).standard_normal((7, 5)).astype(np.float32)
         path = save_features(tmp_path / "v.lwvf", feats)
-        loaded = load_features(path)
+        loaded, _ = load_features(path)
         assert loaded.dtype == np.float32
         assert loaded.tobytes() == feats.tobytes()
 
@@ -60,7 +63,7 @@ class TestFeatureFiles:
         feats = np.random.default_rng(1).standard_normal((4, 3)).astype(np.float32)
         binary = save_features(tmp_path / "v.lwvf", feats)
         twin = save_features(tmp_path / "v.csv", feats)
-        np.testing.assert_array_equal(load_features(twin), load_features(binary))
+        np.testing.assert_array_equal(load_features(twin)[0], load_features(binary)[0])
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -68,7 +71,7 @@ class TestFeatureFiles:
     def test_round_trip_property(self, tmp_path, t, d, seed):
         feats = np.random.default_rng(seed).standard_normal((t, d))
         path = save_features(tmp_path / "v.lwvf", feats)
-        np.testing.assert_array_equal(load_features(path), feats.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(load_features(path)[0], feats.astype(np.float32).astype(np.float64))
 
     def test_bad_magic_offset_zero(self, tmp_path):
         p = tmp_path / "bad.lwvf"
@@ -121,7 +124,7 @@ class TestFeatureFiles:
         feats = np.random.default_rng(0).standard_normal((5, 7)).astype(np.float32)
         p = save_features(tmp_path / "v.lwvf", feats)
         self._short_reads(monkeypatch, cap=40)  # 140 payload bytes in 4 reads
-        assert load_features(p).tobytes() == feats.tobytes()
+        assert load_features(p)[0].tobytes() == feats.tobytes()
 
     def test_file_shrinking_mid_read_names_where_the_read_stopped(self, tmp_path, monkeypatch):
         p = save_features(tmp_path / "v.lwvf", np.ones((5, 7), dtype=np.float32))
@@ -137,16 +140,27 @@ class TestFeatureFiles:
             load_features(p)
         assert err.value.offset == 6
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_binary_value_rejected_with_offset(self, tmp_path, bad):
-        feats = np.ones((3, 4), dtype=np.float32)
-        feats[1, 2] = bad
-        feats[2, 0] = bad  # only the first bad value is named
+    @pytest.mark.parametrize("shape, bad", [
+        pytest.param((3, 4), {(1, 2): np.nan, (2, 0): np.nan}, id="nan"),
+        pytest.param((3, 4), {(1, 2): np.inf, (2, 0): np.inf}, id="inf"),
+        pytest.param((3, 4), {(1, 2): -np.inf, (2, 0): -np.inf}, id="-inf"),
+        # the row's float64 sum is inf - inf = NaN, not an infinity
+        pytest.param((3, 4), {(1, 3): -np.inf, (1, 1): np.inf}, id="both-infinities-in-one-row"),
+        pytest.param((3, 4), {(2, 3): np.nan}, id="last-row-only"),
+        pytest.param((32, 2048), {(17, 1000): np.inf, (17, 1500): -np.inf, (30, 5): np.nan}, id="32x2048"),
+    ])
+    def test_non_finite_binary_value_rejected_with_offset(self, tmp_path, shape, bad):
+        feats = np.ones(shape, dtype=np.float32)
+        for cell, value in bad.items():
+            feats[cell] = value
         p = save_features(tmp_path / "v.lwvf", feats)
-        with pytest.raises(FormatError, match="non-finite") as err:
-            load_features(p)
-        # 14-byte header, then row-major f32: entry (1, 2) is value 6
-        assert err.value.offset == 14 + 4 * 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite") as err:
+                load_features(p)
+        # 14-byte header, then row-major f32; only the first bad value is named
+        row, col = min(bad)
+        assert err.value.offset == 14 + 4 * (row * shape[1] + col)
         assert str(p) in str(err.value)
 
     def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
@@ -179,7 +193,7 @@ class TestFeatureFiles:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                loaded = load_features(path)
+                loaded, _ = load_features(path)
             except FormatError as err:
                 assert str(path) in str(err)
                 return
@@ -228,6 +242,32 @@ class TestBagsAndManifests:
             assert bag.features.dtype == np.float32
             assert bag.features.nbytes == 6 * 5 * 4
             assert bag.features.tobytes() == feats.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 64, 1000, 2048])
+    def test_loaded_bags_carry_the_clip_means_of_their_load(self, tmp_path, monkeypatch, d):
+        # the load's checked row sums are the bag's clip means, with
+        # mean_per_clip's bits, so a loaded bag is scored without summing
+        # its features again
+        feats = np.random.default_rng(d).standard_normal((8, d)).astype(np.float32)
+        model = AnomalyScorer(HfcConfig.for_feature_dim(d), MtaConfig(), seed=3)
+        loaded = []
+        for suffix in (".lwvf", ".csv"):
+            fp = save_features(tmp_path / f"v{suffix}", feats)
+            mp = write_manifest(tmp_path / f"manifest{suffix}.csv",
+                                [ManifestEntry(feature_path=fp, label=0, num_frames=8)])
+            loaded += [load_bag(fp), load_bags(mp)[0]]
+        expected = score_video(ClipFeatureBag(feats, 0, "v", 8), model)
+
+        def summed_again(features):
+            raise AssertionError("a loaded bag's clip means were summed again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "mean_per_clip", summed_again)
+            patch.setattr(model_module, "mean_per_clip", summed_again)
+            for bag in loaded:
+                assert score_video(bag, model).tobytes() == expected.tobytes()
+        for bag in loaded:
+            assert bag.clip_means.tobytes() == mean_per_clip(bag.features).tobytes()
 
     def test_bag_validation(self):
         with pytest.raises(ValueError, match="label"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from references import conv1d_same, leaf
+from references import conv1d_same, inference_head, leaf
 from wsvad.autodiff import ConfigurationError, DimensionError, Tensor, backward
 from wsvad.checks import full_graph_grad_check
 from wsvad.data import ClipFeatureBag
@@ -339,6 +339,27 @@ class TestHfc:
         base = hfc_forward(feats, cfg, params)[0]
         permuted = hfc_forward(feats[perm], cfg, params)[0]
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
+
+    @pytest.mark.parametrize("gated", [True, False], ids=["gate", "no-gate"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_matches_the_frozen_reference_head_bit_for_bit(self, dtype, gated):
+        # the reference is the head's inference pass before one layer
+        # sequence served every input; a bag, a stack, a list of float32
+        # bags and a list of float64 bags must each score as it did
+        rng = np.random.default_rng(4)
+        for d, t in ((48, 7), (2048, 7), (2048, 32)):
+            cfg = HfcConfig.for_feature_dim(d)
+            params = init_parameters(None, cfg, seed=d + t, dtype=dtype)
+            stack = rng.standard_normal((2, 3, t, d)).astype(np.float32)
+            gates = rng.uniform(0.5, 1.5, stack.shape[:-1])
+            cases = {"bag": (stack[0, 0], gates[0, 0]), "stack": (stack, gates),
+                     "list": (list(stack[1]), gates[1]),
+                     "float64 list": ([b.astype(np.float64) for b in stack[0]], gates[0])}
+            for what, (x, gate) in cases.items():
+                gate = gate if gated else None
+                scores = hfc_forward(x, cfg, params, gate)[0]
+                expected = inference_head(x, params, cfg.slope, gate)
+                assert scores.tobytes() == expected.tobytes(), f"{what}, D={d}, T={t}"
 
     def test_dropout_only_fires_in_training(self):
         cfg = HfcConfig.for_feature_dim(8, dropout=0.5)
