@@ -20,7 +20,7 @@ from .autodiff import ConfigurationError
 from .checks import ablation_lattice, full_graph_grad_check
 from .config import load_run_config, write_run_config
 from .data import SyntheticSpec, load_bag, load_bags, make_synthetic
-from .evaluation import evaluate_bags, export_scores_csv, per_video_auc, score_video
+from .evaluation import evaluate_bags, export_scores_csv, per_video_auc, score_video, write_scores_csv
 from .model import count_parameters, load_checkpoint
 from .training import TrainingError, fit
 
@@ -153,9 +153,7 @@ def cmd_score(args) -> int:
         export_scores_csv(args.out, frame_scores)
         print(f"scores written to {args.out}")
     else:
-        print("frame_index,score,label")
-        for i, s in enumerate(frame_scores):
-            print(f"{i},{float(s)!r},")
+        write_scores_csv(sys.stdout, frame_scores)
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ holds one entry per clip, not per frame, and gives the same bits.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -237,10 +236,20 @@ def per_video_auc(records: list[EvalRecord]) -> float:
     return float(np.mean(per_video))
 
 
+def write_scores_csv(fh, scores, labels=None) -> None:
+    """Write ``frame_index,score,label`` and one such row per frame to the
+    text stream ``fh``, each line ending in ``\\n`` (label blank if unknown,
+    score as ``repr`` of its float). ``wsvad score``'s stdout and every
+    scores file go through this, so they hold the same bytes."""
+    fh.write("frame_index,score,label\n")
+    fh.writelines(f"{i},{float(s)!r},{'' if labels is None else int(labels[i])}\n"
+                  for i, s in enumerate(scores))
+
+
 def export_scores_csv(path, scores, labels=None) -> Path:
-    """One row per frame: ``frame_index,score,label`` (label blank if
-    unknown). Labels, when given, are one per score: any other count raises
-    ``ValueError`` before the file is opened."""
+    """``write_scores_csv`` into the file ``path``. Labels, when given, are
+    one per score: any other count raises ``ValueError`` before the file is
+    opened."""
     path = Path(path)
     scores = np.asarray(scores, dtype=np.float64)
     if labels is not None:
@@ -248,8 +257,5 @@ def export_scores_csv(path, scores, labels=None) -> Path:
         if labels.shape != scores.shape:
             raise ValueError(f"need one label per score, got {labels.shape} labels for {scores.shape} scores")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_index", "score", "label"])
-        for i, s in enumerate(scores):
-            writer.writerow([i, repr(float(s)), "" if labels is None else int(labels[i])])
+        write_scores_csv(fh, scores, labels)
     return path

@@ -21,10 +21,12 @@ hand-written backward. In a training pass ``mta_forward`` returns the gate
 as a graph node, and ``hfc_forward`` the scores as a node over the gate
 node; each node's backward returns its own parameters' gradients by name.
 The head's backward gives the first layer's weight gradient as X^T (a * g)
-and hands the gate node its gradient. An inference pass computes the same
-values on plain arrays and builds no node: one layer sequence for a bag, a
-stack and a list, with one first product per call over a bag or a stack,
-in-place leaky ReLUs, and none of training's buffers or kink-margin notes.
+and hands the gate node its gradient. A training pass draws the head's
+dropout masks in the stack's row order, one draw of the generator's raw
+words per hidden layer. An inference pass computes the same values on
+plain arrays and builds no node: one layer sequence for a bag, a stack and
+a list, with one first product per call over a bag or a stack, in-place
+leaky ReLUs, and none of training's buffers or kink-margin notes.
 Evaluation chunks and score requests (a chunk of one bag) share it. In
 either pass the attention kernels correlate over one zero-padded copy of
 the clip-mean signal.
@@ -358,47 +360,33 @@ def _no_buffer(name: str, shape: tuple[int, ...], dtype) -> None:
     return None
 
 
-def dropout_masks(rng, grid, t: int, widths, rate: float,
+def dropout_masks(rng, rows: int, widths, rate: float,
                   workspace: Workspace | None = None, dtype=np.float32) -> list[np.ndarray]:
-    """Inverted-dropout masks for the hidden layers of a ``grid`` of bags
-    (a shape, or a count) of ``t`` clips each, one (bags * t, width)
-    ``dtype`` mask per width, in buffers of ``workspace`` when one is
-    given. The masks' rows follow the stack: bag by bag in row-major order
-    of the grid.
+    """Inverted-dropout masks for the hidden layers of ``rows`` clip rows,
+    one (rows, width) ``dtype`` mask per width, in buffers of ``workspace``
+    when one is given. The masks' rows follow the stack's rows.
 
     Each unit's keep decision reads 16 bits of the generator's raw 64-bit
     words, read as little-endian uint16 on any host, so one word decides
     four units: a unit is kept when its slice is >= thr = min(round(rate *
     2^16), 2^16 - 1), and a kept unit is scaled by 2^16 / (2^16 - thr), so
     that E[mask] = 1 exactly (at rate 0.5, thr = 2^15 and the scale is 2).
-    A bag takes ceil(t * sum(widths) / 4) whole words, its first layer's t
-    * width slices first, then the next layer's; the bags draw in
-    column-major order of the grid. So a class-major grid (2, B) of pairs
-    draws pair by pair, anomalous bag first, a count draws in stack order,
-    and a stack draws what its bags draw one at a time. One
-    ``random_raw`` call draws a column of the grid (a pair), whose slices
-    are compared straight into its bags' rows of every mask.
+    The layers draw in order, each in one ``random_raw`` call of ceil(rows
+    * width / 4) whole words, whose first rows * width slices are compared
+    straight into its mask in row-major order; a last word's spare slices
+    are unused. So the generator advances by exactly the words drawn.
     """
     if rng is None:
         raise ConfigurationError("dropout in training mode needs a random generator")
-    grid = np.arange(np.prod(grid, dtype=int)).reshape(grid)
-    masks = [np.empty((grid.size * t, w), dtype) if workspace is None
-             else workspace.take(f"mask{i}", (grid.size * t, w), dtype)
-             for i, w in enumerate(widths)]
     thr = min(round(rate * 2**16), 2**16 - 1)
-    words = -(-t * sum(widths) // 4)
-    # a column's bags lie `grid.size // per_call` bags apart in the stack
-    per_call = grid.shape[0] if grid.ndim > 1 else 1
-    rows = [m.reshape(per_call, -1, t, w) for m, w in zip(masks, widths)]
-    ends = np.cumsum([t * w for w in widths]).tolist()
-    for first in grid.ravel(order="F")[::per_call].tolist():
-        bits = rng.bit_generator.random_raw(per_call * words).astype("<u8", copy=False).view("<u2")
-        bits = bits.reshape(per_call, 4 * words)
-        for m, w, end in zip(rows, widths, ends):
-            # 1 where the unit is kept
-            np.greater_equal(bits[:, end - t * w : end].reshape(per_call, t, w), thr, out=m[:, first])
-    for m in masks:
+    masks = []
+    for i, w in enumerate(widths):
+        m = np.empty((rows, w), dtype) if workspace is None else workspace.take(f"mask{i}", (rows, w), dtype)
+        bits = rng.bit_generator.random_raw(-(-rows * w // 4)).astype("<u8", copy=False).view("<u2")
+        # 1 where the unit is kept
+        np.greater_equal(bits[: rows * w].reshape(rows, w), thr, out=m)
         m *= 2**16 / (2**16 - thr)
+        masks.append(m)
     return masks
 
 
@@ -478,11 +466,9 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     pass runs the dropout-free tail first, then masks the first activation
     in place and runs the tail again through the same buffers. Its dropout
     masks (``dropout_masks``) read one 16-bit slice of the generator's raw
-    words per unit, in whole words per bag, drawn bag by bag in column-major
-    order of the bag grid (the bag axes but the last): a class-major stack
-    of pairs (2, B, T) draws pair by pair, anomalous bag first, a flat
-    stack draws in stack order, and either draws what its bags draw one at
-    a time. Its backward overwrites each pre-activation with the leaky ReLU's
+    words per unit, one draw per layer over every row of the stack in the
+    stack's row order, so a bag's masks depend on where the stack holds
+    it. Its backward overwrites each pre-activation with the leaky ReLU's
     derivative there, and each layer's gradient over an activation it has
     read for the last time. So the backward runs at most once, and before
     the next forward into the same workspace.
@@ -539,7 +525,7 @@ def hfc_forward(x, cfg: HfcConfig, params: ModelParameters, gate=None,
     clean, z2, h2 = _head_tail(h1, cfg.slope, w1, b1, w2, b2, take("z2", wide, dtype), take("h2", wide, dtype))
     out, masks = clean, None
     if cfg.dropout:
-        masks = dropout_masks(rng, bag_axes[:-1], bag_axes[-1], cfg.dims[1:-1], cfg.dropout, workspace, dtype)
+        masks = dropout_masks(rng, x.shape[0], cfg.dims[1:-1], cfg.dropout, workspace, dtype)
         h1 *= masks[0]
         out = _head_tail(h1, cfg.slope, w1, b1, w2, b2, z2, h2, masks[1])[0]
     spent = False

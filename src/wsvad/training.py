@@ -11,8 +11,8 @@ normal bags (i-th with i-th after a seeded shuffle) and runs as one step:
   bags' cached clip means, and the head's first layer as gate * (X W0) + b0,
   with one product with W0 for the whole batch; its activation feeds both
   the dropout-free scores that instance selection reads and the training
-  scores with dropout, whose masks each bag draws in pair order (pair by
-  pair, anomalous bag first), so a bag's masks do not depend on the layout;
+  scores with dropout, whose masks are drawn in the stack's row order, one
+  draw per hidden layer;
 - selection (omega, K and the (2, B, T) mask of the top-K clips of each
   bag, where clip magnitude is |gate| times the cached clip norm) and the
   three loss terms read the (2, B, T) scores of the stack without splitting
@@ -314,6 +314,9 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
     with the earlier run's rows, and that run's ``best.lwck`` is copied
     here first, so this run replaces it only with weights that score
     better.
+
+    The log is rewritten whole (``model.replacing``) before the first epoch
+    and after each one: it always holds every finished epoch's row.
     """
     check_train_bags(train_bags, model)
     if cfg.epochs >= 1 and not test_bags:
@@ -341,26 +344,30 @@ def fit(train_bags, test_bags, model: AnomalyScorer, cfg: TrainConfig, out_dir,
         with replacing(best_path) as fh:
             fh.write((prev / "best.lwck").read_bytes())
 
+    def write_log(text: str) -> None:
+        with replacing(log_path) as fh:
+            fh.write(text.encode())
+
     rows: list[dict] = []
+    log = earlier_log
+    write_log(log)
     last = state.epoch + cfg.epochs
-    with open(log_path, "w") as log:
-        log.write(earlier_log)
-        for epoch in range(state.epoch + 1, last + 1):
-            means = train_epoch(pos_bags, neg_bags, model, state, cfg, sel_cfg, loss_cfg)
-            state.epoch = epoch
-            auc_value = None
-            if epoch % cfg.eval_every == 0 or epoch == last:
-                auc_value = evaluate_bags(test_bags, model).overall_auc
-                if auc_value > state.best_auc:
-                    state.best_auc = auc_value
-                    save_checkpoint(best_path, model)
-            values = {"epoch": epoch, "auc": auc_value, **means}
-            row = {col: values[col] for col in LOG_COLUMNS}
-            rows.append(row)
-            log.write(_format_row(row) + "\n")
-            log.flush()
-            if progress is not None:
-                progress(row)
+    for epoch in range(state.epoch + 1, last + 1):
+        means = train_epoch(pos_bags, neg_bags, model, state, cfg, sel_cfg, loss_cfg)
+        state.epoch = epoch
+        auc_value = None
+        if epoch % cfg.eval_every == 0 or epoch == last:
+            auc_value = evaluate_bags(test_bags, model).overall_auc
+            if auc_value > state.best_auc:
+                state.best_auc = auc_value
+                save_checkpoint(best_path, model)
+        values = {"epoch": epoch, "auc": auc_value, **means}
+        row = {col: values[col] for col in LOG_COLUMNS}
+        rows.append(row)
+        log += _format_row(row) + "\n"
+        write_log(log)
+        if progress is not None:
+            progress(row)
 
     save_checkpoint(final_path, model)
     save_train_state(state_path, state)

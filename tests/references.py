@@ -1,6 +1,6 @@
 """Reference code that the tests compare the package against: a per-kernel
-'same' convolution, a frozen inference pass of the scoring head and a named
-graph leaf."""
+'same' convolution, a frozen inference pass of the scoring head, the
+dropout masks of a stack drawn word by word, and a named graph leaf."""
 
 from __future__ import annotations
 
@@ -68,6 +68,22 @@ def inference_head(x, params, slope: float, gate=None) -> np.ndarray:
     logit = (h2 @ w2 + b2).astype(np.float64, copy=False)
     e = np.exp(-np.abs(logit))
     return (np.where(logit >= 0, 1.0, e) / (1.0 + e)).reshape(bag_axes)
+
+
+def dropout_masks(rng, rows: int, widths, rate: float) -> list[np.ndarray]:
+    """The float64 dropout masks of ``rows`` stack rows, one (rows, width)
+    mask per width: each layer takes its own ceil(rows * width / 4) raw
+    words, split as Python integers into 16-bit slices, low bits first, of
+    which the first rows * width are its units in row-major order. A unit
+    is kept when its slice is >= thr = min(round(rate * 2^16), 2^16 - 1),
+    and a kept unit is scaled by 2^16 / (2^16 - thr)."""
+    thr = min(round(rate * 2**16), 2**16 - 1)
+    masks = []
+    for w in widths:
+        words = [int(word) for word in rng.bit_generator.random_raw(-(-rows * w // 4))]
+        slices = np.array([(word >> (16 * k)) & 0xFFFF for word in words for k in range(4)][: rows * w])
+        masks.append((slices.reshape(rows, w) >= thr) * (2**16 / (2**16 - thr)))
+    return masks
 
 
 def leaf(data, name: str) -> Tensor:

@@ -452,8 +452,11 @@ class TestTrainEvalScoreCommands:
         rows = list(csv.reader(open(out_csv, newline="")))
         assert len(rows) == 41
         assert all(0.0 < float(r[1]) < 1.0 for r in rows[1:])
-        # stdout is the CSV that --out writes, cell for cell
-        assert list(csv.reader(out.splitlines())) == rows
+        # stdout is the file that --out writes, byte for byte, each line
+        # ending in \n
+        written = out_csv.read_bytes()
+        assert out.encode() == written
+        assert written.count(b"\n") == 41 and b"\r" not in written
 
     def test_score_into_a_closed_pipe_ends_quietly(self, trained_tiny, tmp_path):
         # `wsvad score --num-frames 200000 | head -1`: the reader closes the

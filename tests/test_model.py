@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from references import conv1d_same, inference_head, leaf
+from references import conv1d_same, dropout_masks as reference_masks, inference_head, leaf
 from wsvad.autodiff import ConfigurationError, DimensionError, Tensor, backward
 from wsvad.checks import full_graph_grad_check
 from wsvad.data import ClipFeatureBag
@@ -59,18 +59,6 @@ def _reference_head(feats, cfg: HfcConfig, params: ModelParameters) -> np.ndarra
             h = _leaky(nxt, cfg.slope) if i < n_layers - 1 else nxt
         out[r] = 1.0 / (1.0 + np.exp(-h[0]))
     return out
-
-
-def _reference_bag_masks(rng, t: int, widths, rate: float) -> list[np.ndarray]:
-    """One bag's dropout masks from its own ceil(t * sum(widths) / 4) raw
-    words, split into 16-bit slices low bits first, layer by layer."""
-    thr = min(round(rate * 2**16), 2**16 - 1)
-    units = t * sum(widths)
-    words = [int(w) for w in rng.bit_generator.random_raw(-(-units // 4))]
-    slices = np.array([(w >> (16 * k)) & 0xFFFF for w in words for k in range(4)][:units])
-    ends = np.cumsum([0] + [t * w for w in widths])
-    return [(slices[a:b].reshape(t, w) >= thr) * (2**16 / (2**16 - thr))
-            for a, b, w in zip(ends[:-1], ends[1:], widths)]
 
 
 def _reference_training_head(x, cfg: HfcConfig, params: ModelParameters, gate, masks, upstream,
@@ -373,26 +361,31 @@ class TestHfc:
         # the dropout-free pass of a training forward is the inference pass
         np.testing.assert_array_equal(clean, a)
 
-    def test_dropout_masks_match_per_bag_draws(self):
-        # a stack's masks are the per-bag reference draws, bag by bag in
-        # column-major order of the grid, each bag's rows where the stack
-        # holds it; t * sum(widths) = 28, 35, 42, 49 takes every remainder
-        # mod 4
-        widths, rate = (3, 4), 0.3
-        for grid in (4, (2, 3), (2, 2, 2), ()):
-            for t in (4, 5, 6, 7):
-                stack = np.random.default_rng(3)
-                masks = dropout_masks(stack, grid, t, widths, rate, dtype=np.float64)
-                per_bag = np.random.default_rng(3)
-                for n in np.arange(np.prod(grid, dtype=int)).reshape(grid).ravel(order="F"):
-                    for m, expected in zip(masks, _reference_bag_masks(per_bag, t, widths, rate)):
-                        np.testing.assert_array_equal(m[n * t : (n + 1) * t], expected, err_msg=f"{grid}, t={t}")
-                # ceil(t * sum(widths) / 4) whole words per bag, the last
-                # one's spare slices unused: a state saved between batches
-                # resumes the stream
-                skipped = np.random.default_rng(3)
-                skipped.bit_generator.advance(int(np.prod(grid)) * -(-t * sum(widths) // 4))
-                assert stack.bit_generator.state == per_bag.bit_generator.state == skipped.bit_generator.state
+    def test_dropout_masks_match_the_stack_order_reference(self):
+        # each layer's mask is its own draw of whole words over every row of
+        # the stack; rows * 3 and rows * sum(widths) = 36, 45, 54, 63 take
+        # every remainder mod 4, so the first layer's spare slices vary
+        widths, rate = (3, 6), 0.3
+        for rows in (4, 5, 6, 7):
+            for dtype in (np.float32, np.float64):
+                masks = dropout_masks(np.random.default_rng(3), rows, widths, rate, dtype=dtype)
+                expected = reference_masks(np.random.default_rng(3), rows, widths, rate)
+                assert [m.shape for m in masks] == [(rows, w) for w in widths]
+                for m, e in zip(masks, expected):
+                    assert m.dtype == dtype
+                    # a kept unit holds the scale rounded once to dtype
+                    np.testing.assert_array_equal(m, e.astype(dtype), err_msg=f"rows={rows}")
+
+    def test_dropout_masks_advance_the_generator_by_the_words_drawn(self):
+        # ceil(rows * width / 4) whole words per layer, the last one's spare
+        # slices unused: a state saved between batches resumes the stream
+        widths = (3, 6)
+        for rows in (1, 4, 5, 6, 7):
+            drawn = np.random.default_rng(3)
+            dropout_masks(drawn, rows, widths, 0.5)
+            skipped = np.random.default_rng(3)
+            skipped.bit_generator.advance(sum(-(-rows * w // 4) for w in widths))
+            assert drawn.bit_generator.state == skipped.bit_generator.state, rows
 
     @pytest.mark.parametrize("rate", [0.3, 0.5])
     def test_dropout_keep_share_and_scale(self, rate):
@@ -400,7 +393,7 @@ class TestHfc:
         # its inverse, so the mask's mean is 1 in expectation
         thr = round(rate * 2**16)
         keep = (2**16 - thr) / 2**16
-        masks = dropout_masks(np.random.default_rng(6), (2, 16), 32, (64, 128), rate, dtype=np.float64)
+        masks = dropout_masks(np.random.default_rng(6), 2 * 16 * 32, (64, 128), rate, dtype=np.float64)
         values = np.concatenate([m.ravel() for m in masks])
         assert set(np.unique(values).tolist()) == {0.0, 2**16 / (2**16 - thr)}
         # within 5 binomial standard deviations of the keep probability
@@ -414,33 +407,21 @@ class TestHfc:
         # thr tops out at 2^16 - 1: the one slice value 0xFFFF is kept,
         # scaled by 2^16, and no scale divides by zero
         rate = np.nextafter(1.0, 0.0)
-        masks = dropout_masks(np.random.default_rng(7), 64, 32, (64, 128), rate)
+        masks = dropout_masks(np.random.default_rng(7), 64 * 32, (64, 128), rate)
         values = np.concatenate([m.ravel() for m in masks])
         assert np.isfinite(values).all()
         assert set(np.unique(values).tolist()) <= {0.0, 2.0**16}
-
-    def test_stacked_training_pass_matches_per_bag_passes(self):
-        # float64: in float32 the flat product over the stack rounds
-        # differently from each bag's own product (see hfc_forward)
-        cfg = HfcConfig.for_feature_dim(6, narrow=4, wide=5)
-        params = init_parameters(None, cfg, seed=2, dtype=np.float64)
-        feats = np.random.default_rng(7).standard_normal((3, 5, 6))
-        stacked, _ = hfc_forward(feats, cfg, params, training=True, rng=np.random.default_rng(8))
-        rng = np.random.default_rng(8)
-        for n in range(3):
-            one, _ = hfc_forward(feats[n], cfg, params, training=True, rng=rng)
-            np.testing.assert_allclose(stacked.data[n], one.data, rtol=1e-12)
 
     @pytest.mark.parametrize("gated", [True, False])
     @pytest.mark.parametrize("dropout", [0.5, 0.0])
     def test_training_pass_matches_the_allocating_reference(self, gated, dropout):
         # the in-place pass and backward against the same maths on fresh
-        # arrays, bit for bit, with masks drawn from the same generator; the
-        # reference computes in float64. The listed clips get a zero score
-        # gradient: with none, the backward is one pass over all rows; with
-        # one (12 of the 13 rows after the leading run stay live) or nine
-        # (4 of 13), every weight and bias gradient sums the live rows in
-        # two parts
+        # arrays, bit for bit, with the reference's stack-order masks of the
+        # same generator; the reference computes in float64. The listed
+        # clips get a zero score gradient: with none, the backward is one
+        # pass over all rows; with one (12 of the 13 rows after the leading
+        # run stay live) or nine (4 of 13), every weight and bias gradient
+        # sums the live rows in two parts
         cfg = HfcConfig.for_feature_dim(64, dropout=dropout)
         params = init_parameters(None, cfg, seed=4, dtype=np.float64)
         r = np.random.default_rng(9)
@@ -453,8 +434,7 @@ class TestHfc:
                 upstream[bag, clips] = 0.0
             scores, clean = hfc_forward(x, cfg, params, gate, training=True, rng=np.random.default_rng(2))
             grads = backward(Tensor((scores.data * upstream).sum(), (scores,), lambda g: (g * upstream, {})))
-            masks = (dropout_masks(np.random.default_rng(2), 3, 8, cfg.dims[1:-1], dropout, dtype=np.float64)
-                     if dropout else None)
+            masks = reference_masks(np.random.default_rng(2), 3 * 8, cfg.dims[1:-1], dropout) if dropout else None
             ref_scores, ref_clean, ref_grads = _reference_training_head(
                 x, cfg, params, None if gate is None else gate.data, masks, upstream)
             assert scores.data.tobytes() == ref_scores.tobytes()

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from references import dropout_masks as reference_masks
 from wsvad import training
 from wsvad.autodiff import ConfigurationError, backward
 from wsvad.data import ClipFeatureBag, SyntheticSpec, load_bags, make_synthetic
@@ -18,7 +19,6 @@ from wsvad.model import (
     HfcConfig,
     ModelParameters,
     MtaConfig,
-    dropout_masks,
     load_checkpoint,
     read_container,
     save_checkpoint,
@@ -316,21 +316,21 @@ class TestWorkspace:
         # the batch stack is a float32 copy of the bags, at half the float64 size
         assert buffers["stack"].shape == (2, b, t, d) and buffers["stack"].nbytes == b * 2 * t * d * 4
 
-    def test_dropout_masks_follow_the_bag_not_the_layout(self):
-        # the class-major stack holds bag (c, i) at c * B + i, and it gets
-        # the masks that pair-by-pair draws (anomalous bag first) give bag
-        # 2i + c of a pair-major stack
+    def test_step_masks_are_its_generators_stack_order_draw(self):
+        # the class-major stack's 2B * T rows, one draw per hidden layer,
+        # and the generator advanced by exactly those draws
         b, t, d = 3, 8, 16
         r = np.random.default_rng(8)
         model = AnomalyScorer(HfcConfig.for_feature_dim(d, dropout=0.5), MtaConfig(), seed=3)
-        state = TrainState(model.params)
+        state, rng = TrainState(model.params), np.random.default_rng(4)
         batch_step(_random_bags(r, b, 1, t, d), _random_bags(r, b, 0, t, d), model,
-                   SelectionConfig(), LossConfig(), np.random.default_rng(4), state.workspace)
+                   SelectionConfig(), LossConfig(), rng, state.workspace)
+        reference = np.random.default_rng(4)
         widths = model.hfc_cfg.dims[1:-1]
-        pair_major = dropout_masks(np.random.default_rng(4), 2 * b, t, widths, 0.5)
-        for layer, width in enumerate(widths):
-            got = state.workspace.take(f"mask{layer}", (2 * b * t, width), np.float32).reshape(2, b, t, width)
-            np.testing.assert_array_equal(got, pair_major[layer].reshape(b, 2, t, width).swapaxes(0, 1))
+        for layer, expected in enumerate(reference_masks(reference, 2 * b * t, widths, 0.5)):
+            got = state.workspace.take(f"mask{layer}", expected.shape, np.float32)
+            np.testing.assert_array_equal(got, expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("use_mta", [True, False])
     def test_backward_sets_every_gradient_of_the_step(self, use_mta):
@@ -524,6 +524,27 @@ class TestFit:
         assert [row["epoch"] for row in resumed.rows] == [3, 4] and resumed.best_auc == whole.best_auc
         for name in ("train_log.csv", "final.lwck", "best.lwck", "final_state.lwts"):
             assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+    def test_resume_in_place_keeps_the_earlier_rows_on_disk(self, tiny_bags, tmp_path, monkeypatch):
+        # a kill inside any resumed epoch must find the log as the last
+        # finished epoch left it, so the run can still be resumed
+        run = tmp_path / "run"
+        cfg = TrainConfig(epochs=2, batch_pairs=4, seed=7)
+        fit(tiny_bags["train"], tiny_bags["test"], AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig(), seed=7),
+            cfg, run)
+        earlier = (run / "train_log.csv").read_text()
+        on_disk, train_epoch = [], training.train_epoch
+
+        def reading_the_log(*args, **kwargs):
+            on_disk.append((run / "train_log.csv").read_text())
+            return train_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_epoch", reading_the_log)
+        fit(tiny_bags["train"], tiny_bags["test"], AnomalyScorer(HfcConfig.for_feature_dim(24), MtaConfig()),
+            cfg, run, resume_from=run)
+        lines = (run / "train_log.csv").read_text().splitlines(keepends=True)
+        assert len(lines) == 5 and "".join(lines[:3]) == earlier
+        assert on_disk == [earlier, "".join(lines[:4])]
 
     def test_resume_rejects_a_state_file_without_the_run_position(self, tiny_bags, tmp_path):
         # a state file that an older version wrote: no epoch count, no
